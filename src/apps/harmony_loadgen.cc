@@ -255,7 +255,9 @@ LoadgenReport run_loadgen(const LoadgenOptions& options) {
           std::chrono::steady_clock::duration>(
           std::chrono::duration<double>(1.0 / options.tick_hz));
       start.wait();
-      while (!stop.load(std::memory_order_relaxed)) {
+      // At least one sweep even when the soak ends before this thread is
+      // first scheduled, so `ticks` never depends on scheduler timing.
+      do {
         for (const auto& server : servers) {
           try {
             server->tick();
@@ -264,7 +266,7 @@ LoadgenReport run_loadgen(const LoadgenOptions& options) {
           ticks.fetch_add(1, std::memory_order_relaxed);
         }
         std::this_thread::sleep_for(period);
-      }
+      } while (!stop.load(std::memory_order_relaxed));
     });
   }
 

@@ -1,15 +1,16 @@
 #include "gs2/database.h"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cassert>
 #include <cmath>
-#include <cstring>
+#include <cstdlib>
 #include <istream>
 #include <limits>
 #include <mutex>
+#include <new>
 #include <ostream>
-#include <shared_mutex>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -67,10 +68,10 @@ std::vector<double> axis_values(const core::Parameter& p, std::size_t stride) {
   return Database::decimate_axis(std::move(all), stride);
 }
 
-/// SplitMix64-style avalanche over the raw coordinate bits.  Used both for
-/// shard selection and as the open-addressing key, so it must agree with
-/// operator== on doubles: -0.0 is canonicalised to +0.0 before hashing.
-/// Never returns 0 (reserved as the empty-slot sentinel).
+/// SplitMix64-style avalanche over the raw coordinate bits, the exact
+/// table's key.  It must agree with operator== on doubles: -0.0 is
+/// canonicalised to +0.0 before hashing.  Never returns 0 (reserved as the
+/// empty-slot sentinel).
 std::uint64_t point_hash(const core::Point& x) {
   std::uint64_t h = 0x9e3779b97f4a7c15ULL ^ x.size();
   for (const double c : x) {
@@ -83,95 +84,49 @@ std::uint64_t point_hash(const core::Point& x) {
   return h == 0 ? 1 : h;
 }
 
+/// Largest lattice that gets a memo: 2^22 slots, 32 MiB of address space
+/// of which only the pages a workload probes become resident.
+constexpr std::size_t kMaxMemoSlots = std::size_t{1} << 22;
+
+/// Number of admissible points of `space`, or 0 when it has a continuous
+/// axis or more than kMaxMemoSlots points.
+std::size_t lattice_size(const core::ParameterSpace& space) {
+  double points = 1.0;
+  for (const core::Parameter& p : space.params()) {
+    if (p.kind() == core::ParamKind::kContinuous) return 0;
+    points *= p.kind() == core::ParamKind::kInteger
+                  ? p.range() + 1.0
+                  : static_cast<double>(p.values().size());
+  }
+  return points <= static_cast<double>(kMaxMemoSlots)
+             ? static_cast<std::size_t>(points)
+             : 0;
+}
+
+/// Why (x, time) cannot be stored in a table over `dim` axes, or nullptr
+/// when it can.  The k-d tree's split bounds need finite coordinates, and
+/// interpolation needs finite, positive times.
+const char* entry_error(const core::Point& x, std::size_t dim, double time) {
+  if (x.size() != dim) return "arity mismatch";
+  for (const double c : x) {
+    if (!std::isfinite(c)) return "non-finite coordinate";
+  }
+  const bool good_time = time > 0.0 && std::isfinite(time);
+  return good_time ? nullptr : "time is not finite and positive";
+}
+
+struct FreeDeleter {
+  void operator()(void* p) const { std::free(p); }
+};
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Open-addressing memo map: (precomputed hash, point) -> interpolated value.
-// Linear probing over a power-of-two slot array; hash 0 marks an empty slot
-// (point_hash never returns 0).  The read path allocates nothing and touches
-// the Point only for one vector equality on a full hash match.
-struct Database::FlatMap {
-  struct Slot {
-    std::uint64_t hash = 0;
-    double value = 0.0;
-    core::Point key;
-  };
-  std::vector<Slot> slots;
-  std::size_t count = 0;
-
-  const double* find(std::uint64_t h, const core::Point& x) const {
-    if (slots.empty()) return nullptr;
-    const std::size_t mask = slots.size() - 1;
-    for (std::size_t i = h & mask;; i = (i + 1) & mask) {
-      const Slot& s = slots[i];
-      if (s.hash == 0) return nullptr;
-      if (s.hash == h && s.key == x) return &s.value;
-    }
-  }
-
-  void insert(std::uint64_t h, const core::Point& x, double value) {
-    if (slots.empty() || (count + 1) * 10 > slots.size() * 7) grow();
-    const std::size_t mask = slots.size() - 1;
-    for (std::size_t i = h & mask;; i = (i + 1) & mask) {
-      Slot& s = slots[i];
-      if (s.hash == 0) {
-        s.hash = h;
-        s.value = value;
-        s.key = x;
-        ++count;
-        return;
-      }
-      if (s.hash == h && s.key == x) return;  // racing recompute: same value
-    }
-  }
-
-  void clear() {
-    for (Slot& s : slots) {
-      s.hash = 0;
-      s.key.clear();
-    }
-    count = 0;
-  }
-
- private:
-  void grow() {
-    std::vector<Slot> old = std::move(slots);
-    slots.assign(old.empty() ? 64 : old.size() * 2, Slot{});
-    count = 0;
-    const std::size_t mask = slots.size() - 1;
-    for (Slot& s : old) {
-      if (s.hash == 0) continue;
-      std::size_t i = s.hash & mask;
-      while (slots[i].hash != 0) i = (i + 1) & mask;
-      slots[i] = std::move(s);
-      ++count;
-    }
-  }
-};
-
-// ---------------------------------------------------------------------------
-// Sharded memo cache.  See the invalidation discussion in database.h: shard
-// assignment is by hash, so one insert can affect entries in every shard —
-// a full clear is semantically required, and is made O(1) by bumping
-// `epoch`; shards lazily reset themselves on next touch.
-struct Database::Cache {
-  static constexpr std::size_t kShards = 16;
-  struct Shard {
-    mutable std::shared_mutex mutex;
-    std::uint64_t epoch = 0;
-    FlatMap map;
-  };
-  std::atomic<std::uint64_t> epoch{0};
-  std::array<Shard, kShards> shards;
-
-  Shard& shard(std::uint64_t h) { return shards[h % kShards]; }
-};
-
-// ---------------------------------------------------------------------------
-// Spatial index: SoA storage of the table (tree order), a median-split k-d
-// tree over it, and an open-addressing exact-hit table.  Built once per
-// table revision; immutable afterwards, so concurrent lookups need no
-// locking.
+// The index: SoA storage of the table (tree order), a value-split k-d tree
+// over it, an open-addressing exact-hit table and the lattice memo.  Built
+// once per table revision and immutable afterwards except for the memo
+// slots, which are only touched through relaxed std::atomic_ref operations,
+// so concurrent lookups need no locking.
 //
 // Exactness contract: the k-NN selection and the per-neighbour distances
 // must reproduce the brute-force reference bit-for-bit.  Distances are
@@ -179,7 +134,8 @@ struct Database::Cache {
 // ((x[d] - p[d]) / range[d], squared and summed left-to-right), neighbours
 // are ranked by the reference's (dist2, value) pair order (partial_sort on
 // pairs), and subtree pruning is strict (>) so equal-distance candidates
-// with smaller values are never skipped.
+// with smaller values are never skipped.  Any tree shape whose split bounds
+// are true bounds satisfies it.
 struct Database::Index {
   std::size_t dim = 0;
   std::size_t n = 0;
@@ -214,6 +170,19 @@ struct Database::Index {
   std::vector<std::uint64_t> slot_hash;
   std::vector<std::uint32_t> slot_row;
 
+  // Lattice memo: slot s holds the bits of the interpolated value of the
+  // admissible point at mixed-radix lattice position s, or 0 while it is
+  // empty.  Null when the space has a continuous axis or its lattice
+  // exceeds kMaxMemoSlots.  Zero-filled by calloc, which leaves freshly
+  // mapped pages untouched.  Interpolation is a pure function of this
+  // index, so racing fills of one slot store identical bits and relaxed
+  // order suffices; a value whose bits are all zero (+0.0) is simply
+  // recomputed on every lookup.
+  std::unique_ptr<std::uint64_t[], FreeDeleter> memo;
+
+  static constexpr std::size_t kNoSlot =
+      std::numeric_limits<std::size_t>::max();
+
   bool row_equals(std::uint32_t r, const core::Point& x) const {
     const double* p = &pts[static_cast<std::size_t>(r) * dim];
     for (std::size_t d = 0; d < dim; ++d) {
@@ -231,6 +200,51 @@ struct Database::Index {
         return &vals[slot_row[i]];
       }
     }
+  }
+
+  /// Memo slot of `x`, or kNoSlot when there is no memo or x is not an
+  /// admissible point of `space`.
+  std::size_t memo_slot(const core::ParameterSpace& space,
+                        const core::Point& x) const {
+    if (!memo || x.size() != dim) return kNoSlot;
+    std::size_t slot = 0;
+    for (std::size_t d = 0; d < dim; ++d) {
+      const core::Parameter& p = space.param(d);
+      const double c = x[d];
+      if (p.kind() == core::ParamKind::kInteger) {
+        if (!p.admissible(c)) return kNoSlot;
+        slot = slot * static_cast<std::size_t>(p.range() + 1.0) +
+               static_cast<std::size_t>(c - p.lower());
+      } else {
+        // Branch-free lower_bound: queries land on random values, so a
+        // compare-and-select loop beats a mispredicted binary search.
+        const std::vector<double>& v = p.values();
+        std::size_t i = 0;
+        for (std::size_t len = v.size(); len > 1; len -= len / 2) {
+          i += v[i + len / 2] < c ? len / 2 : 0;
+        }
+        i += v[i] < c ? 1 : 0;
+        if (i == v.size() || v[i] != c) return kNoSlot;
+        slot = slot * v.size() + i;
+      }
+    }
+    return slot;
+  }
+
+  /// The memoised value of `slot`, or nullopt when it is empty or kNoSlot.
+  std::optional<double> memo_get(std::size_t slot) const {
+    if (slot == kNoSlot) return std::nullopt;
+    const std::uint64_t bits =
+        std::atomic_ref<std::uint64_t>(memo[slot]).load(
+            std::memory_order_relaxed);
+    if (bits == 0) return std::nullopt;
+    return std::bit_cast<double>(bits);
+  }
+
+  void memo_put(std::size_t slot, double value) const {
+    if (slot == kNoSlot) return;
+    std::atomic_ref<std::uint64_t>(memo[slot]).store(
+        std::bit_cast<std::uint64_t>(value), std::memory_order_relaxed);
   }
 
   double dist2(std::uint32_t r, const double* x) const {
@@ -335,7 +349,7 @@ struct Database::Index {
     }
   }
 
-  /// Recursive median-split builder over rows[b, e); returns the node id.
+  /// Recursive value-split builder over rows[b, e); returns the node id.
   static std::uint32_t build_node(Index& idx, std::vector<std::uint32_t>& rows,
                                   const std::vector<double>& rp,
                                   std::uint32_t b, std::uint32_t e);
@@ -372,36 +386,61 @@ std::uint32_t Database::Index::build_node(Index& idx,
   }
   if (best_spread <= 0.0) return id;  // all points coincide: keep as leaf
 
+  // Split by value at the median coordinate m, with every row equal to m on
+  // one side, so lo_split < hi_split.  A split by index can leave copies of
+  // m on both sides; a query at m then bounds both children by 0 and
+  // prunes neither, which on a decimated grid (every coordinate value
+  // shared by hundreds of rows) is most queries.
+  const auto coord = [&](std::uint32_t r) {
+    return rp[static_cast<std::size_t>(r) * dim + axis];
+  };
   const std::uint32_t mid = b + (e - b) / 2;
-  std::nth_element(rows.begin() + b, rows.begin() + mid, rows.begin() + e,
-                   [&](std::uint32_t r, std::uint32_t q) {
-                     return rp[static_cast<std::size_t>(r) * dim + axis] <
-                            rp[static_cast<std::size_t>(q) * dim + axis];
-                   });
-  double lo_split = -std::numeric_limits<double>::infinity();
+  std::nth_element(
+      rows.begin() + b, rows.begin() + mid, rows.begin() + e,
+      [&](std::uint32_t r, std::uint32_t q) { return coord(r) < coord(q); });
+  const double m = coord(rows[mid]);
+  // nth_element leaves rows[b, mid) <= m <= rows(mid, e): count the rows
+  // strictly below m on the left and strictly above it on the right.
+  std::uint32_t below = 0;
+  double below_max = -std::numeric_limits<double>::infinity();
   for (std::uint32_t i = b; i < mid; ++i) {
-    lo_split = std::max(lo_split,
-                        rp[static_cast<std::size_t>(rows[i]) * dim + axis]);
+    const double c = coord(rows[i]);
+    below += c < m ? 1 : 0;
+    below_max = c < m ? std::max(below_max, c) : below_max;
   }
-  double hi_split = std::numeric_limits<double>::infinity();
-  for (std::uint32_t i = mid; i < e; ++i) {
-    hi_split = std::min(hi_split,
-                        rp[static_cast<std::size_t>(rows[i]) * dim + axis]);
+  std::uint32_t above = 0;
+  double above_min = std::numeric_limits<double>::infinity();
+  for (std::uint32_t i = mid + 1; i < e; ++i) {
+    const double c = coord(rows[i]);
+    above += c > m ? 1 : 0;
+    above_min = c > m ? std::min(above_min, c) : above_min;
   }
+  // The ties join whichever side leaves the split closer to even, never
+  // emptying a side, and only that side's half of the rows is reordered.
+  const std::uint32_t half = mid - b;
+  const std::uint32_t ties = e - b - below - above;
+  const bool ties_left =
+      below == 0 || (above > 0 && below + ties - half < half - below);
+  if (ties_left) {
+    std::partition(rows.begin() + mid + 1, rows.begin() + e,
+                   [&](std::uint32_t r) { return coord(r) == m; });
+  } else {
+    std::partition(rows.begin() + b, rows.begin() + mid,
+                   [&](std::uint32_t r) { return coord(r) < m; });
+  }
+  const std::uint32_t cut = ties_left ? e - above : b + below;
   idx.nodes[id].axis = static_cast<std::int32_t>(axis);
-  idx.nodes[id].lo_split = lo_split;
-  idx.nodes[id].hi_split = hi_split;
-  const std::uint32_t left = build_node(idx, rows, rp, b, mid);
-  const std::uint32_t right = build_node(idx, rows, rp, mid, e);
+  idx.nodes[id].lo_split = ties_left ? m : below_max;
+  idx.nodes[id].hi_split = ties_left ? above_min : m;
+  const std::uint32_t left = build_node(idx, rows, rp, b, cut);
+  const std::uint32_t right = build_node(idx, rows, rp, cut, e);
   idx.nodes[id].left = left;
   idx.nodes[id].right = right;
   return id;
 }
 
 Database::Database(core::ParameterSpace space, DatabaseOptions options)
-    : space_(std::move(space)),
-      options_(options),
-      cache_(std::make_unique<Cache>()) {
+    : space_(std::move(space)), options_(options) {
   assert(options_.interpolation_neighbors >= 1);
   assert(options_.idw_power > 0.0);
 }
@@ -410,9 +449,9 @@ Database::Database(Database&& other) noexcept
     : space_(std::move(other.space_)),
       options_(other.options_),
       table_(std::move(other.table_)),
+      version_(other.version_.load(std::memory_order_acquire)),
       index_(std::move(other.index_)),
-      index_ptr_(other.index_ptr_.load(std::memory_order_acquire)),
-      cache_(std::move(other.cache_)) {
+      index_ptr_(other.index_ptr_.load(std::memory_order_acquire)) {
   other.index_ptr_.store(nullptr, std::memory_order_release);
 }
 
@@ -421,10 +460,11 @@ Database& Database::operator=(Database&& other) noexcept {
     space_ = std::move(other.space_);
     options_ = other.options_;
     table_ = std::move(other.table_);
+    version_.store(other.version_.load(std::memory_order_acquire),
+                   std::memory_order_release);
     index_ = std::move(other.index_);
     index_ptr_.store(other.index_ptr_.load(std::memory_order_acquire),
                      std::memory_order_release);
-    cache_ = std::move(other.cache_);
     other.index_ptr_.store(nullptr, std::memory_order_release);
   }
   return *this;
@@ -447,8 +487,8 @@ Database Database::measure(const core::ParameterSpace& space,
   }
 
   // Cartesian product over the decimated axes.  Bulk inserts: no per-entry
-  // cache invalidation (the database is still private to this builder);
-  // the index is built once, lazily, on the first lookup.
+  // invalidation (the database is still private to this builder); the
+  // index is built once, lazily, on the first lookup.
   core::Point x(space.size());
   std::vector<std::size_t> idx(space.size(), 0);
   for (;;) {
@@ -474,24 +514,24 @@ void Database::insert_bulk(const core::Point& x, double time) {
 }
 
 void Database::insert(const core::Point& x, double time) {
-  assert(x.size() == space_.size());
-  assert(time > 0.0);
+  if (const char* why = entry_error(x, space_.size(), time)) {
+    throw std::invalid_argument(std::string("database insert: ") + why);
+  }
   const auto [it, inserted] = table_.try_emplace(x, time);
   if (!inserted) {
     if (it->second == time) return;  // no observable change: keep everything
     it->second = time;
   }
   // The new measurement may enter the k-NN set of any interpolated point,
-  // and shards are keyed by hash rather than by position, so every shard
-  // is potentially stale.  Invalidate in O(1): drop the index (rebuilt on
-  // next lookup) and bump the cache generation (shards reset lazily).
+  // so every memoised value is potentially stale: drop the index and its
+  // memo with it (rebuilt on the next lookup).
   index_ptr_.store(nullptr, std::memory_order_release);
   index_.reset();
-  cache_->epoch.fetch_add(1, std::memory_order_acq_rel);
+  version_.fetch_add(1, std::memory_order_acq_rel);
 }
 
 std::uint64_t Database::version() const {
-  return cache_->epoch.load(std::memory_order_acquire);
+  return version_.load(std::memory_order_acquire);
 }
 
 void Database::save(std::ostream& out) const {
@@ -522,12 +562,12 @@ Database Database::load(std::istream& in, core::ParameterSpace space,
       }
       fields.push_back(v);
     }
-    if (fields.size() != db.space_.size() + 1) {
-      throw std::runtime_error("database load: arity mismatch at line " +
-                               std::to_string(lineno));
-    }
     const double time = fields.back();
     fields.pop_back();
+    if (const char* why = entry_error(fields, db.space_.size(), time)) {
+      throw std::runtime_error(std::string("database load: ") + why +
+                               " at line " + std::to_string(lineno));
+    }
     db.insert_bulk(fields, time);
   }
   return db;
@@ -547,7 +587,7 @@ const Database::Index& Database::index() const {
       idx->range.push_back(space_.param(d).range());
     }
     // Raw AoS copy in table order, then a row permutation from the
-    // recursive median splits, then the final SoA-per-row fill.
+    // recursive value splits, then the final SoA-per-row fill.
     std::vector<double> rp(idx->n * idx->dim);
     std::vector<double> rv(idx->n);
     std::size_t r = 0;
@@ -602,6 +642,11 @@ const Database::Index& Database::index() const {
         while (idx->slot_hash[pos] != 0) pos = (pos + 1) & mask;
         idx->slot_hash[pos] = h;
         idx->slot_row[pos] = static_cast<std::uint32_t>(i);
+      }
+      if (const std::size_t slots = lattice_size(space_)) {
+        idx->memo.reset(static_cast<std::uint64_t*>(
+            std::calloc(slots, sizeof(std::uint64_t))));
+        if (!idx->memo) throw std::bad_alloc();
       }
     }
     index_ = std::move(idx);
@@ -715,36 +760,19 @@ double Database::interpolate_indexed(const Index& idx,
 double Database::clean_time(const core::Point& x) const {
   assert(x.size() == space_.size());
   const Index& idx = index();
-  const std::uint64_t h = point_hash(x);
   TierCounters& tiers = tier_counters();
-  if (const double* v = idx.exact_find(h, x)) {
+  if (const double* v = idx.exact_find(point_hash(x), x)) {
     tiers.exact.add();
     return *v;
   }
-
-  Cache::Shard& shard = cache_->shard(h);
-  const std::uint64_t now = cache_->epoch.load(std::memory_order_acquire);
-  {
-    const std::shared_lock lock(shard.mutex);
-    if (shard.epoch == now) {
-      if (const double* v = shard.map.find(h, x)) {
-        tiers.memo.add();
-        return *v;
-      }
-    }
+  const std::size_t slot = idx.memo_slot(space_, x);
+  if (const std::optional<double> v = idx.memo_get(slot)) {
+    tiers.memo.add();
+    return *v;
   }
-
   tiers.kdtree.add();
   const double value = interpolate_indexed(idx, x);
-
-  {
-    const std::unique_lock lock(shard.mutex);
-    if (shard.epoch != now) {
-      shard.map.clear();
-      shard.epoch = now;
-    }
-    shard.map.insert(h, x, value);
-  }
+  idx.memo_put(slot, value);
   return value;
 }
 
@@ -753,12 +781,11 @@ void Database::clean_times(std::span<const core::Point> xs,
   assert(xs.size() == out.size());
   if (xs.empty()) return;
   const Index& idx = index();
-  const std::uint64_t now = cache_->epoch.load(std::memory_order_acquire);
 
-  // Per-thread scratch: hashes and the indices of cache misses.
-  thread_local std::vector<std::uint64_t> hashes;
+  // Per-thread scratch: memo slots and the indices of memo misses.
+  thread_local std::vector<std::size_t> slots;
   thread_local std::vector<std::size_t> misses;
-  hashes.resize(xs.size());
+  slots.resize(xs.size());
   misses.clear();
 
   // Pass 1: exact hits and one memo probe per point.  Tier tallies are
@@ -769,21 +796,16 @@ void Database::clean_times(std::span<const core::Point> xs,
   for (std::size_t i = 0; i < xs.size(); ++i) {
     const core::Point& x = xs[i];
     assert(x.size() == space_.size());
-    const std::uint64_t h = point_hash(x);
-    hashes[i] = h;
-    if (const double* v = idx.exact_find(h, x)) {
+    if (const double* v = idx.exact_find(point_hash(x), x)) {
       out[i] = *v;
       ++exact_hits;
       continue;
     }
-    Cache::Shard& shard = cache_->shard(h);
-    const std::shared_lock lock(shard.mutex);
-    if (shard.epoch == now) {
-      if (const double* v = shard.map.find(h, x)) {
-        out[i] = *v;
-        ++memo_hits;
-        continue;
-      }
+    slots[i] = idx.memo_slot(space_, x);
+    if (const std::optional<double> v = idx.memo_get(slots[i])) {
+      out[i] = *v;
+      ++memo_hits;
+      continue;
     }
     misses.push_back(i);
   }
@@ -794,13 +816,13 @@ void Database::clean_times(std::span<const core::Point> xs,
 
   // Pass 2: interpolate each *unique* miss once (batches arrive one config
   // per rank, and replicated sampling makes intra-batch duplicates common),
-  // publish it to the memo cache, and copy it to any duplicates.
+  // publish it to the memo, and copy it to any duplicates.
   for (std::size_t m = 0; m < misses.size(); ++m) {
     const std::size_t i = misses[m];
     bool duplicate = false;
     for (std::size_t p = 0; p < m; ++p) {
       const std::size_t j = misses[p];
-      if (hashes[j] == hashes[i] && xs[j] == xs[i]) {
+      if (slots[j] == slots[i] && xs[j] == xs[i]) {
         out[i] = out[j];
         duplicate = true;
         break;
@@ -808,13 +830,7 @@ void Database::clean_times(std::span<const core::Point> xs,
     }
     if (duplicate) continue;
     out[i] = interpolate_indexed(idx, xs[i]);
-    Cache::Shard& shard = cache_->shard(hashes[i]);
-    const std::unique_lock lock(shard.mutex);
-    if (shard.epoch != now) {
-      shard.map.clear();
-      shard.epoch = now;
-    }
-    shard.map.insert(hashes[i], xs[i], out[i]);
+    idx.memo_put(slots[i], out[i]);
   }
 }
 

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "comm/spmd.h"
@@ -127,6 +130,42 @@ TEST(DatabaseIo, RoundTripPreservesFullPrecision) {
   db.save(buffer);
   const gs2::Database loaded = gs2::Database::load(buffer, space);
   EXPECT_DOUBLE_EQ(*loaded.exact(core::Point{1.0}), 0.12345678901234567);
+}
+
+TEST(DatabaseIo, LoadRejectsNonFiniteValuesAndNonPositiveTimes) {
+  // Checked in every build: the k-d tree bounds need finite coordinates and
+  // interpolation needs finite positive times.  The error names the line.
+  const core::ParameterSpace space({core::Parameter::integer("x", 0, 9)});
+  for (const char* row :
+       {"nan,1.0", "inf,1.0", "-inf,1.0", "1,nan", "1,inf", "1,0", "1,-2.5"}) {
+    std::stringstream buffer(std::string("2,3.5\n") + row + "\n");
+    try {
+      (void)gs2::Database::load(buffer, space);
+      ADD_FAILURE() << "accepted row '" << row << "'";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(DatabaseIo, InsertRejectsNonFiniteValuesAndNonPositiveTimes) {
+  const core::ParameterSpace space({core::Parameter::integer("x", 0, 9),
+                                    core::Parameter::integer("y", 0, 9)});
+  gs2::Database db(space, {});
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(db.insert(core::Point{nan, 1.0}, 1.0), std::invalid_argument);
+  EXPECT_THROW(db.insert(core::Point{1.0, -inf}, 1.0), std::invalid_argument);
+  EXPECT_THROW(db.insert(core::Point{1.0, 1.0}, nan), std::invalid_argument);
+  EXPECT_THROW(db.insert(core::Point{1.0, 1.0}, inf), std::invalid_argument);
+  EXPECT_THROW(db.insert(core::Point{1.0, 1.0}, 0.0), std::invalid_argument);
+  EXPECT_THROW(db.insert(core::Point{1.0, 1.0}, -1.0), std::invalid_argument);
+  EXPECT_THROW(db.insert(core::Point{1.0}, 1.0), std::invalid_argument);
+  EXPECT_EQ(db.entries(), 0u);
+  db.insert(core::Point{1.0, 2.0}, 3.0);
+  EXPECT_EQ(db.entries(), 1u);
+  EXPECT_EQ(db.clean_time(core::Point{1.0, 2.0}), 3.0);
 }
 
 }  // namespace

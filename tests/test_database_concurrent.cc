@@ -1,9 +1,9 @@
-// Concurrency hammer for the database's flat-hash memo cache: REPRO_THREADS
-// (min 4) threads issue overlapping scalar and batch lookups against one
-// shared Database, including simultaneous miss-recompute of the same point.
-// Run under -DPROTUNER_SANITIZE=thread this covers the sharded
-// shared_mutex read path, the lazy index build race and the epoch-based
-// invalidation handshake.
+// Concurrency hammer for the database's read path: REPRO_THREADS (min 4)
+// threads issue overlapping scalar and batch lookups against one shared
+// Database, on admissible lattice points (memoised) and off-lattice points
+// (always the k-d tree), including simultaneous miss-recompute of the same
+// point.  Run under -DPROTUNER_SANITIZE=thread this covers the lattice
+// memo's relaxed load / racing relaxed store and the lazy index build race.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -39,6 +39,32 @@ std::vector<core::Point> off_grid_points(const core::ParameterSpace& space,
   return pts;
 }
 
+/// `n` admissible points not stored in `db`: each one's first lookup is a
+/// k-d tree miss that fills its memo slot.
+std::vector<core::Point> lattice_points(const Database& db,
+                                        std::uint64_t seed, int n) {
+  util::Rng rng(seed);
+  std::vector<core::Point> pts;
+  while (pts.size() < static_cast<std::size_t>(n)) {
+    core::Point x = db.space().random_point(rng);
+    if (!db.exact(x)) pts.push_back(std::move(x));
+  }
+  return pts;
+}
+
+/// Half off-lattice points, half memoised lattice points, interleaved.
+std::vector<core::Point> mixed_points(const Database& db, std::uint64_t seed,
+                                      int n) {
+  const auto off = off_grid_points(db.space(), seed, n / 2);
+  const auto on = lattice_points(db, seed + 1, n - n / 2);
+  std::vector<core::Point> pts;
+  for (std::size_t i = 0; i < on.size(); ++i) {
+    if (i < off.size()) pts.push_back(off[i]);
+    pts.push_back(on[i]);
+  }
+  return pts;
+}
+
 TEST(DatabaseConcurrent, ParallelLookupsMatchSerialValues) {
   const Gs2Surface surface;
   const auto space = gs2_space();
@@ -46,7 +72,7 @@ TEST(DatabaseConcurrent, ParallelLookupsMatchSerialValues) {
 
   // Expected values from a private, serially-queried twin.
   const Database serial = Database::measure(space, surface, {});
-  const std::vector<core::Point> shared_pts = off_grid_points(space, 1, 128);
+  const std::vector<core::Point> shared_pts = mixed_points(serial, 1, 128);
   std::vector<double> expected;
   expected.reserve(shared_pts.size());
   for (const auto& x : shared_pts) expected.push_back(serial.clean_time(x));
@@ -67,7 +93,7 @@ TEST(DatabaseConcurrent, ParallelLookupsMatchSerialValues) {
           }
         }
       }
-      const auto mine = off_grid_points(space, 100 + t, 32);
+      const auto mine = mixed_points(db, 100 + t, 32);
       for (const auto& x : mine) {
         if (db.clean_time(x) != db.clean_time(x)) {
           mismatches.fetch_add(1, std::memory_order_relaxed);
@@ -86,8 +112,10 @@ TEST(DatabaseConcurrent, SimultaneousMissRecomputeOfSamePoint) {
 
   // Fresh database per round so the probed point is a genuine miss for
   // every thread; a barrier lines the threads up on the same point so they
-  // race through miss -> interpolate -> store together.
-  const std::vector<core::Point> pts = off_grid_points(space, 42, 16);
+  // race through miss -> interpolate -> memo store together on the lattice
+  // points, and through two k-d tree walks on the off-lattice ones.
+  const std::vector<core::Point> pts =
+      mixed_points(Database::measure(space, surface, {}), 42, 32);
   for (int round = 0; round < 4; ++round) {
     const Database db = Database::measure(space, surface, {});
     std::barrier sync(static_cast<std::ptrdiff_t>(n_threads));
@@ -118,7 +146,7 @@ TEST(DatabaseConcurrent, ConcurrentBatchAndScalarLookupsAgree) {
   const Database db = Database::measure(space, surface, {});
   const Database serial = Database::measure(space, surface, {});
 
-  const std::vector<core::Point> pts = off_grid_points(space, 9, 64);
+  const std::vector<core::Point> pts = mixed_points(serial, 9, 64);
   std::vector<double> expected;
   expected.reserve(pts.size());
   for (const auto& x : pts) expected.push_back(serial.clean_time(x));

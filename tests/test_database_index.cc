@@ -1,18 +1,22 @@
 // Property tests for the indexed evaluation substrate: the k-d-tree
 // interpolation path must reproduce the brute-force
 // weighted-nearest-neighbour reference bit-for-bit, the batch API must
-// equal scalar lookups, and the measure()-grid decimation must handle
-// degenerate axes.
+// equal scalar lookups, the tier counters must account for every point
+// (with only admissible lattice points memoised), and the measure()-grid
+// decimation must handle degenerate axes.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "core/landscape.h"
 #include "core/parameter_space.h"
 #include "gs2/database.h"
 #include "gs2/surface.h"
+#include "obs/metrics.h"
 #include "util/rng.h"
 
 namespace protuner::gs2 {
@@ -38,12 +42,26 @@ core::Point random_grid_point(const core::ParameterSpace& space,
   return space.random_point(rng);
 }
 
+/// Process-global lookup count of one tier (protuner_db_lookups_total).
+std::uint64_t tier_count(const char* tier) {
+  return obs::Registry::global()
+      .counter("protuner_db_lookups_total", {}, {{"tier", tier}})
+      .value();
+}
+
+std::uint64_t total_lookups() {
+  return tier_count("exact") + tier_count("memo") + tier_count("kdtree");
+}
+
 TEST(DatabaseIndex, IndexedInterpolationMatchesReferenceBitForBit) {
   // >= 1000 random on/off-grid points per (stride, k, power) setting, on
-  // both the GS2 space and a 4-D integer space.  EXPECT_EQ on doubles is
-  // exact equality: the indexed path selects the same k neighbours in the
-  // same order and accumulates with the same arithmetic as the reference,
-  // so equality is bit-for-bit, not approximate.
+  // duplicate-heavy tables: the GS2 space (every coordinate value shared
+  // by hundreds of rows, the case the k-d tree's value split exists for),
+  // a 4-D integer space, a table whose rows all share one coordinate, and
+  // a space with a continuous axis (no lattice memo).  EXPECT_EQ on doubles
+  // is exact equality: the indexed path selects the same k neighbours in
+  // the same order and accumulates with the same arithmetic as the
+  // reference, so equality is bit-for-bit, not approximate.
   const Gs2Surface surface;
   const auto gs2 = gs2_space();
   const core::ParameterSpace grid4({
@@ -54,6 +72,18 @@ TEST(DatabaseIndex, IndexedInterpolationMatchesReferenceBitForBit) {
   });
   const core::QuadraticLandscape bowl(core::Point{4.0, 5.0, 3.0, 6.0}, 1.0,
                                       0.2);
+  const core::ParameterSpace flat({
+      core::Parameter::integer("x", 0, 20),
+      core::Parameter::integer("y", 0, 9),
+      core::Parameter::integer("z", 0, 20),
+  });
+  const core::QuadraticLandscape flat_bowl(core::Point{7.0, 4.0, 12.0}, 1.0,
+                                           0.1);
+  const core::ParameterSpace mixed({
+      core::Parameter::integer("i", 0, 12),
+      core::Parameter::continuous("c", -1.0, 1.0),
+  });
+  const core::QuadraticLandscape mixed_bowl(core::Point{5.0, 0.3}, 1.0, 0.1);
 
   struct Setting {
     std::size_t stride;
@@ -68,10 +98,20 @@ TEST(DatabaseIndex, IndexedInterpolationMatchesReferenceBitForBit) {
     const DatabaseOptions opt{.stride = s.stride,
                               .interpolation_neighbors = s.neighbors,
                               .idw_power = s.power};
+    // Every row of the flat table has y == 4, so the tree never splits on y.
+    Database flat_db(flat, opt);
+    for (double x = 0.0; x <= 20.0; x += static_cast<double>(s.stride)) {
+      for (double z = 0.0; z <= 20.0; z += 2.0) {
+        flat_db.insert(core::Point{x, 4.0, z},
+                       flat_bowl.clean_time(core::Point{x, 4.0, z}));
+      }
+    }
     const Database dbs[] = {Database::measure(gs2, surface, opt),
-                            Database::measure(grid4, bowl, opt)};
-    const core::ParameterSpace* spaces[] = {&gs2, &grid4};
-    for (int which = 0; which < 2; ++which) {
+                            Database::measure(grid4, bowl, opt),
+                            std::move(flat_db),
+                            Database::measure(mixed, mixed_bowl, opt)};
+    const core::ParameterSpace* spaces[] = {&gs2, &grid4, &flat, &mixed};
+    for (int which = 0; which < 4; ++which) {
       const Database& db = dbs[which];
       const core::ParameterSpace& space = *spaces[which];
       for (int i = 0; i < 300; ++i) {
@@ -169,16 +209,78 @@ TEST(DatabaseIndex, InsertRebuildsIndexAndInvalidatesCache) {
   core::ParameterSpace space({core::Parameter::integer("x", 0, 100)});
   Database db(space, {.stride = 1, .interpolation_neighbors = 1});
   db.insert(core::Point{0.0}, 1.0);
+  const std::uint64_t v1 = db.version();
+  EXPECT_DOUBLE_EQ(db.clean_time(core::Point{50.0}), 1.0);  // k-d tree
+  const std::uint64_t memo_before = tier_count("memo");
   EXPECT_DOUBLE_EQ(db.clean_time(core::Point{50.0}), 1.0);  // memoised
+  EXPECT_EQ(tier_count("memo"), memo_before + 1);
   db.insert(core::Point{60.0}, 42.0);
+  EXPECT_GT(db.version(), v1);
   EXPECT_DOUBLE_EQ(db.clean_time(core::Point{50.0}), 42.0);
   // Re-inserting an existing measurement with its existing value is a no-op
-  // and must not disturb lookups.
+  // and must not disturb lookups or the version.
+  const std::uint64_t v2 = db.version();
   db.insert(core::Point{60.0}, 42.0);
+  EXPECT_EQ(db.version(), v2);
   EXPECT_DOUBLE_EQ(db.clean_time(core::Point{50.0}), 42.0);
   // Overwriting with a new value takes effect.
   db.insert(core::Point{60.0}, 7.0);
+  EXPECT_GT(db.version(), v2);
   EXPECT_DOUBLE_EQ(db.clean_time(core::Point{50.0}), 7.0);
+}
+
+TEST(DatabaseIndex, TierCountsMatchPointsAndOnlyLatticePointsAreMemoised) {
+  // Every point passed in is counted by exactly one tier.  A repeated
+  // admissible point is a memo hit; a repeated off-lattice point (or any
+  // point of a space with a continuous axis) walks the k-d tree again.
+  const Gs2Surface surface;
+  const auto space = gs2_space();
+  const Database db = Database::measure(space, surface, {});
+  const core::ParameterSpace mixed({core::Parameter::integer("i", 0, 12),
+                                    core::Parameter::continuous("c", 0, 1)});
+  const Database mixed_db = Database::measure(
+      mixed, core::QuadraticLandscape(core::Point{5.0, 0.3}, 1.0, 0.1), {});
+  util::Rng rng(31);
+  std::vector<core::Point> lattice, off, cont;
+  while (lattice.size() < 40) {
+    core::Point x = random_grid_point(space, rng);
+    if (!db.exact(x)) lattice.push_back(std::move(x));
+  }
+  for (int i = 0; i < 40; ++i) {
+    core::Point x = random_box_point(space, rng);
+    x[1] += 0.5;  // never an integer, so never admissible
+    off.push_back(std::move(x));
+    cont.push_back(random_grid_point(mixed, rng));
+  }
+  std::vector<double> out(40);
+  const auto lookups = [&](const Database& d, const std::vector<core::Point>& xs,
+                           bool batch) {
+    if (batch) {
+      d.clean_times(xs, out);
+    } else {
+      for (std::size_t i = 0; i < xs.size(); ++i) out[i] = d.clean_time(xs[i]);
+    }
+  };
+  for (const bool batch : {false, true}) {
+    const std::uint64_t total0 = total_lookups();
+    const std::uint64_t memo0 = tier_count("memo");
+    const std::uint64_t kd0 = tier_count("kdtree");
+    lookups(db, lattice, batch);  // first sight (or memo hits on pass 2)
+    lookups(db, lattice, batch);  // memo hits
+    EXPECT_EQ(tier_count("memo") - memo0, batch ? 80u : 40u);
+    const std::uint64_t kd1 = tier_count("kdtree");
+    EXPECT_EQ(kd1 - kd0, batch ? 0u : 40u);
+    lookups(db, off, batch);
+    lookups(db, off, batch);
+    lookups(mixed_db, cont, batch);
+    lookups(mixed_db, cont, batch);
+    EXPECT_EQ(tier_count("kdtree") - kd1, 160u);
+    EXPECT_EQ(total_lookups() - total0, 240u);
+  }
+  // The uncached reads agree with the memoised ones.
+  for (const core::Point& x : lattice) {
+    EXPECT_EQ(db.clean_time(x), db.interpolate_reference(x));
+  }
 }
 
 TEST(DatabaseIndex, DecimateAxisHandlesDegenerateAxes) {

@@ -1,8 +1,8 @@
 // obs::FlightRecorder contract tests: ring-wrap retention (newest N
 // survive, recorded() keeps the true total), tag truncation into the
 // fixed-width slot, the human-readable dump, the async-signal-safe
-// request/consume handshake, and — with a counting global operator new,
-// the test_step_alloc pattern (this TU owns its executable) — proof that
+// request/consume handshake, and — with the counting global operator new
+// from counting_allocator.h (this TU owns its executable) — proof that
 // record() never touches the heap once the ring exists.
 #include <gtest/gtest.h>
 
@@ -18,52 +18,7 @@
 
 #include "obs/flight_recorder.h"
 
-namespace {
-
-std::atomic<std::size_t> g_allocations{0};
-
-std::size_t allocation_count() {
-  return g_allocations.load(std::memory_order_relaxed);
-}
-
-void* counted_alloc(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void* counted_aligned_alloc(std::size_t size, std::size_t alignment) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (alignment < sizeof(void*)) alignment = sizeof(void*);
-  void* p = nullptr;
-  if (posix_memalign(&p, alignment, size ? size : alignment) != 0) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-
-}  // namespace
-
-void* operator new(std::size_t size) { return counted_alloc(size); }
-void* operator new[](std::size_t size) { return counted_alloc(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  return counted_aligned_alloc(size, static_cast<std::size_t>(align));
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return counted_aligned_alloc(size, static_cast<std::size_t>(align));
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
+#include "counting_allocator.h"
 
 namespace protuner {
 namespace {

@@ -2,8 +2,8 @@
 // a known heavy mixture, registry identity/kind rules, the Prometheus
 // renderer, snapshot-while-recording under REPRO_THREADS hammering (the
 // tier1-tsan entry for this file), the harmony::Server protocol-error
-// counter regression, and — with a counting global operator new, the
-// test_step_alloc pattern — proof that recording on a pre-registered
+// counter regression, and — with the counting global operator new from
+// counting_allocator.h — proof that recording on a pre-registered
 // instrument allocates nothing.
 #include <gtest/gtest.h>
 
@@ -25,52 +25,7 @@
 #include "util/env.h"
 #include "util/rng.h"
 
-namespace {
-
-std::atomic<std::size_t> g_allocations{0};
-
-std::size_t allocation_count() {
-  return g_allocations.load(std::memory_order_relaxed);
-}
-
-void* counted_alloc(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void* counted_aligned_alloc(std::size_t size, std::size_t alignment) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (alignment < sizeof(void*)) alignment = sizeof(void*);
-  void* p = nullptr;
-  if (posix_memalign(&p, alignment, size ? size : alignment) != 0) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-
-}  // namespace
-
-void* operator new(std::size_t size) { return counted_alloc(size); }
-void* operator new[](std::size_t size) { return counted_alloc(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  return counted_aligned_alloc(size, static_cast<std::size_t>(align));
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return counted_aligned_alloc(size, static_cast<std::size_t>(align));
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
+#include "counting_allocator.h"
 
 namespace protuner {
 namespace {

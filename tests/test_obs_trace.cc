@@ -1,8 +1,8 @@
 // obs::Tracer contract tests: span nesting across the RoundEngine phases,
 // Chrome trace_event JSON validity (parsed back by a minimal JSON reader),
 // sampling, ring wrap-around, and the disabled path recording nothing and
-// allocating nothing (counting global operator new, the test_step_alloc
-// pattern — this TU owns its executable).
+// allocating nothing (counting global operator new from
+// counting_allocator.h — this TU owns its executable).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -23,52 +23,7 @@
 #include "obs/trace_merge.h"
 #include "varmodel/simple_noise.h"
 
-namespace {
-
-std::atomic<std::size_t> g_allocations{0};
-
-std::size_t allocation_count() {
-  return g_allocations.load(std::memory_order_relaxed);
-}
-
-void* counted_alloc(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void* counted_aligned_alloc(std::size_t size, std::size_t alignment) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (alignment < sizeof(void*)) alignment = sizeof(void*);
-  void* p = nullptr;
-  if (posix_memalign(&p, alignment, size ? size : alignment) != 0) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-
-}  // namespace
-
-void* operator new(std::size_t size) { return counted_alloc(size); }
-void* operator new[](std::size_t size) { return counted_alloc(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  return counted_aligned_alloc(size, static_cast<std::size_t>(align));
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return counted_aligned_alloc(size, static_cast<std::size_t>(align));
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
+#include "counting_allocator.h"
 
 namespace protuner {
 namespace {

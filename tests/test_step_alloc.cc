@@ -9,11 +9,13 @@
 // the global allocator) and is deliberately absent from the TSan test list.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <span>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -39,52 +41,7 @@
 #include "varmodel/pareto_noise.h"
 #include "varmodel/simple_noise.h"
 
-namespace {
-
-std::atomic<std::size_t> g_allocations{0};
-
-std::size_t allocation_count() {
-  return g_allocations.load(std::memory_order_relaxed);
-}
-
-void* counted_alloc(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void* counted_aligned_alloc(std::size_t size, std::size_t alignment) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (alignment < sizeof(void*)) alignment = sizeof(void*);
-  void* p = nullptr;
-  if (posix_memalign(&p, alignment, size ? size : alignment) != 0) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-
-}  // namespace
-
-void* operator new(std::size_t size) { return counted_alloc(size); }
-void* operator new[](std::size_t size) { return counted_alloc(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  return counted_aligned_alloc(size, static_cast<std::size_t>(align));
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return counted_aligned_alloc(size, static_cast<std::size_t>(align));
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
+#include "counting_allocator.h"
 
 namespace protuner {
 namespace {
@@ -281,6 +238,39 @@ TEST(StepAllocation, WarmedReferenceInterpolationIsAllocationFree) {
   EXPECT_EQ(allocation_count(), before)
       << "warmed interpolate_reference allocated on the heap";
   EXPECT_GT(acc, 0.0);
+}
+
+TEST(StepAllocation, WarmedDatabaseLatticeMissIsAllocationFree) {
+  // The lattice memo is one slot array sized when the index is built, so
+  // after one warm-up miss per thread (the k-NN heap and the batch scratch
+  // are per-thread) neither a cold lattice miss — k-d tree walk plus one
+  // slot store — nor a memo hit may touch the heap.
+  const gs2::Gs2Surface surface;
+  const auto space = gs2::gs2_space();
+  const gs2::Database db = gs2::Database::measure(space, surface, {});
+  util::Rng rng(5);
+  std::vector<Point> fresh;  // distinct admissible points, none stored
+  while (fresh.size() < 48) {
+    Point x = space.random_point(rng);
+    if (!db.exact(x) &&
+        std::find(fresh.begin(), fresh.end(), x) == fresh.end()) {
+      fresh.push_back(std::move(x));
+    }
+  }
+  const std::span<const Point> warm(fresh.data(), 8);
+  const std::span<const Point> scalar(fresh.data() + 8, 32);
+  const std::span<const Point> batch(fresh.data() + 40, 8);
+  std::vector<double> out(8);
+  db.clean_times(warm, out);  // the warm-up miss: sizes this thread's scratch
+  double acc = 0.0;
+  const std::size_t before = allocation_count();
+  for (const Point& x : scalar) acc += db.clean_time(x);  // cold misses
+  for (const Point& x : scalar) acc += db.clean_time(x);  // memo hits
+  db.clean_times(batch, out);                             // cold misses
+  db.clean_times(batch, out);                             // memo hits
+  EXPECT_EQ(allocation_count(), before)
+      << "warmed lattice misses or memo hits allocated on the heap";
+  EXPECT_GT(acc + out[0], 0.0);
 }
 
 TEST(StepAllocation, RunStepWrapperMatchesRunStepInto) {
