@@ -789,8 +789,9 @@ void Database::clean_times(std::span<const core::Point> xs,
   misses.clear();
 
   // Pass 1: exact hits and one memo probe per point.  Tier tallies are
-  // batched locally — one relaxed add per tier per batch — so a wide batch
-  // doesn't ping-pong the counters' cachelines between ranks.
+  // batched locally, so a batch costs at most one relaxed add per tier
+  // instead of one per point.  Each add lands in the calling thread's
+  // counter cell (obs/metrics.h), so workers do not share its line.
   std::uint64_t exact_hits = 0;
   std::uint64_t memo_hits = 0;
   for (std::size_t i = 0; i < xs.size(); ++i) {

@@ -40,7 +40,9 @@ void FlightRecorder::record(const char* kind, std::string_view session,
   const std::size_t n = session.size() < sizeof(e.tag) - 1
                             ? session.size()
                             : sizeof(e.tag) - 1;
-  std::memcpy(e.tag, session.data(), n);
+  // A default string_view has a null data(); memcpy from null is UB even
+  // for zero bytes.
+  if (n > 0) std::memcpy(e.tag, session.data(), n);
   e.tag[n] = '\0';
 }
 

@@ -65,6 +65,13 @@ void write_labels(std::ostream& out, const Labels& labels,
 
 }  // namespace
 
+// ----------------------------------------------------------------- Cells
+
+std::size_t detail::assign_metric_cell() {
+  static std::atomic<std::size_t> next{0};
+  return next.fetch_add(1, std::memory_order_relaxed) % kMetricCells;
+}
+
 // ----------------------------------------------------------------- Histogram
 
 std::size_t Histogram::bucket_index(double v) {
@@ -91,29 +98,30 @@ double Histogram::bucket_upper(std::size_t i) {
 }
 
 void Histogram::merge(const HistogramSnapshot& s) {
+  Cell& cell = cells_[detail::this_thread_cell()];
   const std::size_t n = std::min(s.counts.size(), kBucketCount);
   for (std::size_t i = 0; i < n; ++i) {
     if (s.counts[i] != 0) {
-      buckets_[i].fetch_add(s.counts[i], std::memory_order_relaxed);
+      cell.buckets[i].fetch_add(s.counts[i], std::memory_order_relaxed);
     }
   }
   if (s.max > 0.0) {
-    const std::uint64_t bits = std::bit_cast<std::uint64_t>(s.max);
-    std::uint64_t cur = max_bits_.load(std::memory_order_relaxed);
-    while (bits > cur && !max_bits_.compare_exchange_weak(
-                             cur, bits, std::memory_order_relaxed)) {
-    }
+    raise_max(cell.max_bits, std::bit_cast<std::uint64_t>(s.max));
   }
 }
 
 HistogramSnapshot Histogram::snapshot() const {
   HistogramSnapshot s;
-  s.counts.resize(kBucketCount);
-  for (std::size_t i = 0; i < kBucketCount; ++i) {
-    s.counts[i] = buckets_[i].load(std::memory_order_relaxed);
+  s.counts.assign(kBucketCount, 0);
+  std::uint64_t max_bits = 0;
+  for (const Cell& cell : cells_) {
+    for (std::size_t i = 0; i < kBucketCount; ++i) {
+      s.counts[i] += cell.buckets[i].load(std::memory_order_relaxed);
+    }
+    max_bits =
+        std::max(max_bits, cell.max_bits.load(std::memory_order_relaxed));
   }
-  const std::uint64_t bits = max_bits_.load(std::memory_order_relaxed);
-  s.max = std::bit_cast<double>(bits);
+  s.max = std::bit_cast<double>(max_bits);
   // The total is the bucket sum, so quantile targets are always consistent
   // with the counts they are computed from, even racing with record().
   std::uint64_t total = 0;

@@ -13,6 +13,7 @@
 #include <new>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -53,13 +54,17 @@ TEST(FlightRecorder, SessionTagIsCopiedAndTruncated) {
   rec.record("round/open", "short");
   const std::string long_name(64, 'x');
   rec.record("round/open", long_name);
+  // No session (a connection that never attached): a default string_view,
+  // whose data() is null, records an empty tag.
+  rec.record("error/decode", std::string_view{});
   const std::vector<FlightEvent> events = rec.snapshot();
-  ASSERT_EQ(events.size(), 2u);
+  ASSERT_EQ(events.size(), 3u);
   EXPECT_STREQ(events[0].tag, "short");
   // The tag slot is fixed-width with a guaranteed NUL.
   const std::string tag = events[1].tag;
   EXPECT_LT(tag.size(), sizeof(events[1].tag));
   EXPECT_EQ(tag, long_name.substr(0, tag.size()));
+  EXPECT_STREQ(events[2].tag, "");
 }
 
 TEST(FlightRecorder, DumpRendersATimeline) {

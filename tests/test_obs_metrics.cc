@@ -1,8 +1,10 @@
 // obs:: metrics registry contract tests: log-bucket boundaries, quantiles of
 // a known heavy mixture, registry identity/kind rules, the Prometheus
 // renderer, snapshot-while-recording under REPRO_THREADS hammering (the
-// tier1-tsan entry for this file), the harmony::Server protocol-error
-// counter regression, and — with the counting global operator new from
+// tier1-tsan entry for this file), the per-thread cells (more writers than
+// cells, max across cells, merge racing record, fold == serial render), the
+// harmony::Server protocol-error counter regression, and — with the
+// counting global operator new from
 // counting_allocator.h — proof that recording on a pre-registered
 // instrument allocates nothing.
 #include <gtest/gtest.h>
@@ -519,6 +521,123 @@ TEST(RegistryConcurrency, SnapshotWhileRecordingIsRaceFreeAndExact) {
             static_cast<std::uint64_t>(threads) * kPerThread);
 }
 
+TEST(ShardedInstruments, MoreWritersThanCellsKeepExactTotals) {
+  // Twice as many writers as cells, plus a few, so several threads share
+  // each cell; every add still lands exactly once in the fold.
+  constexpr int kThreads =
+      static_cast<int>(2 * obs::detail::kMetricCells) + 3;
+  constexpr int kPerThread = 5000;
+  obs::Counter hits;
+  Histogram lat;
+  std::vector<std::thread> writers;
+  writers.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    writers.emplace_back([&hits, &lat, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        hits.add(2);
+        lat.record(static_cast<double>(t * kPerThread + i));
+      }
+    });
+  }
+  for (auto& w : writers) w.join();
+  EXPECT_EQ(hits.value(), 2u * kThreads * kPerThread);
+  const obs::HistogramSnapshot s = lat.snapshot();
+  EXPECT_EQ(s.count, static_cast<std::uint64_t>(kThreads) * kPerThread);
+  EXPECT_EQ(s.max, static_cast<double>(kThreads * kPerThread - 1));
+}
+
+TEST(ShardedInstruments, MaxIsTheLargestValueAcrossThreads) {
+  // Each thread records its own peak into its own cell; the snapshot max
+  // is the largest of them, whichever cell holds it.
+  constexpr int kThreads = static_cast<int>(obs::detail::kMetricCells);
+  constexpr int kPeakThread = 2;  // neither the first nor the last writer
+  Histogram h;
+  std::vector<std::thread> writers;
+  writers.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    writers.emplace_back([&h, t] {
+      for (int i = 0; i < 100; ++i) h.record(1.0 + i);
+      h.record(t == kPeakThread ? 1e12 : 1e3 * (t + 1));
+    });
+  }
+  for (auto& w : writers) w.join();
+  const obs::HistogramSnapshot s = h.snapshot();
+  EXPECT_DOUBLE_EQ(s.max, 1e12);
+  EXPECT_DOUBLE_EQ(s.quantile(1.0), 1e12);
+  EXPECT_EQ(s.count, static_cast<std::uint64_t>(kThreads) * 101);
+}
+
+TEST(ShardedInstruments, MergeRacingRecordKeepsExactTotals) {
+  // merge() folds into the merging thread's cell while writers record into
+  // theirs; nothing is lost and snapshots taken in between never shrink.
+  const int threads = static_cast<int>(util::env_long("REPRO_THREADS", 4));
+  constexpr int kPerThread = 20000;
+  constexpr int kMerges = 500;
+  Histogram h;
+  Histogram pushed;
+  pushed.record(3.0);
+  pushed.record(7e6);
+  const obs::HistogramSnapshot delta = pushed.snapshot();
+  std::vector<std::thread> writers;
+  writers.reserve(static_cast<std::size_t>(threads));
+  for (int t = 0; t < threads; ++t) {
+    writers.emplace_back([&h] {
+      for (int i = 0; i < kPerThread; ++i) h.record(1000.0 + i);
+    });
+  }
+  std::uint64_t last = 0;
+  for (int m = 0; m < kMerges; ++m) {
+    h.merge(delta);
+    const std::uint64_t now = h.snapshot().count;
+    EXPECT_GE(now, last) << "folded totals ran backwards";
+    last = now;
+  }
+  for (auto& w : writers) w.join();
+  const obs::HistogramSnapshot s = h.snapshot();
+  EXPECT_EQ(s.count,
+            static_cast<std::uint64_t>(threads) * kPerThread + 2 * kMerges);
+  EXPECT_EQ(s.counts[Histogram::bucket_index(3.0)],
+            static_cast<std::uint64_t>(kMerges));
+  EXPECT_DOUBLE_EQ(s.max, 7e6);
+}
+
+TEST(ShardedInstruments, FoldRendersLikeASerialFeed) {
+  // The same values recorded from many threads (spread over cells) and
+  // from one thread (one cell) must expose identical Prometheus text.
+  constexpr int kThreads = static_cast<int>(obs::detail::kMetricCells) + 2;
+  const auto value = [](int t, int i) {
+    return 0.5 * std::pow(1.0 + i % 97, 1.0 + 0.25 * t);
+  };
+  Registry sharded;
+  obs::Counter& sc = sharded.counter("protuner_fold_total", "fold");
+  obs::Histogram& sh = sharded.histogram("protuner_fold_ns", "fold");
+  std::vector<std::thread> writers;
+  writers.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    writers.emplace_back([&sc, &sh, &value, t] {
+      for (int i = 0; i < 1000; ++i) {
+        sc.add();
+        sh.record(value(t, i));
+      }
+    });
+  }
+  for (auto& w : writers) w.join();
+  Registry serial;
+  obs::Counter& c = serial.counter("protuner_fold_total", "fold");
+  obs::Histogram& h = serial.histogram("protuner_fold_ns", "fold");
+  for (int t = 0; t < kThreads; ++t) {
+    for (int i = 0; i < 1000; ++i) {
+      c.add();
+      h.record(value(t, i));
+    }
+  }
+  std::ostringstream sharded_text;
+  obs::render_prometheus(sharded_text, sharded.snapshot());
+  std::ostringstream serial_text;
+  obs::render_prometheus(serial_text, serial.snapshot());
+  EXPECT_EQ(sharded_text.str(), serial_text.str());
+}
+
 TEST(ServerProtocolErrors, AreCountedWithoutDisturbingTheSession) {
   // Regression for the satellite fix: protocol violations used to be thrown
   // and forgotten; now each one increments the session's counter while the
@@ -575,6 +694,25 @@ TEST(RecordingAllocation, HotPathRecordingIsAllocationFree) {
   }
   EXPECT_EQ(allocation_count(), before)
       << "metric recording allocated on the heap";
+
+  // A thread that has never recorded picks its cell on its first record;
+  // from then on it allocates nothing either.  (Spawning it allocates, so
+  // the window opens inside the thread.)
+  std::size_t fresh_before = 0;
+  std::size_t fresh_after = 0;
+  std::thread fresh([&] {
+    c.add();
+    h.record(2.0);
+    fresh_before = allocation_count();
+    for (int i = 0; i < 10000; ++i) {
+      c.add();
+      h.record(static_cast<double>(i));
+    }
+    fresh_after = allocation_count();
+  });
+  fresh.join();
+  EXPECT_EQ(fresh_after, fresh_before)
+      << "a fresh thread's records allocated on the heap";
 }
 
 }  // namespace
