@@ -6,7 +6,6 @@
 #include <benchmark/benchmark.h>
 
 #include <atomic>
-#include <cassert>
 #include <future>
 #include <memory>
 #include <sstream>
@@ -365,24 +364,30 @@ void BM_TwoJobSimRun(benchmark::State& state) {
 }
 BENCHMARK(BM_TwoJobSimRun);
 
+// One PRO round through the engine at 6 ranks (the Fig. 10 shape), 64 and
+// 256 (the serving shape of a hot session).  The session converges early,
+// so the timing is dominated by the converged tail; both the searching and
+// converged phases run in recycled storage.
 void BM_ProTuningStep(benchmark::State& state) {
+  const auto ranks = static_cast<std::size_t>(state.range(0));
   const auto space = gs2::gs2_space();
   const gs2::Gs2Surface surface;
   auto db = std::make_shared<gs2::Database>(
       gs2::Database::measure(space, surface, {}));
   auto noise = std::make_shared<varmodel::ParetoNoise>(0.2, 1.7);
-  cluster::SimulatedCluster machine(db, noise, {.ranks = 6, .seed = 3});
+  cluster::SimulatedCluster machine(db, noise, {.ranks = ranks, .seed = 3});
   core::ProStrategy pro(space, {});
   core::RoundEngineOptions eo;
-  eo.width = 6;
+  eo.width = ranks;
   eo.record_series = false;
   core::RoundEngine engine(pro, eo);
   for (auto _ : state) {
     benchmark::DoNotOptimize(engine.step(machine));
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 6);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(ranks));
 }
-BENCHMARK(BM_ProTuningStep);
+BENCHMARK(BM_ProTuningStep)->Arg(6)->Arg(64)->Arg(256);
 
 void BM_FullTuningSession100(benchmark::State& state) {
   const auto space = gs2::gs2_space();
@@ -400,9 +405,8 @@ void BM_FullTuningSession100(benchmark::State& state) {
 BENCHMARK(BM_FullTuningSession100);
 
 // ------------------------------------------------------------------
-// Simulation hot path: the batched zero-allocation step pipeline vs a
-// faithful replica of the pre-batching scalar path, plus the noise layer
-// in isolation.  BENCH_cluster.json tracks these.
+// Simulation hot path: the batched zero-allocation step pipeline, plus the
+// noise layer in isolation.  BENCH_cluster.json tracks these.
 
 std::shared_ptr<gs2::Database> hot_path_db() {
   static auto db = std::make_shared<gs2::Database>(
@@ -454,33 +458,6 @@ void BM_RunStep_pareto(benchmark::State& state) {
   RunStepBench(state, std::make_shared<varmodel::ParetoNoise>(0.2, 1.7));
 }
 BENCHMARK(BM_RunStep_pareto)->Arg(8)->Arg(64);
-
-// Reference: the step as it was before the batch pipeline — a fresh result
-// vector per call, the full landscape lookup every step (no repeat-replay)
-// and one virtual scalar noise draw per rank.  The BM_RunStep_pareto /
-// BM_RunStep_prechange ratio is the headline speedup.
-void BM_RunStep_prechange(benchmark::State& state) {
-  const auto ranks = static_cast<std::size_t>(state.range(0));
-  auto db = hot_path_db();
-  const auto noise = std::make_shared<varmodel::ParetoNoise>(0.2, 1.7);
-  std::vector<util::Rng> rngs = util::Rng(11).split_streams(ranks);
-  const std::vector<core::Point> configs = hot_path_configs(ranks);
-  std::vector<double> clean(ranks);
-  for (auto _ : state) {
-    std::vector<double> out(ranks);
-    db->clean_times({configs.data(), configs.size()},
-                    {clean.data(), clean.size()});
-    for (std::size_t p = 0; p < ranks; ++p) {
-      assert(clean[p] > 0.0);  // the old path's per-rank debug check
-      out[p] = clean[p] + noise->sample(clean[p], rngs[p]);
-    }
-    benchmark::DoNotOptimize(out.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(ranks));
-}
-BENCHMARK(BM_RunStep_prechange)->Arg(8)->Arg(64);
 
 // The whole converged round through the engine: propose_into recycling,
 // batched evaluation, Eq. 1/2 accounting.

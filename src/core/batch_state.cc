@@ -6,17 +6,26 @@
 
 namespace protuner::core {
 
-void BatchState::reset(std::vector<Point> points, std::size_t ranks,
-                       const Options& opts) {
-  assert(!points.empty());
+std::span<Point> BatchState::stage(std::size_t n) {
+  assert(n >= 1);
+  if (points_.size() < n) points_.resize(n);
+  count_ = n;
+  done_ = true;  // not measuring until start()
+  return {points_.data(), n};
+}
+
+void BatchState::start(std::size_t ranks, const Options& opts) {
+  assert(count_ >= 1);
   assert(ranks >= 1);
   assert(opts.samples >= 1);
   assert(!opts.racing || opts.estimator == EstimatorKind::kMin);
   assert(opts.racing_margin >= 0.0);
-  points_ = std::move(points);
-  samples_.assign(points_.size(), {});
-  estimates_.assign(points_.size(), 0.0);
-  racing_active_.assign(points_.size(), true);
+  // clear() and assign() keep capacity: a warm batch of this size reuses
+  // every sample vector instead of reallocating it.
+  if (samples_.size() < count_) samples_.resize(count_);
+  for (std::size_t i = 0; i < count_; ++i) samples_[i].clear();
+  estimates_.assign(count_, 0.0);
+  racing_active_.assign(count_, true);
   opts_ = opts;
   ranks_ = ranks;
   wave_begin_ = 0;
@@ -25,10 +34,17 @@ void BatchState::reset(std::vector<Point> points, std::size_t ranks,
   finish_wave();  // sets up the first wave
 }
 
+void BatchState::reset(std::span<const Point> points, std::size_t ranks,
+                       const Options& opts) {
+  const std::span<Point> staged = stage(points.size());
+  std::copy(points.begin(), points.end(), staged.begin());
+  start(ranks, opts);
+}
+
 void BatchState::finish_wave() {
   wave_begin_ = wave_end_;
-  if (wave_begin_ >= points_.size()) {
-    for (std::size_t i = 0; i < points_.size(); ++i) {
+  if (wave_begin_ >= count_) {
+    for (std::size_t i = 0; i < count_; ++i) {
       // Trim to exactly K samples so replication does not change the
       // estimator's definition (extra replicated draws are discarded).
       auto& s = samples_[i];
@@ -40,7 +56,7 @@ void BatchState::finish_wave() {
     done_ = true;
     return;
   }
-  wave_end_ = std::min(points_.size(), wave_begin_ + ranks_);
+  wave_end_ = std::min(count_, wave_begin_ + ranks_);
   const std::size_t wave = wave_end_ - wave_begin_;
   reps_per_point_ = 1;
   if (opts_.parallel_replicas) {
@@ -70,12 +86,13 @@ void BatchState::rebuild_slot_map() {
   assert(!slot_map_.empty());
 }
 
-std::vector<Point> BatchState::next_assignment() {
+std::size_t BatchState::next_assignment(std::span<Point> out) const {
   assert(!done_);
-  std::vector<Point> out;
-  out.reserve(slot_map_.size());
-  for (std::size_t i : slot_map_) out.push_back(points_[i]);
-  return out;
+  assert(out.size() >= slot_map_.size());
+  for (std::size_t s = 0; s < slot_map_.size(); ++s) {
+    out[s] = points_[slot_map_[s]];
+  }
+  return slot_map_.size();
 }
 
 void BatchState::feed(std::span<const double> times) {

@@ -7,6 +7,11 @@
 // are enabled (§5.2: "if there are 64 parallel processors ... we can set
 // K=10 with no additional cost"), each point is replicated across
 // floor(R / wave) ranks so several samples arrive per step.
+//
+// Storage is recycled across batches: the point, sample, estimate and
+// racing buffers only ever grow, so once a strategy has run its largest
+// batch, staging, assigning and feeding a batch of the same shape never
+// touch the heap.
 #pragma once
 
 #include <cstddef>
@@ -36,29 +41,47 @@ class BatchState {
 
   BatchState() = default;
 
-  /// Begins measuring `points`; `ranks` is the machine's parallel width.
-  void reset(std::vector<Point> points, std::size_t ranks,
+  /// Recycled storage for the next batch's `n` points, to be written before
+  /// start() begins measuring them.  Entries keep what they held (earlier
+  /// batches' points, or empty Points), so re-staging a shorter prefix
+  /// keeps the points already written there.  Never shrinks the underlying
+  /// buffer: a batch that follows a larger one reuses its Points' capacity.
+  std::span<Point> stage(std::size_t n);
+
+  /// Begins measuring the staged points; `ranks` is the machine's
+  /// parallel width.
+  void start(std::size_t ranks, const Options& opts);
+
+  /// stage() a copy of `points`, then start().
+  void reset(std::span<const Point> points, std::size_t ranks,
              const Options& opts);
 
-  bool active() const { return !points_.empty() && !done_; }
+  bool active() const { return count_ != 0 && !done_; }
   bool done() const { return done_; }
 
-  /// The configurations to run this step (size <= ranks).  Call once per
-  /// step, then feed() the observed times in the same order.
-  std::vector<Point> next_assignment();
+  /// Number of configurations the current step runs (<= ranks).
+  std::size_t slots() const { return slot_map_.size(); }
+
+  /// Writes the configurations to run this step into out[0, slots()) by
+  /// copy-assignment (`out` must hold at least slots() entries) and
+  /// returns slots().  Call once per step, then feed() the observed times
+  /// in the same order.
+  std::size_t next_assignment(std::span<Point> out) const;
 
   /// Observed runtimes for the last next_assignment(), same order/length.
   void feed(std::span<const double> times);
 
   /// Per-point estimates, valid once done().
   const std::vector<double>& estimates() const { return estimates_; }
-  const std::vector<Point>& points() const { return points_; }
+  /// The batch's points (a view of the recycled storage).
+  std::span<const Point> points() const { return {points_.data(), count_}; }
 
  private:
   void finish_wave();
   void rebuild_slot_map();
 
-  std::vector<Point> points_;
+  std::vector<Point> points_;  ///< first count_ entries are the batch
+  std::size_t count_ = 0;
   std::vector<std::vector<double>> samples_;
   std::vector<double> estimates_;
   std::vector<bool> racing_active_;  ///< still being re-measured (racing)

@@ -1,5 +1,6 @@
 #include "core/nelder_mead.h"
 
+#include <algorithm>
 #include <cassert>
 #include <sstream>
 
@@ -17,27 +18,29 @@ void NelderMeadStrategy::start(std::size_t ranks) {
   simplex_ = minimal_simplex(space_, opts_.initial_size);  // N+1 vertices
   phase_ = Phase::kInitEval;
   frozen_ = false;
-  begin_batch(simplex_.vertices());
+  const std::vector<Point>& vs = simplex_.vertices();
+  std::copy(vs.begin(), vs.end(), batch_.stage(vs.size()).begin());
+  begin_batch();
 }
 
-void NelderMeadStrategy::begin_batch(std::vector<Point> pts) {
+void NelderMeadStrategy::begin_batch() {
   BatchState::Options bo;
   bo.samples = opts_.samples;
   bo.estimator = opts_.estimator;
-  batch_.reset(std::move(pts), /*ranks=*/1, bo);
+  batch_.start(/*ranks=*/1, bo);
 }
 
 StepProposal NelderMeadStrategy::propose() {
   StepProposal p;
-  if (phase_ == Phase::kDone) {
-    p.configs.assign(ranks_, best_point());
-    active_slots_ = 0;
-    return p;
-  }
-  p.configs = batch_.next_assignment();
-  active_slots_ = p.configs.size();
-  while (p.configs.size() < ranks_) p.configs.push_back(simplex_.vertex(0));
+  propose_into(p.configs);
   return p;
+}
+
+void NelderMeadStrategy::propose_into(std::vector<Point>& out) {
+  out.resize(ranks_);
+  active_slots_ = phase_ == Phase::kDone ? 0 : batch_.next_assignment(out);
+  std::fill(out.begin() + static_cast<std::ptrdiff_t>(active_slots_),
+            out.end(), simplex_.best());
 }
 
 void NelderMeadStrategy::observe(std::span<const double> times) {
@@ -47,25 +50,17 @@ void NelderMeadStrategy::observe(std::span<const double> times) {
   if (batch_.done()) on_batch_done();
 }
 
-Point NelderMeadStrategy::centroid_excluding_worst() const {
-  const std::size_t n = simplex_.size() - 1;
-  Point c(space_.size(), 0.0);
-  for (std::size_t j = 0; j < n; ++j) {
-    for (std::size_t i = 0; i < c.size(); ++i) c[i] += simplex_.vertex(j)[i];
-  }
-  for (double& v : c) v /= static_cast<double>(n);
-  return c;
-}
-
-Point NelderMeadStrategy::along(const Point& centroid, double alpha) const {
+void NelderMeadStrategy::begin_along(double alpha) {
   // v_N + alpha (c - v_N), projected with the best vertex as the rounding
   // centre (the centroid itself is usually off-grid).
   const Point& worst = simplex_.vertex(simplex_.size() - 1);
-  Point p(space_.size());
+  Point& p = batch_.stage(1)[0];
+  p.resize(space_.size());
   for (std::size_t i = 0; i < p.size(); ++i) {
-    p[i] = worst[i] + alpha * (centroid[i] - worst[i]);
+    p[i] = worst[i] + alpha * (centroid_[i] - worst[i]);
   }
-  return project(space_, simplex_.best(), p);
+  project(space_, simplex_.best(), p, p);
+  begin_batch();
 }
 
 void NelderMeadStrategy::start_iteration() {
@@ -75,9 +70,17 @@ void NelderMeadStrategy::start_iteration() {
     return;
   }
   ++iterations_;
-  centroid_ = centroid_excluding_worst();
+  // Centroid of the N best vertices (all but the worst).
+  const std::size_t n = simplex_.size() - 1;
+  centroid_.assign(space_.size(), 0.0);
+  for (std::size_t j = 0; j < n; ++j) {
+    for (std::size_t i = 0; i < centroid_.size(); ++i) {
+      centroid_[i] += simplex_.vertex(j)[i];
+    }
+  }
+  for (double& v : centroid_) v /= static_cast<double>(n);
   phase_ = Phase::kReflect;
-  begin_batch({along(centroid_, 2.0)});
+  begin_along(2.0);
 }
 
 void NelderMeadStrategy::accept_worst_replacement(const Point& p, double v) {
@@ -99,14 +102,14 @@ void NelderMeadStrategy::on_batch_done() {
       reflect_value_ = batch_.estimates().front();
       if (reflect_value_ < simplex_.best_value()) {
         phase_ = Phase::kExpand;
-        begin_batch({along(centroid_, 3.0)});
+        begin_along(3.0);
       } else if (reflect_value_ <
                  simplex_.value(simplex_.size() - 2)) {
         // Better than the second worst: plain reflection accepted.
         accept_worst_replacement(reflect_point_, reflect_value_);
       } else {
         phase_ = Phase::kContract;
-        begin_batch({along(centroid_, 0.5)});
+        begin_along(0.5);
       }
       break;
     }
@@ -128,13 +131,14 @@ void NelderMeadStrategy::on_batch_done() {
       } else {
         // Contraction failed: shrink the whole simplex around the best.
         phase_ = Phase::kShrinkEval;
-        begin_batch(simplex_.shrinks(space_));
+        simplex_.shrinks(space_, batch_.stage(simplex_.size() - 1));
+        begin_batch();
       }
       break;
     }
     case Phase::kShrinkEval: {
-      const auto& pts = batch_.points();
-      const auto& vals = batch_.estimates();
+      const std::span<const Point> pts = batch_.points();
+      const std::span<const double> vals = batch_.estimates();
       for (std::size_t j = 0; j < pts.size(); ++j) {
         simplex_.replace(j + 1, pts[j], vals[j]);
       }

@@ -32,6 +32,7 @@ class NelderMeadStrategy final : public TuningStrategy {
 
   void start(std::size_t ranks) override;
   StepProposal propose() override;
+  void propose_into(std::vector<Point>& out) override;
   void observe(std::span<const double> times) override;
   const Point& best_point() const override { return simplex_.best(); }
   double best_estimate() const override { return simplex_.best_value(); }
@@ -51,11 +52,13 @@ class NelderMeadStrategy final : public TuningStrategy {
     kDone,
   };
 
-  void begin_batch(std::vector<Point> pts);
+  /// Measures the points staged in batch_ (one per time step).
+  void begin_batch();
+  /// Stages and begins the single point on the line through the worst
+  /// vertex and centroid_ at `alpha`.
+  void begin_along(double alpha);
   void on_batch_done();
   void start_iteration();
-  Point centroid_excluding_worst() const;
-  Point along(const Point& centroid, double alpha) const;
   void accept_worst_replacement(const Point& p, double v);
 
   ParameterSpace space_;

@@ -154,8 +154,8 @@ Point ParameterSpace::snap_nearest(const Point& x) const {
   return out;
 }
 
-Point ParameterSpace::random_point(util::Rng& rng) const {
-  Point out(params_.size());
+void ParameterSpace::random_point_into(util::Rng& rng, Point& out) const {
+  out.resize(params_.size());
   for (std::size_t i = 0; i < params_.size(); ++i) {
     const auto& p = params_[i];
     switch (p.kind()) {
@@ -174,6 +174,11 @@ Point ParameterSpace::random_point(util::Rng& rng) const {
       }
     }
   }
+}
+
+Point ParameterSpace::random_point(util::Rng& rng) const {
+  Point out;
+  random_point_into(rng, out);
   return out;
 }
 

@@ -93,7 +93,9 @@ class ParameterSpace {
   /// projection.h for the centre-directed Π operator.
   Point snap_nearest(const Point& x) const;
 
-  /// Uniformly random admissible point.
+  /// Uniformly random admissible point, written into `out` (reusing its
+  /// capacity).  One draw per axis, in axis order.
+  void random_point_into(util::Rng& rng, Point& out) const;
   Point random_point(util::Rng& rng) const;
 
   /// Tolerance below which two continuous coordinates count as equal for the

@@ -29,30 +29,47 @@ void ProStrategy::start(std::size_t ranks) {
                         : minimal_simplex(space_, opts_.initial_size));
   phase_ = Phase::kInitEval;
   converged_ = false;
-  begin_batch(simplex_.vertices());
+  const std::vector<Point>& vs = simplex_.vertices();
+  std::copy(vs.begin(), vs.end(),
+            stage_batch(vs.size(), /*with_refresh=*/false).begin());
+  begin_batch();
 }
 
-void ProStrategy::begin_batch(std::vector<Point> pts, bool with_refresh) {
+std::span<Point> ProStrategy::stage_batch(std::size_t candidates,
+                                          bool with_refresh) {
   batch_has_refresh_ = with_refresh && opts_.refresh_best;
+  const std::span<Point> pts =
+      batch_.stage(candidates + (batch_has_refresh_ ? 1 : 0));
   if (batch_has_refresh_) {
     // The incumbent rides along with the candidates: in a live SPMD system
     // its processor keeps running it anyway, so the measurement is free.
-    pts.push_back(simplex_.best());
+    pts.back() = simplex_.best();
   }
+  return pts.first(candidates);
+}
+
+void ProStrategy::begin_batch() {
   BatchState::Options bo;
   bo.samples = opts_.samples;
   bo.estimator = opts_.estimator;
   bo.parallel_replicas = opts_.parallel_replicas;
   bo.racing = opts_.racing;
   bo.racing_margin = opts_.racing_margin;
-  batch_.reset(std::move(pts), ranks_, bo);
+  batch_.start(ranks_, bo);
 }
 
-std::vector<double> ProStrategy::split_refresh(std::vector<double> estimates) {
+void ProStrategy::begin_reflections() {
+  simplex_.reflections(space_, stage_batch(simplex_.size() - 1,
+                                           /*with_refresh=*/true));
+  begin_batch();
+}
+
+std::span<const double> ProStrategy::split_refresh() {
+  std::span<const double> estimates = batch_.estimates();
   if (batch_has_refresh_) {
     simplex_.set_value(0, estimates.back());
     if (opts_.adaptive_samples) update_adaptive_k(estimates.back());
-    estimates.pop_back();
+    estimates = estimates.first(estimates.size() - 1);
   }
   return estimates;
 }
@@ -109,19 +126,21 @@ void ProStrategy::update_adaptive_k(double fresh_observation) {
 }
 
 StepProposal ProStrategy::propose() {
+  StepProposal p;
+  propose_into(p.configs);
+  return p;
+}
+
+void ProStrategy::propose_into(std::vector<Point>& out) {
   // Every processor runs one iteration each time step (paper §2): slots not
   // occupied by candidates run the incumbent, and the step cost is the max
   // over *all* of them.  Padding therefore matters for honest accounting.
-  StepProposal p;
-  if (phase_ == Phase::kDone) {
-    p.configs.assign(ranks_, best_point());
-    active_slots_ = 0;
-    return p;
-  }
-  p.configs = batch_.next_assignment();
-  active_slots_ = p.configs.size();
-  while (p.configs.size() < ranks_) p.configs.push_back(simplex_.vertex(0));
-  return p;
+  // Both are copy-assigned into the caller's Points, so a warm buffer is
+  // reused in every phase, converged or not.
+  out.resize(ranks_);
+  active_slots_ = phase_ == Phase::kDone ? 0 : batch_.next_assignment(out);
+  std::fill(out.begin() + static_cast<std::ptrdiff_t>(active_slots_),
+            out.end(), simplex_.best());
 }
 
 void ProStrategy::observe(std::span<const double> times) {
@@ -131,8 +150,8 @@ void ProStrategy::observe(std::span<const double> times) {
   if (batch_.done()) on_batch_done();
 }
 
-void ProStrategy::adopt_new_vertices(const std::vector<Point>& pts,
-                                     const std::vector<double>& vals) {
+void ProStrategy::adopt_new_vertices(std::span<const Point> pts,
+                                     std::span<const double> vals) {
   // New simplex = old best vertex (with its existing estimate) plus the
   // accepted transformed points (Algorithm 2: v^0 survives, j=1..n replaced).
   assert(pts.size() == simplex_.size() - 1);
@@ -148,14 +167,17 @@ void ProStrategy::on_batch_done() {
       simplex_.set_values(batch_.estimates());
       simplex_.order();
       phase_ = Phase::kReflect;
-      begin_batch(simplex_.reflections(space_), /*with_refresh=*/true);
+      begin_reflections();
       break;
     }
     case Phase::kReflect: {
       ++iterations_;
-      reflect_values_ = split_refresh(batch_.estimates());
-      reflect_points_ = batch_.points();
-      reflect_points_.resize(reflect_values_.size());
+      const std::span<const double> vals = split_refresh();
+      const std::span<const Point> pts = batch_.points().first(vals.size());
+      // Same-size assign copy-assigns element-wise: the reflections from
+      // the previous iteration lend their Points' capacity.
+      reflect_values_.assign(vals.begin(), vals.end());
+      reflect_points_.assign(pts.begin(), pts.end());
       best_reflect_ = static_cast<std::size_t>(
           std::min_element(reflect_values_.begin(), reflect_values_.end()) -
           reflect_values_.begin());
@@ -164,15 +186,19 @@ void ProStrategy::on_batch_done() {
           // Most promising expansion: of the vertex whose reflection won.
           const Point& source = simplex_.vertex(best_reflect_ + 1);
           phase_ = Phase::kExpandCheck;
-          begin_batch({simplex_.expansion_of(space_, source)});
+          simplex_.expansion_of(space_, source,
+                                stage_batch(1, /*with_refresh=*/false)[0]);
         } else {
           phase_ = Phase::kExpandAllDirect;
-          begin_batch(simplex_.expansions(space_), /*with_refresh=*/true);
+          simplex_.expansions(space_, stage_batch(simplex_.size() - 1,
+                                                  /*with_refresh=*/true));
         }
       } else {
         phase_ = Phase::kShrink;
-        begin_batch(simplex_.shrinks(space_), /*with_refresh=*/true);
+        simplex_.shrinks(space_, stage_batch(simplex_.size() - 1,
+                                             /*with_refresh=*/true));
       }
+      begin_batch();
       break;
     }
     case Phase::kExpandCheck: {
@@ -180,7 +206,9 @@ void ProStrategy::on_batch_done() {
       const double e_val = batch_.estimates().front();
       if (e_val < reflect_values_[best_reflect_]) {
         phase_ = Phase::kExpandAll;
-        begin_batch(simplex_.expansions(space_), /*with_refresh=*/true);
+        simplex_.expansions(space_, stage_batch(simplex_.size() - 1,
+                                                /*with_refresh=*/true));
+        begin_batch();
       } else {
         ++reflections_accepted_;
         adopt_new_vertices(reflect_points_, reflect_values_);
@@ -190,22 +218,18 @@ void ProStrategy::on_batch_done() {
     }
     case Phase::kExpandAll: {
       ++expansions_accepted_;
-      const std::vector<double> vals = split_refresh(batch_.estimates());
-      std::vector<Point> pts = batch_.points();
-      pts.resize(vals.size());
-      adopt_new_vertices(pts, vals);
+      const std::span<const double> vals = split_refresh();
+      adopt_new_vertices(batch_.points().first(vals.size()), vals);
       after_accept();
       break;
     }
     case Phase::kExpandAllDirect: {
       // Ablation path: all n expansions were evaluated without the check.
-      const std::vector<double> e_vals = split_refresh(batch_.estimates());
-      std::vector<Point> pts = batch_.points();
-      pts.resize(e_vals.size());
+      const std::span<const double> e_vals = split_refresh();
       const double e_best = *std::min_element(e_vals.begin(), e_vals.end());
       if (e_best < reflect_values_[best_reflect_]) {
         ++expansions_accepted_;
-        adopt_new_vertices(pts, e_vals);
+        adopt_new_vertices(batch_.points().first(e_vals.size()), e_vals);
       } else {
         ++reflections_accepted_;
         adopt_new_vertices(reflect_points_, reflect_values_);
@@ -216,33 +240,24 @@ void ProStrategy::on_batch_done() {
     case Phase::kShrink: {
       const obs::ScopedSpan span(obs::Tracer::global(), "pro/shrink");
       ++shrinks_accepted_;
-      const std::vector<double> vals = split_refresh(batch_.estimates());
-      std::vector<Point> pts = batch_.points();
-      pts.resize(vals.size());
-      adopt_new_vertices(pts, vals);
+      const std::span<const double> vals = split_refresh();
+      adopt_new_vertices(batch_.points().first(vals.size()), vals);
       after_accept();
       break;
     }
     case Phase::kProbe: {
-      const std::vector<double> vals = split_refresh(batch_.estimates());
+      const std::span<const double> vals = split_refresh();
       const std::size_t l = static_cast<std::size_t>(
           std::min_element(vals.begin(), vals.end()) - vals.begin());
       if (vals[l] < simplex_.best_value()) {
         // Not a local minimum: continue PRO with the generated simplex
         // (§3.2.2).  In the faithful variant the incumbent is dropped; the
         // conservative variant appends it so its estimate is never lost.
-        std::vector<Point> vs = pending_probe_;
-        std::vector<double> mv = vals;
-        if (opts_.keep_incumbent_after_probe) {
-          vs.push_back(simplex_.best());
-          mv.push_back(simplex_.best_value());
-        }
-        Simplex fresh(std::move(vs));
-        fresh.set_values(mv);
-        fresh.order();
-        simplex_ = std::move(fresh);
+        simplex_.assign(batch_.points().first(vals.size()), vals,
+                        opts_.keep_incumbent_after_probe);
+        simplex_.order();
         phase_ = Phase::kReflect;
-        begin_batch(simplex_.reflections(space_), /*with_refresh=*/true);
+        begin_reflections();
       } else {
         converged_ = true;
         phase_ = Phase::kDone;
@@ -257,15 +272,19 @@ void ProStrategy::on_batch_done() {
 void ProStrategy::after_accept() {
   if (simplex_.collapsed(space_)) {
     if (opts_.stop_at_convergence) {
-      pending_probe_ = probe_points();
-      if (pending_probe_.empty()) {
+      // The probe points are written straight into the batch storage;
+      // stage_batch() below keeps them and appends the refresh slot.
+      const std::size_t n = probe_points(
+          space_, simplex_.best(), batch_.stage(2 * space_.size()));
+      if (n == 0) {
         converged_ = true;  // best sits in a fully-boundary corner
         phase_ = Phase::kDone;
         return;
       }
       ++probes_run_;
       phase_ = Phase::kProbe;
-      begin_batch(pending_probe_, /*with_refresh=*/true);
+      stage_batch(n, /*with_refresh=*/true);
+      begin_batch();
     } else {
       converged_ = true;
       phase_ = Phase::kDone;
@@ -273,30 +292,7 @@ void ProStrategy::after_accept() {
     return;
   }
   phase_ = Phase::kReflect;
-  begin_batch(simplex_.reflections(space_), /*with_refresh=*/true);
-}
-
-std::vector<Point> ProStrategy::probe_points() const {
-  // §3.2.2: the 2N axial neighbours {v^0 + u_i e_i, v^0 - l_i e_i}.  On a
-  // boundary the corresponding offset is zero and the point is dropped.
-  std::vector<Point> pts;
-  const Point& v0 = simplex_.best();
-  for (std::size_t i = 0; i < space_.size(); ++i) {
-    const Parameter& par = space_.param(i);
-    const double up = par.neighbor_above(v0[i]);
-    if (up != v0[i]) {
-      Point p = v0;
-      p[i] = up;
-      pts.push_back(std::move(p));
-    }
-    const double dn = par.neighbor_below(v0[i]);
-    if (dn != v0[i]) {
-      Point p = v0;
-      p[i] = dn;
-      pts.push_back(std::move(p));
-    }
-  }
-  return pts;
+  begin_reflections();
 }
 
 const Point& ProStrategy::best_point() const { return simplex_.best(); }

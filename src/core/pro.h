@@ -93,6 +93,7 @@ class ProStrategy final : public TuningStrategy {
 
   void start(std::size_t ranks) override;
   StepProposal propose() override;
+  void propose_into(std::vector<Point>& out) override;
   void observe(std::span<const double> times) override;
   const Point& best_point() const override;
   double best_estimate() const override;
@@ -122,15 +123,21 @@ class ProStrategy final : public TuningStrategy {
     kDone,
   };
 
-  void begin_batch(std::vector<Point> pts, bool with_refresh = false);
+  /// Stages a batch of `candidates` points in the batch's recycled storage
+  /// (plus the v^0 refresh slot when requested) and returns the candidate
+  /// slots for the caller to overwrite before begin_batch().
+  std::span<Point> stage_batch(std::size_t candidates, bool with_refresh);
+  void begin_batch();
+  /// Stages and begins the n reflections of the current simplex.
+  void begin_reflections();
   void on_batch_done();
   /// Splits off the trailing v^0 refresh estimate (when present), updates
-  /// the stored incumbent value, and returns the candidate estimates.
-  std::vector<double> split_refresh(std::vector<double> estimates);
-  void adopt_new_vertices(const std::vector<Point>& pts,
-                          const std::vector<double>& vals);
+  /// the stored incumbent value, and returns the candidate estimates (a
+  /// view of the batch's, valid until the next stage_batch()).
+  std::span<const double> split_refresh();
+  void adopt_new_vertices(std::span<const Point> pts,
+                          std::span<const double> vals);
   void after_accept();
-  std::vector<Point> probe_points() const;
   /// Feeds one fresh incumbent observation into the adaptive-K estimator
   /// and recomputes K (Eq. 11/22 heuristic).
   void update_adaptive_k(double fresh_observation);
@@ -146,11 +153,11 @@ class ProStrategy final : public TuningStrategy {
   bool batch_has_refresh_ = false;
   std::size_t active_slots_ = 0;  ///< leading proposal slots fed to batch_
 
-  // Pending-decision context.
+  // Pending-decision context: the reflections and their estimates, copied
+  // out of the batch before the expansion batch reuses its storage.
   std::vector<Point> reflect_points_;
   std::vector<double> reflect_values_;
   std::size_t best_reflect_ = 0;       ///< l = argmin_j f(r^j)
-  std::vector<Point> pending_probe_;
 
   // Adaptive-K state: raw observations of the current incumbent plus an
   // EWMA of the per-sample floor-hit probability across past incumbents.

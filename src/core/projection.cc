@@ -5,11 +5,11 @@
 
 namespace protuner::core {
 
-Point project(const ParameterSpace& space, const Point& center,
-              const Point& x) {
+void project(const ParameterSpace& space, const Point& center, const Point& x,
+             Point& out) {
   assert(x.size() == space.size());
   assert(center.size() == space.size());
-  Point out(x.size());
+  out.resize(x.size());  // a no-op when out is x
   for (std::size_t i = 0; i < x.size(); ++i) {
     const Parameter& p = space.param(i);
     double v = std::clamp(x[i], p.lower(), p.upper());
@@ -27,7 +27,6 @@ Point project(const ParameterSpace& space, const Point& center,
     }
     out[i] = v;
   }
-  return out;
 }
 
 }  // namespace protuner::core

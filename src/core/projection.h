@@ -18,8 +18,16 @@
 namespace protuner::core {
 
 /// Projects `x` into the admissible region of `space`, using `center` (the
-/// transformation centre v_k^0) to break discrete-rounding ties.
-Point project(const ParameterSpace& space, const Point& center,
-              const Point& x);
+/// transformation centre v_k^0) to break discrete-rounding ties.  Writes
+/// into `out`, reusing its capacity; `out` may be `x` itself.
+void project(const ParameterSpace& space, const Point& center, const Point& x,
+             Point& out);
+
+inline Point project(const ParameterSpace& space, const Point& center,
+                     const Point& x) {
+  Point out;
+  project(space, center, x, out);
+  return out;
+}
 
 }  // namespace protuner::core

@@ -1,5 +1,6 @@
 #include "core/random_search.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace protuner::core {
@@ -20,8 +21,14 @@ void RandomSearchStrategy::start(std::size_t ranks) {
 
 StepProposal RandomSearchStrategy::propose() {
   StepProposal p;
-  p.configs = proposals_;
+  propose_into(p.configs);
   return p;
+}
+
+void RandomSearchStrategy::propose_into(std::vector<Point>& out) {
+  // Element-wise copy-assign: a warm buffer's Points are reused.
+  out.resize(proposals_.size());
+  std::copy(proposals_.begin(), proposals_.end(), out.begin());
 }
 
 void RandomSearchStrategy::observe(std::span<const double> times) {
@@ -34,7 +41,7 @@ void RandomSearchStrategy::observe(std::span<const double> times) {
     }
   }
   for (std::size_t r = 0; r < ranks_; ++r) {
-    proposals_[r] = space_.random_point(rng_);
+    space_.random_point_into(rng_, proposals_[r]);
   }
 }
 

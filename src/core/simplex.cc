@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
-#include <numeric>
 
 namespace protuner::core {
 
@@ -19,60 +18,91 @@ void Simplex::set_values(std::span<const double> vals) {
   std::copy(vals.begin(), vals.end(), values_.begin());
 }
 
-void Simplex::replace(std::size_t j, Point p, double value) {
+void Simplex::replace(std::size_t j, const Point& p, double value) {
   assert(j < vertices_.size());
-  vertices_[j] = std::move(p);
+  vertices_[j] = p;
   values_[j] = value;
 }
 
-void Simplex::order() {
-  std::vector<std::size_t> idx(vertices_.size());
-  std::iota(idx.begin(), idx.end(), 0);
-  std::stable_sort(idx.begin(), idx.end(), [&](std::size_t a, std::size_t b) {
-    return values_[a] < values_[b];
-  });
-  std::vector<Point> vs;
-  std::vector<double> fs;
-  vs.reserve(idx.size());
-  fs.reserve(idx.size());
-  for (std::size_t i : idx) {
-    vs.push_back(std::move(vertices_[i]));
-    fs.push_back(values_[i]);
+void Simplex::assign(std::span<const Point> vs,
+                     std::span<const double> vals, bool keep_best) {
+  assert(vs.size() == vals.size());
+  assert(!vs.empty());
+  assert(!keep_best || !vertices_.empty());
+  const std::size_t n = vs.size() + (keep_best ? 1 : 0);
+  vertices_.resize(n);
+  values_.resize(n);
+  if (keep_best) {
+    // Park the best vertex in the last slot before vs overwrites slot 0.
+    vertices_[0].swap(vertices_[n - 1]);
+    values_[n - 1] = values_[0];
   }
-  vertices_ = std::move(vs);
-  values_ = std::move(fs);
+  for (std::size_t j = 0; j < vs.size(); ++j) {
+    vertices_[j] = vs[j];
+    values_[j] = vals[j];
+  }
+}
+
+void Simplex::order() {
+  // Insertion sort on (value, vertex) pairs: a vertex moves left only past
+  // strictly larger values, which is exactly the stable order, and the
+  // swaps exchange Point buffers instead of copying them.
+  for (std::size_t i = 1; i < size(); ++i) {
+    for (std::size_t j = i; j > 0 && values_[j] < values_[j - 1]; --j) {
+      std::swap(values_[j], values_[j - 1]);
+      vertices_[j].swap(vertices_[j - 1]);
+    }
+  }
+}
+
+void Simplex::transform(const ParameterSpace& space, double a, double b,
+                        std::span<Point> out) const {
+  assert(out.size() + 1 == size());
+  for (std::size_t j = 1; j < size(); ++j) {
+    Point& p = out[j - 1];
+    affine(a, best(), b, vertex(j), p);
+    project(space, best(), p, p);
+  }
+}
+
+std::vector<Point> Simplex::transformed(const ParameterSpace& space, double a,
+                                        double b) const {
+  std::vector<Point> out(size() - 1);
+  transform(space, a, b, out);
+  return out;
+}
+
+void Simplex::reflections(const ParameterSpace& space,
+                          std::span<Point> out) const {
+  transform(space, 2.0, -1.0, out);
+}
+
+void Simplex::expansions(const ParameterSpace& space,
+                         std::span<Point> out) const {
+  transform(space, 3.0, -2.0, out);
+}
+
+void Simplex::shrinks(const ParameterSpace& space,
+                      std::span<Point> out) const {
+  transform(space, 0.5, 0.5, out);
 }
 
 std::vector<Point> Simplex::reflections(const ParameterSpace& space) const {
-  std::vector<Point> out;
-  out.reserve(size() - 1);
-  for (std::size_t j = 1; j < size(); ++j) {
-    out.push_back(project(space, best(), affine(2.0, best(), -1.0, vertex(j))));
-  }
-  return out;
+  return transformed(space, 2.0, -1.0);
 }
 
 std::vector<Point> Simplex::expansions(const ParameterSpace& space) const {
-  std::vector<Point> out;
-  out.reserve(size() - 1);
-  for (std::size_t j = 1; j < size(); ++j) {
-    out.push_back(project(space, best(), affine(3.0, best(), -2.0, vertex(j))));
-  }
-  return out;
+  return transformed(space, 3.0, -2.0);
 }
 
 std::vector<Point> Simplex::shrinks(const ParameterSpace& space) const {
-  std::vector<Point> out;
-  out.reserve(size() - 1);
-  for (std::size_t j = 1; j < size(); ++j) {
-    out.push_back(project(space, best(), affine(0.5, best(), 0.5, vertex(j))));
-  }
-  return out;
+  return transformed(space, 0.5, 0.5);
 }
 
-Point Simplex::expansion_of(const ParameterSpace& space,
-                            const Point& target) const {
-  return project(space, best(), affine(3.0, best(), -2.0, target));
+void Simplex::expansion_of(const ParameterSpace& space, const Point& target,
+                           Point& out) const {
+  affine(3.0, best(), -2.0, target, out);
+  project(space, best(), out, out);
 }
 
 bool Simplex::collapsed(const ParameterSpace& space) const {
@@ -124,6 +154,26 @@ bool Simplex::degenerate(double tol) const {
     ++rank;
   }
   return rank < n;
+}
+
+std::size_t probe_points(const ParameterSpace& space, const Point& v0,
+                         std::span<Point> out) {
+  assert(out.size() >= 2 * space.size());
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < space.size(); ++i) {
+    const Parameter& par = space.param(i);
+    const double up = par.neighbor_above(v0[i]);
+    if (up != v0[i]) {
+      out[n] = v0;
+      out[n++][i] = up;
+    }
+    const double dn = par.neighbor_below(v0[i]);
+    if (dn != v0[i]) {
+      out[n] = v0;
+      out[n++][i] = dn;
+    }
+  }
+  return n;
 }
 
 namespace {

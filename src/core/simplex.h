@@ -35,10 +35,18 @@ class Simplex {
 
   void set_value(std::size_t j, double v) { values_[j] = v; }
   void set_values(std::span<const double> vals);
-  void replace(std::size_t j, Point p, double value);
+  /// Copy-assigns p over vertex j (reusing its capacity).
+  void replace(std::size_t j, const Point& p, double value);
+  /// Replaces the whole vertex set with `vs` and their values, reusing the
+  /// vertex storage (it only reallocates when the vertex count grows).
+  /// With keep_best the current best vertex and its value follow them as
+  /// the last vertex.  Leaves the simplex unordered: call order().
+  void assign(std::span<const Point> vs, std::span<const double> vals,
+              bool keep_best);
 
   /// Sorts vertices so value(0) <= value(1) <= ... (paper's reorder step).
-  /// Stable, so ties keep their previous relative order.
+  /// Stable, so ties keep their previous relative order.  In place: no
+  /// allocation.
   void order();
 
   /// Best vertex (requires order() since the last mutation).
@@ -46,13 +54,19 @@ class Simplex {
   double best_value() const { return values_.front(); }
 
   /// Candidate transformations of every non-best vertex around the best,
-  /// projected into the admissible region.
+  /// projected into the admissible region.  The out-parameter forms write
+  /// vertex j's image into out[j - 1] (out.size() == size() - 1), reusing
+  /// each Point's capacity.
+  void reflections(const ParameterSpace& space, std::span<Point> out) const;
+  void expansions(const ParameterSpace& space, std::span<Point> out) const;
+  void shrinks(const ParameterSpace& space, std::span<Point> out) const;
   std::vector<Point> reflections(const ParameterSpace& space) const;
   std::vector<Point> expansions(const ParameterSpace& space) const;
   std::vector<Point> shrinks(const ParameterSpace& space) const;
 
-  /// Expansion of a single vertex j (used for the PRO expansion check).
-  Point expansion_of(const ParameterSpace& space, const Point& target) const;
+  /// Expansion of a single vertex (the PRO expansion check), into `out`.
+  void expansion_of(const ParameterSpace& space, const Point& target,
+                    Point& out) const;
 
   /// True when all vertices coincide: exact equality on discrete axes,
   /// within the space tolerance on continuous axes (§3.2.2 trigger).
@@ -67,9 +81,22 @@ class Simplex {
   bool degenerate(double tol = 1e-10) const;
 
  private:
+  /// out[j - 1] = Pi(a v^0 + b v^j) for every non-best vertex j.
+  void transform(const ParameterSpace& space, double a, double b,
+                 std::span<Point> out) const;
+  std::vector<Point> transformed(const ParameterSpace& space, double a,
+                                 double b) const;
+
   std::vector<Point> vertices_;
   std::vector<double> values_;
 };
+
+/// The §3.2.2 stopping probe: writes the axial neighbours
+/// {v0 + u_i e_i, v0 - l_i e_i} of `v0` to the front of `out` (which must
+/// hold 2N entries) and returns how many there are.  On a boundary the
+/// corresponding offset is zero and the point is dropped.
+std::size_t probe_points(const ParameterSpace& space, const Point& v0,
+                         std::span<Point> out);
 
 /// Initial-simplex builders (§3.2.3 / §6.1).  `r` is the *relative size*:
 /// the axial offset is b_i = r * (upper_i - lower_i) / 2, so the paper's

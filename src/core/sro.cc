@@ -23,28 +23,37 @@ void SroStrategy::start(std::size_t ranks) {
                  : minimal_simplex(space_, opts_.initial_size);
   phase_ = Phase::kInitEval;
   converged_ = false;
-  begin_batch(simplex_.vertices());
+  const std::vector<Point>& vs = simplex_.vertices();
+  std::copy(vs.begin(), vs.end(), batch_.stage(vs.size()).begin());
+  begin_batch();
 }
 
-void SroStrategy::begin_batch(std::vector<Point> pts) {
+void SroStrategy::begin_batch() {
   BatchState::Options bo;
   bo.samples = opts_.samples;
   bo.estimator = opts_.estimator;
   bo.parallel_replicas = false;
-  batch_.reset(std::move(pts), /*ranks=*/1, bo);
+  batch_.start(/*ranks=*/1, bo);
+}
+
+void SroStrategy::begin_worst_move(double a, double b) {
+  Point& p = batch_.stage(1)[0];
+  affine(a, simplex_.best(), b, simplex_.vertex(simplex_.size() - 1), p);
+  project(space_, simplex_.best(), p, p);
+  begin_batch();
 }
 
 StepProposal SroStrategy::propose() {
   StepProposal p;
-  if (phase_ == Phase::kDone) {
-    p.configs.assign(ranks_, best_point());
-    active_slots_ = 0;
-    return p;
-  }
-  p.configs = batch_.next_assignment();
-  active_slots_ = p.configs.size();
-  while (p.configs.size() < ranks_) p.configs.push_back(simplex_.vertex(0));
+  propose_into(p.configs);
   return p;
+}
+
+void SroStrategy::propose_into(std::vector<Point>& out) {
+  out.resize(ranks_);
+  active_slots_ = phase_ == Phase::kDone ? 0 : batch_.next_assignment(out);
+  std::fill(out.begin() + static_cast<std::ptrdiff_t>(active_slots_),
+            out.end(), simplex_.best());
 }
 
 void SroStrategy::observe(std::span<const double> times) {
@@ -61,10 +70,7 @@ void SroStrategy::on_batch_done() {
       simplex_.order();
       phase_ = Phase::kReflectCheck;
       // Reflect the worst vertex through the best (Algorithm 1 line 5).
-      begin_batch({project(
-          space_, simplex_.best(),
-          affine(2.0, simplex_.best(), -1.0,
-                 simplex_.vertex(simplex_.size() - 1)))});
+      begin_worst_move(2.0, -1.0);
       break;
     }
     case Phase::kReflectCheck: {
@@ -73,13 +79,11 @@ void SroStrategy::on_batch_done() {
       reflect_value_ = batch_.estimates().front();
       if (reflect_value_ < simplex_.best_value()) {
         phase_ = Phase::kExpandCheck;
-        begin_batch({project(
-            space_, simplex_.best(),
-            affine(3.0, simplex_.best(), -2.0,
-                   simplex_.vertex(simplex_.size() - 1)))});
+        begin_worst_move(3.0, -2.0);
       } else {
         phase_ = Phase::kApplyShrink;
-        begin_batch(simplex_.shrinks(space_));
+        simplex_.shrinks(space_, batch_.stage(simplex_.size() - 1));
+        begin_batch();
       }
       break;
     }
@@ -87,18 +91,19 @@ void SroStrategy::on_batch_done() {
       const double e_val = batch_.estimates().front();
       if (e_val < reflect_value_) {
         phase_ = Phase::kApplyExpand;
-        begin_batch(simplex_.expansions(space_));
+        simplex_.expansions(space_, batch_.stage(simplex_.size() - 1));
       } else {
         phase_ = Phase::kApplyReflect;
-        begin_batch(simplex_.reflections(space_));
+        simplex_.reflections(space_, batch_.stage(simplex_.size() - 1));
       }
+      begin_batch();
       break;
     }
     case Phase::kApplyExpand:
     case Phase::kApplyReflect:
     case Phase::kApplyShrink: {
-      const auto& pts = batch_.points();
-      const auto& vals = batch_.estimates();
+      const std::span<const Point> pts = batch_.points();
+      const std::span<const double> vals = batch_.estimates();
       for (std::size_t j = 0; j < pts.size(); ++j) {
         simplex_.replace(j + 1, pts[j], vals[j]);
       }
@@ -107,23 +112,14 @@ void SroStrategy::on_batch_done() {
       break;
     }
     case Phase::kProbe: {
-      const auto& vals = batch_.estimates();
+      const std::span<const double> vals = batch_.estimates();
       const auto l = static_cast<std::size_t>(
           std::min_element(vals.begin(), vals.end()) - vals.begin());
       if (vals[l] < simplex_.best_value()) {
-        std::vector<Point> vs = pending_probe_;
-        vs.push_back(simplex_.best());
-        std::vector<double> fv = vals;
-        fv.push_back(simplex_.best_value());
-        Simplex merged(std::move(vs));
-        merged.set_values(fv);
-        merged.order();
-        simplex_ = std::move(merged);
+        simplex_.assign(batch_.points(), vals, /*keep_best=*/true);
+        simplex_.order();
         phase_ = Phase::kReflectCheck;
-        begin_batch({project(
-            space_, simplex_.best(),
-            affine(2.0, simplex_.best(), -1.0,
-                   simplex_.vertex(simplex_.size() - 1)))});
+        begin_worst_move(2.0, -1.0);
       } else {
         converged_ = true;
         phase_ = Phase::kDone;
@@ -138,14 +134,16 @@ void SroStrategy::on_batch_done() {
 void SroStrategy::after_accept() {
   if (simplex_.collapsed(space_)) {
     if (opts_.stop_at_convergence) {
-      pending_probe_ = probe_points();
-      if (pending_probe_.empty()) {
+      const std::size_t n = probe_points(
+          space_, simplex_.best(), batch_.stage(2 * space_.size()));
+      if (n == 0) {
         converged_ = true;
         phase_ = Phase::kDone;
         return;
       }
       phase_ = Phase::kProbe;
-      begin_batch(pending_probe_);
+      batch_.stage(n);  // keeps the n probe points just written
+      begin_batch();
     } else {
       converged_ = true;
       phase_ = Phase::kDone;
@@ -153,30 +151,7 @@ void SroStrategy::after_accept() {
     return;
   }
   phase_ = Phase::kReflectCheck;
-  begin_batch({project(space_, simplex_.best(),
-                       affine(2.0, simplex_.best(), -1.0,
-                              simplex_.vertex(simplex_.size() - 1)))});
-}
-
-std::vector<Point> SroStrategy::probe_points() const {
-  std::vector<Point> pts;
-  const Point& v0 = simplex_.best();
-  for (std::size_t i = 0; i < space_.size(); ++i) {
-    const Parameter& par = space_.param(i);
-    const double up = par.neighbor_above(v0[i]);
-    if (up != v0[i]) {
-      Point p = v0;
-      p[i] = up;
-      pts.push_back(std::move(p));
-    }
-    const double dn = par.neighbor_below(v0[i]);
-    if (dn != v0[i]) {
-      Point p = v0;
-      p[i] = dn;
-      pts.push_back(std::move(p));
-    }
-  }
-  return pts;
+  begin_worst_move(2.0, -1.0);
 }
 
 std::string SroStrategy::name() const {

@@ -28,6 +28,7 @@ class SroStrategy final : public TuningStrategy {
 
   void start(std::size_t ranks) override;
   StepProposal propose() override;
+  void propose_into(std::vector<Point>& out) override;
   void observe(std::span<const double> times) override;
   const Point& best_point() const override { return simplex_.best(); }
   double best_estimate() const override { return simplex_.best_value(); }
@@ -48,10 +49,13 @@ class SroStrategy final : public TuningStrategy {
     kDone,
   };
 
-  void begin_batch(std::vector<Point> pts);
+  /// Measures the points staged in batch_ (one per time step).
+  void begin_batch();
+  /// Stages and begins the single point Pi(a v^0 + b v^n) (Algorithm 1's
+  /// reflection/expansion check of the worst vertex).
+  void begin_worst_move(double a, double b);
   void on_batch_done();
   void after_accept();
-  std::vector<Point> probe_points() const;
 
   ParameterSpace space_;
   SroOptions opts_;
@@ -64,7 +68,6 @@ class SroStrategy final : public TuningStrategy {
 
   Point reflect_point_;
   double reflect_value_ = 0.0;
-  std::vector<Point> pending_probe_;
 
   bool converged_ = false;
   std::size_t iterations_ = 0;

@@ -10,12 +10,19 @@ namespace protuner::core {
 /// A configuration: one value per tunable parameter.
 using Point = std::vector<double>;
 
-/// r = a * x + b * y, elementwise.  The simplex transformations (reflection
-/// 2v0 - v, expansion 3v0 - 2v, shrink 0.5 v0 + 0.5 v) are all of this form.
-inline Point affine(double a, const Point& x, double b, const Point& y) {
+/// out = a * x + b * y, elementwise, reusing out's capacity.  The simplex
+/// transformations (reflection 2v0 - v, expansion 3v0 - 2v, shrink
+/// 0.5 v0 + 0.5 v) are all of this form.
+inline void affine(double a, const Point& x, double b, const Point& y,
+                   Point& out) {
   assert(x.size() == y.size());
-  Point r(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) r[i] = a * x[i] + b * y[i];
+  out.resize(x.size());
+  for (std::size_t i = 0; i < x.size(); ++i) out[i] = a * x[i] + b * y[i];
+}
+
+inline Point affine(double a, const Point& x, double b, const Point& y) {
+  Point r;
+  affine(a, x, b, y, r);
   return r;
 }
 

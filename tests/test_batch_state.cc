@@ -7,6 +7,13 @@
 namespace protuner::core {
 namespace {
 
+// The step's assignment, copied out of the batch.
+std::vector<Point> step_assignment(const BatchState& b) {
+  std::vector<Point> out(b.slots());
+  b.next_assignment(out);
+  return out;
+}
+
 std::vector<Point> pts(std::initializer_list<double> xs) {
   std::vector<Point> out;
   for (double x : xs) out.push_back(Point{x});
@@ -17,7 +24,7 @@ TEST(BatchState, SingleWaveSingleSample) {
   BatchState b;
   b.reset(pts({1.0, 2.0, 3.0}), /*ranks=*/4, {});
   EXPECT_TRUE(b.active());
-  const auto a = b.next_assignment();
+  const auto a = step_assignment(b);
   ASSERT_EQ(a.size(), 3u);
   b.feed(std::vector<double>{10.0, 20.0, 30.0});
   EXPECT_TRUE(b.done());
@@ -28,17 +35,17 @@ TEST(BatchState, MultipleWavesWhenBatchExceedsRanks) {
   BatchState b;
   b.reset(pts({1.0, 2.0, 3.0, 4.0, 5.0}), /*ranks=*/2, {});
   // Wave 1: points 0,1.
-  auto a = b.next_assignment();
+  auto a = step_assignment(b);
   ASSERT_EQ(a.size(), 2u);
   EXPECT_EQ(a[0], Point{1.0});
   b.feed(std::vector<double>{11.0, 12.0});
   EXPECT_FALSE(b.done());
   // Wave 2: points 2,3.
-  a = b.next_assignment();
+  a = step_assignment(b);
   EXPECT_EQ(a[0], Point{3.0});
   b.feed(std::vector<double>{13.0, 14.0});
   // Wave 3: point 4 alone.
-  a = b.next_assignment();
+  a = step_assignment(b);
   ASSERT_EQ(a.size(), 1u);
   b.feed(std::vector<double>{15.0});
   EXPECT_TRUE(b.done());
@@ -80,7 +87,7 @@ TEST(BatchState, ParallelReplicasCollectSamplesPerStep) {
   o.parallel_replicas = true;
   BatchState b;
   b.reset(pts({1.0, 2.0}), /*ranks=*/6, o);
-  const auto a = b.next_assignment();
+  const auto a = step_assignment(b);
   ASSERT_EQ(a.size(), 6u);
   // Layout: rep-major (p0, p1, p0, p1, p0, p1).
   EXPECT_EQ(a[0], Point{1.0});
@@ -98,7 +105,7 @@ TEST(BatchState, ReplicasCappedAtSampleCount) {
   o.parallel_replicas = true;
   BatchState b;
   b.reset(pts({1.0}), 8, o);
-  const auto a = b.next_assignment();
+  const auto a = step_assignment(b);
   EXPECT_EQ(a.size(), 2u);
   b.feed(std::vector<double>{3.0, 1.0});
   EXPECT_TRUE(b.done());
@@ -116,7 +123,7 @@ TEST(BatchState, ReplicasPlusSequentialSteps) {
   b.reset(pts({1.0, 2.0}), 4, o);
   int steps = 0;
   while (!b.done()) {
-    const auto a = b.next_assignment();
+    const auto a = step_assignment(b);
     ASSERT_EQ(a.size(), 4u);
     std::vector<double> times(a.size(), 2.0);
     b.feed(times);

@@ -28,7 +28,12 @@
 #include "core/fixed.h"
 #include "core/genetic.h"
 #include "core/landscape.h"
+#include "core/nelder_mead.h"
+#include "core/pro.h"
+#include "core/random_search.h"
 #include "core/round_engine.h"
+#include "core/sro.h"
+#include "core/strategy_spec.h"
 #include "gs2/database.h"
 #include "gs2/surface.h"
 #include "harmony/server.h"
@@ -376,9 +381,10 @@ TEST(CleanTimeCache, ClusterSeesFreshValuesAfterInsert) {
 TEST(Strategy, ProposeIntoOverridesAreAllocationFree) {
   // The TuningStrategy base class's propose_into default materialises a
   // fresh StepProposal (and its Points) on every call — an allocation trap
-  // for any engine recycling its buffers.  Annealing, genetic and compass
-  // override it to copy into the caller's storage; once the buffer and its
-  // points are warm, the call must be heap-silent.
+  // for any engine recycling its buffers.  Annealing, genetic, compass,
+  // PRO, SRO, Nelder-Mead and random search override it to copy into the
+  // caller's storage; once the buffer and its points are warm, the call
+  // must be heap-silent in every phase.
   const core::ParameterSpace space({
       core::Parameter::integer("i", 0, 15),
       core::Parameter::continuous("c", -1.0, 1.0),
@@ -417,6 +423,141 @@ TEST(Strategy, ProposeIntoOverridesAreAllocationFree) {
   drive(genetic, "genetic");
   core::CompassStrategy compass(space, {});
   drive(compass, "compass");
+  core::ProStrategy pro(space, {.samples = 2});
+  drive(pro, "pro");
+  core::SroStrategy sro(space, {});
+  drive(sro, "sro");
+  core::NelderMeadStrategy nm(space, {});
+  drive(nm, "nelder-mead");
+  core::RandomSearchStrategy random(space, 3);
+  drive(random, "random");
+}
+
+TEST(StepAllocation, ProRoundsAreAllocationFreeOnceWarm) {
+  // PRO is the paper's algorithm and Fig. 10's engine: every round —
+  // reflect, expansion check, expand, shrink, the §3.2.2 probe and the
+  // converged tail — runs in the batch's recycled storage.  Storage grows
+  // to its high-water mark the first time a batch shape appears (the
+  // largest is the first probe: 2N points plus the v^0 refresh slot), so
+  // the warm-up is one whole session; start() then rewinds the strategy
+  // onto its warm buffers and an identically seeded second session must
+  // not allocate once the new engine's own buffers are warm (2 rounds).
+  //
+  // Named exception (not exercised here, see DESIGN.md §6): a probe that
+  // escapes into a simplex with more vertices than the one it replaces
+  // (keep_incumbent_after_probe) grows the vertex vector once.
+  const auto space = gs2::gs2_space();
+  auto db = std::make_shared<gs2::Database>(
+      gs2::Database::measure(space, gs2::Gs2Surface{}, {}));
+  auto noise = std::make_shared<varmodel::ParetoNoise>(0.2, 1.7);
+  constexpr int kRounds = 120;
+  constexpr int kEngineWarmup = 2;
+  for (const char* spec : {"pro:k=3", "pro:refresh=0,k=3"}) {
+    for (const std::size_t ranks : {std::size_t{6}, std::size_t{64}}) {
+      SCOPED_TRACE(testing::Message() << spec << " at " << ranks << " ranks");
+      const auto strategy = core::make_strategy(spec, space, 17);
+      auto& pro = dynamic_cast<core::ProStrategy&>(*strategy);
+      RoundEngineOptions opts;
+      opts.width = ranks;
+      opts.record_series = false;
+      {
+        cluster::SimulatedCluster warm(db, noise, {.ranks = ranks, .seed = 17});
+        RoundEngine engine(pro, opts);
+        for (int r = 0; r < kRounds; ++r) engine.step(warm);
+        ASSERT_TRUE(pro.converged()) << "warm-up session never converged";
+      }
+      const std::size_t shrinks = pro.shrinks_accepted();
+      const std::size_t moves =
+          pro.reflections_accepted() + pro.expansions_accepted();
+      const std::size_t probes = pro.probes_run();
+      cluster::SimulatedCluster machine(db, noise,
+                                        {.ranks = ranks, .seed = 17});
+      RoundEngine engine(pro, opts);  // start(): a fresh search
+      ASSERT_FALSE(pro.converged());
+      std::size_t searching_rounds = 0, searching_allocs = 0;
+      std::size_t converged_rounds = 0, converged_allocs = 0;
+      int first_allocating_round = -1;
+      for (int r = 0; r < kRounds; ++r) {
+        const bool was_converged = pro.converged();
+        const std::size_t before = allocation_count();
+        engine.step(machine);
+        const std::size_t n = allocation_count() - before;
+        if (r < kEngineWarmup) continue;
+        if (n != 0 && first_allocating_round < 0) first_allocating_round = r;
+        (was_converged ? converged_rounds : searching_rounds) += 1;
+        (was_converged ? converged_allocs : searching_allocs) += n;
+      }
+      EXPECT_EQ(searching_allocs, 0u)
+          << "non-converged PRO rounds allocated; first at round "
+          << first_allocating_round;
+      EXPECT_EQ(converged_allocs, 0u)
+          << "converged PRO rounds allocated; first at round "
+          << first_allocating_round;
+      // The measured session really searched, moved, shrank, probed and
+      // then sat converged.
+      EXPECT_GT(searching_rounds, 10u);
+      EXPECT_GT(converged_rounds, 10u);
+      EXPECT_GT(pro.shrinks_accepted(), shrinks);
+      EXPECT_GT(pro.reflections_accepted() + pro.expansions_accepted(), moves);
+      EXPECT_GT(pro.probes_run(), probes);
+    }
+  }
+}
+
+std::size_t optimizer_iterations(const core::TuningStrategy& s) {
+  if (const auto* p = dynamic_cast<const core::ProStrategy*>(&s)) {
+    return p->iterations();
+  }
+  if (const auto* p = dynamic_cast<const core::SroStrategy*>(&s)) {
+    return p->iterations();
+  }
+  if (const auto* p = dynamic_cast<const core::NelderMeadStrategy*>(&s)) {
+    return p->iterations();
+  }
+  return 0;
+}
+
+TEST(Strategy, ProposeIntoMatchesProposeOverWholeSessions) {
+  // Two identically seeded instances, one driven through propose() and one
+  // through propose_into() with a deliberately hostile recycled buffer:
+  // oversized, with extra entries and Points of the wrong dimension.  The
+  // assignments must agree every round and the sessions must end in the
+  // same state.  racing and parallel_replicas produce slot maps shorter
+  // than the rank count, so the incumbent padding is exercised too.
+  const auto space = gs2::gs2_space();
+  auto db = std::make_shared<gs2::Database>(
+      gs2::Database::measure(space, gs2::Gs2Surface{}, {}));
+  auto noise = std::make_shared<varmodel::ParetoNoise>(0.2, 1.7);
+  for (const char* spec :
+       {"pro", "pro:k=3", "pro:k=3,racing=1", "pro:k=3,replicas=1",
+        "pro:k=2,keep=1,refresh=0", "sro:k=2", "nm:k=2", "random"}) {
+    for (const std::size_t ranks : {std::size_t{8}, std::size_t{16}}) {
+      SCOPED_TRACE(testing::Message() << spec << " at " << ranks << " ranks");
+      const auto a = core::make_strategy(spec, space, 5);
+      const auto b = core::make_strategy(spec, space, 5);
+      a->start(ranks);
+      b->start(ranks);
+      cluster::SimulatedCluster machine(db, noise, {.ranks = ranks, .seed = 5});
+      std::vector<Point> recycled;
+      for (int round = 0; round < 150; ++round) {
+        // Re-poison the buffer each round: stale extras, a wrong-sized
+        // Point in front and an empty one behind.
+        recycled.resize(ranks + 3, Point(7, -1.0));
+        recycled.front().assign(1, 42.0);
+        recycled.back().clear();
+        const std::vector<Point> configs = a->propose().configs;
+        b->propose_into(recycled);
+        ASSERT_EQ(configs, recycled) << "round " << round;
+        const std::vector<double> times = machine.run_step(configs);
+        a->observe(times);
+        b->observe(times);
+      }
+      EXPECT_EQ(a->best_point(), b->best_point());
+      EXPECT_EQ(a->best_estimate(), b->best_estimate());
+      EXPECT_EQ(a->converged(), b->converged());
+      EXPECT_EQ(optimizer_iterations(*a), optimizer_iterations(*b));
+    }
+  }
 }
 
 TEST(Strategy, ProposeIntoMatchesPropose) {
