@@ -25,7 +25,6 @@
 #include "obs/trace.h"
 #include "stats/pareto.h"
 #include "util/rng.h"
-#include "util/simd.h"
 #include "util/thread_pool.h"
 #include "varmodel/composite_noise.h"
 #include "varmodel/pareto_noise.h"
@@ -165,59 +164,6 @@ void BM_DatabaseInterpolate_Indexed(benchmark::State& state) {
   state.counters["entries"] = static_cast<double>(db.entries());
 }
 BENCHMARK(BM_DatabaseInterpolate_Indexed)->Arg(0)->Arg(1);
-
-/// Restores the process-wide fast-math knob when a simd-variant benchmark
-/// finishes, so interleaved deterministic benchmarks stay on the default
-/// path.
-class ScopedFastMath {
- public:
-  explicit ScopedFastMath(bool on) : prev_(util::simd::fast_math_enabled()) {
-    util::simd::set_fast_math(on);
-  }
-  ~ScopedFastMath() { util::simd::set_fast_math(prev_); }
-
- private:
-  bool prev_;
-};
-
-// The same per-miss interpolation work with the simd:: fast-math kernels
-// opted in: SoA fma distance scans in both the full-scan reference and the
-// k-d-tree leaf path.  Compare against the deterministic variants above at
-// the same Arg (the "large" database holds 28k+ entries, the scale the
-// acceptance criterion names).  backend label records which ISA ran.
-void BM_DatabaseInterpolate_ReferenceSimd(benchmark::State& state) {
-  const ScopedFastMath fast(true);
-  const gs2::Database db = state.range(0) == 0 ? make_gs2_db()
-                                               : make_large_db();
-  const auto pts = off_grid_queries(db.space(), 64);
-  (void)db.interpolate_reference(pts[0]);  // build the SoA index up front
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(db.interpolate_reference(pts[i]));
-    i = (i + 1) % pts.size();
-  }
-  state.SetLabel(std::string(state.range(0) == 0 ? "gs2/" : "large/") +
-                 util::simd::backend_name());
-  state.counters["entries"] = static_cast<double>(db.entries());
-}
-BENCHMARK(BM_DatabaseInterpolate_ReferenceSimd)->Arg(0)->Arg(1);
-
-void BM_DatabaseInterpolate_IndexedSimd(benchmark::State& state) {
-  const ScopedFastMath fast(true);
-  const gs2::Database db = state.range(0) == 0 ? make_gs2_db()
-                                               : make_large_db();
-  const auto pts = off_grid_queries(db.space(), 64);
-  (void)db.interpolate_uncached(pts[0]);
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(db.interpolate_uncached(pts[i]));
-    i = (i + 1) % pts.size();
-  }
-  state.SetLabel(std::string(state.range(0) == 0 ? "gs2/" : "large/") +
-                 util::simd::backend_name());
-  state.counters["entries"] = static_cast<double>(db.entries());
-}
-BENCHMARK(BM_DatabaseInterpolate_IndexedSimd)->Arg(0)->Arg(1);
 
 // Cold-start cost of one index build (measure/load pay this once; insert
 // pays it on the next lookup) — context for the per-miss wins above.
@@ -642,30 +588,6 @@ void BM_NoiseSample_batch(benchmark::State& state) {
   state.SetLabel(model->name());
 }
 BENCHMARK(BM_NoiseSample_batch)->DenseRange(0, 3);
-
-// The batched path with the simd:: fast-math kernels opted in — the
-// vectorized inverse-CDF transform replacing the serialising std::pow /
-// std::log1p.  The BM_NoiseSample_batch / BM_NoiseSample_simd ratio at
-// Arg(1) (Pareto) is the headline transcendental speedup; rng draw order
-// and end states are identical to the deterministic path by contract.
-void BM_NoiseSample_simd(benchmark::State& state) {
-  const ScopedFastMath fast(true);
-  constexpr std::size_t kRanks = 64;
-  const auto model = bench_noise_model(static_cast<int>(state.range(0)));
-  std::vector<util::Rng> rngs = util::Rng(3).split_streams(kRanks);
-  const std::vector<double> clean(kRanks, 2.5);
-  std::vector<double> out(kRanks);
-  for (auto _ : state) {
-    model->sample_batch({clean.data(), clean.size()},
-                        {rngs.data(), rngs.size()},
-                        {out.data(), out.size()});
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          kRanks);
-  state.SetLabel(model->name() + "/" + util::simd::backend_name());
-}
-BENCHMARK(BM_NoiseSample_simd)->DenseRange(0, 3);
 
 }  // namespace
 

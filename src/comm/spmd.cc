@@ -10,8 +10,7 @@ namespace protuner::comm {
 World::World(std::size_t ranks)
     : ranks_(ranks),
       barrier_(static_cast<std::ptrdiff_t>(ranks)),
-      slots_(ranks, 0.0),
-      mailboxes_(ranks) {
+      slots_(ranks, 0.0) {
   assert(ranks >= 1);
 }
 
@@ -68,31 +67,6 @@ double Communicator::broadcast(double v, std::size_t root) {
   const double r = world_.slots_[root];
   world_.sync();
   return r;
-}
-
-void Communicator::send(std::size_t dest, std::vector<double> payload) {
-  assert(dest < world_.size());
-  World::Mailbox& box = world_.mailboxes_[dest];
-  {
-    const std::scoped_lock lock(box.mutex);
-    box.messages.push_back(std::move(payload));
-  }
-  box.ready.notify_one();
-}
-
-std::vector<double> Communicator::recv() {
-  World::Mailbox& box = world_.mailboxes_[rank_];
-  std::unique_lock lock(box.mutex);
-  box.ready.wait(lock, [&] { return !box.messages.empty(); });
-  std::vector<double> msg = std::move(box.messages.front());
-  box.messages.pop_front();
-  return msg;
-}
-
-bool Communicator::has_message() const {
-  World::Mailbox& box = world_.mailboxes_[rank_];
-  const std::scoped_lock lock(box.mutex);
-  return !box.messages.empty();
 }
 
 void spmd_run(std::size_t ranks,

@@ -9,11 +9,8 @@
 #pragma once
 
 #include <barrier>
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <functional>
-#include <mutex>
 #include <vector>
 
 namespace protuner::comm {
@@ -43,17 +40,6 @@ class Communicator {
   /// Every rank returns root's value.
   double broadcast(double v, std::size_t root);
 
-  /// Point-to-point: appends `payload` to `dest`'s mailbox.  Non-blocking;
-  /// messages from one sender to one receiver arrive in send order.
-  void send(std::size_t dest, std::vector<double> payload);
-
-  /// Blocks until a message is available in this rank's mailbox and
-  /// returns it (any sender; FIFO).
-  std::vector<double> recv();
-
-  /// Non-blocking probe: true if recv() would not block.
-  bool has_message() const;
-
  private:
   World& world_;
   std::size_t rank_;
@@ -70,16 +56,9 @@ class World {
  private:
   friend class Communicator;
 
-  struct Mailbox {
-    std::mutex mutex;
-    std::condition_variable ready;
-    std::deque<std::vector<double>> messages;
-  };
-
   std::size_t ranks_;
   std::barrier<> barrier_;
   std::vector<double> slots_;
-  std::vector<Mailbox> mailboxes_;
 
   void sync() { barrier_.arrive_and_wait(); }
 };

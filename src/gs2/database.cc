@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "util/simd.h"
 
 namespace protuner::gs2 {
 
@@ -143,20 +142,6 @@ struct Database::Index {
   std::vector<double> vals;   ///< measured times, tree order
   std::vector<double> range;  ///< per-axis range for normalisation
 
-  // SoA mirror of pts for the simd:: fast-math scans: rows grouped into
-  // blocks of simd::kBlock, coordinates transposed within a block
-  // (soa[(block*dim + d)*kBlock + lane] = row block*kBlock+lane, axis d),
-  // zero-padded to a whole final block.  inv_range caches 1/range[d] so the
-  // fma reduction trades the reference's division for a multiply — one of
-  // the documented fast-math deviations.
-  std::vector<double> soa;
-  std::vector<double> inv_range;
-  std::size_t blocks = 0;
-
-  /// Fast-path leaf/full scans chunk the SoA this many blocks at a time
-  /// into a stack buffer.
-  static constexpr std::size_t kScanChunk = 4;
-
   struct Node {
     std::uint32_t begin = 0, end = 0;  ///< row range (leaf scan)
     std::uint32_t left = 0, right = 0;
@@ -257,8 +242,8 @@ struct Database::Index {
     return s;
   }
 
-  /// Heap insert shared by the scalar and fast leaf scans: keeps the k
-  /// smallest (dist2, value) pairs (max-heap under pair ordering — top is
+  /// Heap insert shared by the leaf scans and the reference scan: keeps the
+  /// k smallest (dist2, value) pairs (max-heap under pair ordering — top is
   /// the current worst neighbour).
   static void heap_push(std::vector<std::pair<double, double>>& heap,
                         std::size_t k, std::pair<double, double> cand) {
@@ -272,49 +257,19 @@ struct Database::Index {
     }
   }
 
-  /// Fast-math scan over rows [begin, end): distances come from the SoA
-  /// blocks via simd::dist2_blocks (fma reduction, multiply by the cached
-  /// 1/range), chunked through a small stack buffer.  ULP-level deviation
-  /// from dist2(), which is why callers only take this path behind the
-  /// fast-math opt-in.
-  void scan_rows_fast(std::uint32_t begin, std::uint32_t end, const double* x,
-                      std::size_t k,
-                      std::vector<std::pair<double, double>>& heap) const {
-    namespace simd = util::simd;
-    double dbuf[simd::kBlock * kScanChunk];
-    std::uint32_t r = begin;
-    while (r < end) {
-      const std::size_t b0 = r / simd::kBlock;
-      const std::size_t b_end = (static_cast<std::size_t>(end) +
-                                 simd::kBlock - 1) / simd::kBlock;
-      const std::size_t b1 = std::min(b_end, b0 + kScanChunk);
-      simd::dist2_blocks(soa.data(), dim, b0, b1, x, inv_range.data(), dbuf);
-      const std::uint32_t lim = std::min<std::size_t>(end, b1 * simd::kBlock);
-      for (; r < lim; ++r) {
-        heap_push(heap, k, {dbuf[r - b0 * simd::kBlock], vals[r]});
-      }
-    }
-  }
-
   /// Collects the k nearest rows as (dist2, value) pairs into `heap`
   /// (a max-heap under pair ordering — top is the current worst neighbour).
-  /// `fast` routes leaf scans through the simd:: SoA kernel; callers pass
-  /// util::simd::fast_math_enabled() sampled once per query.
   void knn(const double* x, std::size_t k,
-           std::vector<std::pair<double, double>>& heap, bool fast) const {
+           std::vector<std::pair<double, double>>& heap) const {
     heap.clear();
     if (n == 0 || k == 0) return;
-    search(0, x, k, heap, fast);
+    search(0, x, k, heap);
   }
 
   void search(std::uint32_t id, const double* x, std::size_t k,
-              std::vector<std::pair<double, double>>& heap, bool fast) const {
+              std::vector<std::pair<double, double>>& heap) const {
     const Node& nd = nodes[id];
     if (nd.axis < 0) {
-      if (fast) {
-        scan_rows_fast(nd.begin, nd.end, x, k, heap);
-        return;
-      }
       for (std::uint32_t r = nd.begin; r < nd.end; ++r) {
         heap_push(heap, k, {dist2(r, x), vals[r]});
       }
@@ -342,10 +297,10 @@ struct Database::Index {
     // Prune only on strict >: an equal-bound subtree can still hold a point
     // at the same distance with a smaller value (reference tie-break).
     if (heap.size() < k || first_bound <= heap.front().first) {
-      search(first, x, k, heap, fast);
+      search(first, x, k, heap);
     }
     if (heap.size() < k || second_bound <= heap.front().first) {
-      search(second, x, k, heap, fast);
+      search(second, x, k, heap);
     }
   }
 
@@ -609,24 +564,6 @@ const Database::Index& Database::index() const {
                   idx->pts.begin() + i * idx->dim);
         idx->vals[i] = rv[src];
       }
-      // Block-transposed SoA mirror of pts for the simd:: fast-math scans,
-      // zero-padded to a whole final block (padded lanes produce finite
-      // garbage distances that the row-bounded scan loops never read).
-      namespace simd = util::simd;
-      idx->blocks = (idx->n + simd::kBlock - 1) / simd::kBlock;
-      idx->soa.assign(idx->blocks * idx->dim * simd::kBlock, 0.0);
-      for (std::size_t i = 0; i < idx->n; ++i) {
-        const std::size_t blk = i / simd::kBlock;
-        const std::size_t lane = i % simd::kBlock;
-        for (std::size_t d = 0; d < idx->dim; ++d) {
-          idx->soa[(blk * idx->dim + d) * simd::kBlock + lane] =
-              idx->pts[i * idx->dim + d];
-        }
-      }
-      idx->inv_range.reserve(idx->dim);
-      for (std::size_t d = 0; d < idx->dim; ++d) {
-        idx->inv_range.push_back(1.0 / idx->range[d]);
-      }
       // Exact-hit table at load factor <= 0.5.
       std::size_t cap = 16;
       while (cap < idx->n * 2) cap *= 2;
@@ -687,18 +624,8 @@ double Database::interpolate_reference(const core::Point& x) const {
   // steady-state allocation.
   thread_local std::vector<std::pair<double, double>> nearest;
   nearest.clear();
-  if (util::simd::fast_math_enabled() && !table_.empty()) {
-    // Fast-math: full scan over the index's SoA coordinate blocks with the
-    // simd:: fma-reduced distance kernel.  ULP-level deviation from
-    // normalized_distance2 (fma rounding, multiply by cached 1/range), so
-    // this path only runs behind the explicit opt-in.
-    const Index& idx = index();
-    idx.scan_rows_fast(0, static_cast<std::uint32_t>(idx.n), x.data(), k,
-                       nearest);
-  } else {
-    for (const auto& [pt, val] : table_) {
-      Index::heap_push(nearest, k, {normalized_distance2(x, pt), val});
-    }
+  for (const auto& [pt, val] : table_) {
+    Index::heap_push(nearest, k, {normalized_distance2(x, pt), val});
   }
   std::sort(nearest.begin(), nearest.end());
 
@@ -738,11 +665,9 @@ double Database::interpolate_indexed(const Index& idx,
   const std::size_t k = std::min(options_.interpolation_neighbors, idx.n);
   assert(k >= 1);
   // Per-thread scratch: the neighbour heap is reused across lookups so the
-  // steady-state interpolation path performs no allocation.  The fast-math
-  // flag is sampled once per query and threaded through the recursion so a
-  // concurrent toggle cannot mix kernels within one search.
+  // steady-state interpolation path performs no allocation.
   thread_local std::vector<std::pair<double, double>> heap;
-  idx.knn(x.data(), k, heap, util::simd::fast_math_enabled());
+  idx.knn(x.data(), k, heap);
   // Ascending (dist2, value) order — the exact order the reference's
   // partial_sort produces — so the IDW accumulation is bit-identical.
   std::sort(heap.begin(), heap.end());

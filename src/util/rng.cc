@@ -28,25 +28,6 @@ double Rng::normal() {
   }
 }
 
-void Rng::fill_uniform(std::span<double> out) {
-  // Same draw as uniform(), hoisted into one loop: the state array stays in
-  // registers for the whole block instead of round-tripping through memory
-  // per call.  Must stay bit-identical to repeated uniform() calls.
-  std::array<std::uint64_t, 4> s = state_;
-  for (double& v : out) {
-    const std::uint64_t r = rotl(s[0] + s[3], 23) + s[0];
-    const std::uint64_t t = s[1] << 17;
-    s[2] ^= s[0];
-    s[3] ^= s[1];
-    s[1] ^= s[2];
-    s[0] ^= s[3];
-    s[2] ^= t;
-    s[3] = rotl(s[3], 45);
-    v = static_cast<double>(r >> 11) * 0x1.0p-53;
-  }
-  state_ = s;
-}
-
 double Rng::exponential() {
   // -log(1 - U) with U in [0,1) keeps the argument strictly positive.
   return -std::log1p(-uniform());

@@ -11,7 +11,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <span>
 #include <vector>
 
 namespace protuner::util {
@@ -69,12 +68,6 @@ class Rng {
   double uniform() {
     return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
   }
-
-  /// Bulk generation: out[i] = uniform(), in order.  Bit-identical to
-  /// calling uniform() out.size() times (the batch sampling paths rely on
-  /// this equivalence); one tight loop lets the compiler keep the 256-bit
-  /// state in registers instead of spilling it per call.
-  void fill_uniform(std::span<double> out);
 
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }

@@ -4,9 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <sstream>
-#include <vector>
-
-#include "util/simd.h"
 
 namespace protuner::varmodel {
 
@@ -45,24 +42,6 @@ void ParetoNoise::sample_batch(std::span<const double> clean,
   // stats::Pareto(alpha_, beta(clean)).sample(rng).
   const double k = (alpha_ - 1.0) * rho_ / ((1.0 - rho_) * alpha_);
   const double inv_alpha = -1.0 / alpha_;
-  if (util::simd::fast_math_enabled()) {
-    // Fast-math lane layout: the per-rank draws stay a scalar pass (each
-    // rank owns its own rng, one variate each, in rank order — so every
-    // rng's end state is exactly the scalar path's), and the serialising
-    // pow is replaced by the simd:: polynomial kernel over the whole rank
-    // vector.  ULP-bounded vs the std::pow path, never bit-pinned — which
-    // is why this branch only runs behind the explicit opt-in.  Per-thread
-    // scratch keeps the steady-state step zero-allocation.
-    thread_local std::vector<double> u;
-    u.resize(out.size());
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      assert(clean[i] > 0.0);
-      u[i] = rngs[i].uniform();
-    }
-    util::simd::pow1m_scale_batch(u.data(), inv_alpha, k, clean.data(),
-                                  out.data(), out.size());
-    return;
-  }
   for (std::size_t i = 0; i < out.size(); ++i) {
     assert(clean[i] > 0.0);
     const double u = rngs[i].uniform();

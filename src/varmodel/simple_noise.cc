@@ -7,8 +7,6 @@
 #include <sstream>
 #include <vector>
 
-#include "util/simd.h"
-
 namespace protuner::varmodel {
 
 // ----------------------------------------------------------- ExponentialNoise
@@ -38,22 +36,6 @@ void ExponentialNoise::sample_batch(std::span<const double> clean,
   // the loop anyway).  The expression associates exactly like
   // expected(clean) * rng.exponential().
   const double scale = rho_ / (1.0 - rho_);
-  if (util::simd::fast_math_enabled()) {
-    // Fast-math: scalar per-rank draws (rng end states stay bit-identical),
-    // vectorized -log(1 - u) transform.  Note the documented deviation: the
-    // deterministic path computes log1p(-u), the simd kernel log(1 - u) —
-    // same value up to the rounding of 1 - u, ULP-bounded in
-    // test_simd_math.  Opt-in only, like every simd:: fast kernel.
-    thread_local std::vector<double> u;
-    u.resize(out.size());
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      assert(clean[i] > 0.0);
-      u[i] = rngs[i].uniform();
-    }
-    util::simd::neglog1m_scale_batch(u.data(), scale, clean.data(),
-                                     out.data(), out.size());
-    return;
-  }
   for (std::size_t i = 0; i < out.size(); ++i) {
     assert(clean[i] > 0.0);
     const double u = rngs[i].uniform();

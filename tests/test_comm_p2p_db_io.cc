@@ -1,89 +1,18 @@
-// Tests for point-to-point messaging on the SPMD substrate and database
-// save/load persistence.
+// Tests for database save/load persistence and the input checks on load()
+// and insert().
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "comm/spmd.h"
 #include "gs2/database.h"
 #include "gs2/surface.h"
 
 namespace protuner {
 namespace {
-
-TEST(CommP2P, RoundTripBetweenTwoRanks) {
-  comm::spmd_run(2, [&](comm::Communicator& c) {
-    if (c.rank() == 0) {
-      c.send(1, {1.0, 2.0, 3.0});
-      const auto reply = c.recv();
-      EXPECT_EQ(reply, (std::vector<double>{6.0}));
-    } else {
-      const auto msg = c.recv();
-      ASSERT_EQ(msg.size(), 3u);
-      c.send(0, {msg[0] + msg[1] + msg[2]});
-    }
-  });
-}
-
-TEST(CommP2P, FifoOrderFromOneSender) {
-  comm::spmd_run(2, [&](comm::Communicator& c) {
-    if (c.rank() == 0) {
-      for (int i = 0; i < 50; ++i) {
-        c.send(1, {static_cast<double>(i)});
-      }
-    } else {
-      for (int i = 0; i < 50; ++i) {
-        const auto msg = c.recv();
-        EXPECT_DOUBLE_EQ(msg[0], static_cast<double>(i));
-      }
-    }
-  });
-}
-
-TEST(CommP2P, ManyToOneGather) {
-  std::atomic<int> sum{0};
-  comm::spmd_run(5, [&](comm::Communicator& c) {
-    if (c.rank() == 0) {
-      for (int i = 0; i < 4; ++i) {
-        sum += static_cast<int>(c.recv()[0]);
-      }
-    } else {
-      c.send(0, {static_cast<double>(c.rank())});
-    }
-  });
-  EXPECT_EQ(sum.load(), 1 + 2 + 3 + 4);
-}
-
-TEST(CommP2P, HasMessageProbe) {
-  comm::spmd_run(2, [&](comm::Communicator& c) {
-    if (c.rank() == 0) {
-      EXPECT_FALSE(c.has_message());
-      c.barrier();      // rank 1 sends before this barrier completes...
-      c.barrier();      // ...and signals with the second barrier
-      EXPECT_TRUE(c.has_message());
-      (void)c.recv();
-    } else {
-      c.barrier();
-      c.send(0, {42.0});
-      c.barrier();
-    }
-  });
-}
-
-TEST(CommP2P, SelfSendWorks) {
-  comm::spmd_run(1, [&](comm::Communicator& c) {
-    c.send(0, {9.0});
-    EXPECT_TRUE(c.has_message());
-    EXPECT_DOUBLE_EQ(c.recv()[0], 9.0);
-  });
-}
-
-// ------------------------------------------------------------- Database I/O
 
 TEST(DatabaseIo, SaveLoadRoundTrip) {
   const auto space = gs2::gs2_space();

@@ -12,8 +12,10 @@
 #include <memory>
 #include <vector>
 
+#include "core/parameter_space.h"
+#include "gs2/database.h"
+#include "gs2/surface.h"
 #include "util/rng.h"
-#include "util/simd.h"
 #include "varmodel/ar1_noise.h"
 #include "varmodel/burst_noise.h"
 #include "varmodel/composite_noise.h"
@@ -45,11 +47,6 @@ std::vector<double> clean_times(std::size_t ranks) {
 // constructed but identically configured instances, hence the pair.
 void ExpectStreamEquivalent(const NoiseModel& model_scalar,
                             const NoiseModel& model_batch) {
-  // This suite pins the DETERMINISTIC path's bit-identity contract; the
-  // PROTUNER_FAST_MATH opt-in deliberately relaxes it (ULP-bounded,
-  // covered by test_simd_math), so force the knob off regardless of the
-  // environment the suite runs under.
-  util::simd::set_fast_math(false);
   for (std::size_t ranks : kRankCounts) {
     std::vector<util::Rng> rngs_scalar = util::Rng(1234).split_streams(ranks);
     std::vector<util::Rng> rngs_batch = util::Rng(1234).split_streams(ranks);
@@ -173,6 +170,40 @@ TEST(NoiseBatch, CompositeWithSharedCursorTrace) {
   };
   CompositeNoise m1 = make(), m2 = make();
   ExpectStreamEquivalent(m1, m2);
+}
+
+// The noise and database hot paths must reproduce these golden values bit
+// for bit.  They pin the Pareto and Exponential sample_batch transforms
+// (std::pow, std::log1p) and the k-NN distance expression to literals, so a
+// change in evaluation order shows up here even when every path still agrees
+// with every other.
+TEST(NoiseBatch, DefaultPathReproducesGoldenValues) {
+  std::vector<util::Rng> rngs = util::Rng(42).split_streams(7);
+  std::vector<double> clean(7), out(7);
+  for (int i = 0; i < 7; ++i) clean[i] = 0.5 + 0.37 * (i % 9);
+  const ParetoNoise pareto(0.3, 1.7);
+  pareto.sample_batch({clean.data(), 7}, {rngs.data(), 7}, {out.data(), 7});
+  const double golden_pareto[7] = {
+      0.20075393242002817, 0.33809339844711522, 0.30314860813344785,
+      0.81466970856365439, 1.3543098674330833,  0.42093449252586862,
+      0.69455676648183851};
+  for (int i = 0; i < 7; ++i) EXPECT_EQ(out[i], golden_pareto[i]) << i;
+  const ExponentialNoise expo(0.3);
+  expo.sample_batch({clean.data(), 7}, {rngs.data(), 7}, {out.data(), 7});
+  const double golden_exp[7] = {
+      0.097660069129870644, 0.17359023603490623, 0.26449747702189835,
+      0.88034193357865254,  0.26866906642551858, 0.94692371419231647,
+      0.53605106239270184};
+  for (int i = 0; i < 7; ++i) EXPECT_EQ(out[i], golden_exp[i]) << i;
+
+  const gs2::Gs2Surface surface;
+  const auto space = gs2::gs2_space();
+  const gs2::Database db = gs2::Database::measure(space, surface, {});
+  const core::Point q1{16.0, 9.0, 4.0};
+  const core::Point q2{33.3, 17.7, 40.1};
+  EXPECT_EQ(db.clean_time(q1), 0.3688857509110009);
+  EXPECT_EQ(db.clean_time(q2), 0.59795764025428988);
+  EXPECT_EQ(db.interpolate_reference(q2), 0.59795764025428988);
 }
 
 }  // namespace

@@ -153,31 +153,6 @@ TEST(SplitMix64, KnownFirstOutputsDiffer) {
   EXPECT_NE(a.next(), b.next());
 }
 
-TEST(Rng, FillUniformMatchesRepeatedUniform) {
-  // The block generator must be stream-equivalent to calling uniform() in
-  // a loop: bit-identical values and the same generator end state.
-  for (std::size_t n : {0u, 1u, 7u, 64u, 1000u}) {
-    Rng scalar(987), block(987);
-    std::vector<double> expect(n), got(n);
-    for (std::size_t i = 0; i < n; ++i) expect[i] = scalar.uniform();
-    block.fill_uniform({got.data(), got.size()});
-    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(expect[i], got[i]) << i;
-    EXPECT_TRUE(scalar == block) << "end state diverged at n=" << n;
-    // And the streams keep agreeing afterwards.
-    EXPECT_EQ(scalar(), block());
-  }
-}
-
-TEST(Rng, FillUniformValuesInUnitInterval) {
-  Rng rng(11);
-  std::vector<double> v(4096);
-  rng.fill_uniform({v.data(), v.size()});
-  for (double x : v) {
-    EXPECT_GE(x, 0.0);
-    EXPECT_LT(x, 1.0);
-  }
-}
-
 TEST(Rng, SplitStreamsMatchesSplit) {
   // split_streams(count)[i] must be the same stream as split(i), just
   // computed with one jump per stream instead of i+1.
