@@ -6,7 +6,7 @@
 //   * an ASCII rendering of the figure's shape,
 //   * a PASS/CHECK line for each qualitative claim the paper makes.
 // Repetition counts are laptop-scale by default and grow via REPRO_REPS;
-// repetitions execute across a thread pool sized by REPRO_THREADS (see
+// repetitions execute on REPRO_THREADS worker threads (see
 // exp/parallel_runner.h — aggregate output is bit-identical for every
 // thread count, so raising REPRO_THREADS only changes wall-clock time).
 #pragma once
@@ -40,7 +40,7 @@ inline std::uint64_t seed() {
 /// hardware_concurrency) — printed by harnesses for provenance.
 inline unsigned threads() { return exp::default_threads(); }
 
-/// Runs `fn(rep)` for rep in [0, reps) across the repetition pool and
+/// Runs `fn(rep)` for rep in [0, reps) on the repetition runner and
 /// returns the per-rep results in repetition order.  The harnesses derive
 /// their own per-rep seeds from bench::seed() and the rep index (kept
 /// identical to the historical serial loops), so `fn` only needs the index;
@@ -50,6 +50,17 @@ auto per_rep(long reps, Fn&& fn) {
   return exp::run_repetitions(
       reps, seed(),
       [&fn](const exp::RepContext& ctx) { return fn(ctx.rep); });
+}
+
+/// per_rep over a whole sweep: runs `fn(cell, rep)` for every cell in
+/// [0, cells) and rep in [0, reps) as one batch and returns result[cell] in
+/// repetition order.  One batch pays one tail instead of one per cell.
+template <typename Fn>
+auto per_cell_rep(long cells, long reps, Fn&& fn) {
+  return exp::run_grid(cells, reps, seed(),
+                       [&fn](long cell, const exp::RepContext& ctx) {
+                         return fn(cell, ctx.rep);
+                       });
 }
 
 /// Prints a qualitative-shape check result.  These are the paper's claims;

@@ -75,8 +75,8 @@ int main() {
   std::vector<double> avg_total(3, 0.0);
 
   // One repetition = three sessions (one per variant); repetitions run
-  // across the pool, and the rep-ordered merge below reproduces the serial
-  // accumulation bit for bit.
+  // on the repetition workers, and the rep-ordered merge below reproduces
+  // the serial accumulation bit for bit.
   const auto rep_results =
       bench::per_rep(reps, [&](long rep) -> std::vector<core::SessionResult> {
         const std::uint64_t rep_seed =

@@ -34,31 +34,39 @@ int main() {
   const std::vector<double> r_values{0.05, 0.1, 0.15, 0.2, 0.3,
                                      0.4,  0.5, 0.7,  0.9};
 
-  util::CsvWriter csv(std::cout);
-  csv.header({"r", "shape", "avg_ntt"});
-
-  std::vector<double> ntt_min_simplex, ntt_2n_simplex;
+  // Cell c is (r_values[c / 2], N+1 simplex when c is even, 2N when odd).
+  std::vector<core::ProOptions> cell_opts;
   for (const double r : r_values) {
     for (const bool use_2n : {false, true}) {
-      const auto outs = bench::per_rep(reps, [&, r, use_2n](long rep) {
+      core::ProOptions opts;
+      opts.initial_size = r;
+      opts.use_2n_simplex = use_2n;
+      cell_opts.push_back(opts);
+    }
+  }
+  const std::uint64_t seed = bench::seed();
+  const auto outs = bench::per_cell_rep(
+      static_cast<long>(cell_opts.size()), reps, [&](long c, long rep) {
         cluster::SimulatedCluster machine(
             db, noise,
-            {.ranks = 6,
-             .seed = bench::seed() + static_cast<std::uint64_t>(rep)});
-        core::ProOptions opts;
-        opts.initial_size = r;
-        opts.use_2n_simplex = use_2n;
-        core::ProStrategy pro(space, opts);
+            {.ranks = 6, .seed = seed + static_cast<std::uint64_t>(rep)});
+        core::ProStrategy pro(space, cell_opts[static_cast<std::size_t>(c)]);
         return core::run_session(pro, machine,
                                  {.steps = 100, .record_series = false})
             .ntt;
       });
-      double acc = 0.0;
-      for (const double v : outs) acc += v;
-      const double avg = acc / static_cast<double>(reps);
-      csv.row(r, use_2n ? "2N" : "N+1", avg);
-      (use_2n ? ntt_2n_simplex : ntt_min_simplex).push_back(avg);
-    }
+
+  util::CsvWriter csv(std::cout);
+  csv.header({"r", "shape", "avg_ntt"});
+
+  std::vector<double> ntt_min_simplex, ntt_2n_simplex;
+  for (std::size_t c = 0; c < outs.size(); ++c) {
+    double acc = 0.0;
+    for (const double v : outs[c]) acc += v;
+    const double avg = acc / static_cast<double>(reps);
+    const bool use_2n = cell_opts[c].use_2n_simplex;
+    csv.row(cell_opts[c].initial_size, use_2n ? "2N" : "N+1", avg);
+    (use_2n ? ntt_2n_simplex : ntt_min_simplex).push_back(avg);
   }
 
   std::vector<util::Series> series{

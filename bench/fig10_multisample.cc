@@ -27,6 +27,7 @@
 #include "core/strategy_spec.h"
 #include "gs2/database.h"
 #include "gs2/surface.h"
+#include "spec/spec.h"
 #include "util/ascii_plot.h"
 #include "util/csv.h"
 #include "util/env.h"
@@ -51,44 +52,52 @@ struct Grid {
 
 Grid run_grid(const core::ParameterSpace& space, core::LandscapePtr db,
               std::size_t steps, long reps) {
+  // Per-cell inputs built once: one noise model per rho, one parsed spec
+  // per K.  refresh=0: paper-literal Algorithm 2; est=min, replicas=0
+  // (sequential samples, the worst case) are the defaults.
+  std::vector<std::shared_ptr<const varmodel::NoiseModel>> noise;
+  for (const double rho : kRhos) {
+    if (rho == 0.0) {
+      noise.push_back(std::make_shared<varmodel::NoNoise>());
+    } else {
+      noise.push_back(std::make_shared<varmodel::ParetoNoise>(rho, kAlpha));
+    }
+  }
+  std::vector<spec::Spec> specs;
+  for (int k = 1; k <= kMaxSamples; ++k) {
+    specs.push_back(spec::parse("pro:refresh=0,k=" + std::to_string(k)));
+  }
+  const std::uint64_t seed = bench::seed();
+
+  struct RepOut {
+    double ntt, clean;
+  };
+  // Cell c is (rho kRhos[c / kMaxSamples], K = c % kMaxSamples + 1).
+  const auto cells = static_cast<long>(kRhos.size()) * kMaxSamples;
+  const auto outs = bench::per_cell_rep(cells, reps, [&](long c, long rep) {
+    cluster::SimulatedCluster machine(
+        db, noise[static_cast<std::size_t>(c / kMaxSamples)],
+        {.ranks = 6,
+         .seed = seed + 1000003ULL * static_cast<std::uint64_t>(rep + 1)});
+    auto pro = core::make_strategy(
+        specs[static_cast<std::size_t>(c % kMaxSamples)], space, seed);
+    const core::SessionResult r = core::run_session(
+        *pro, machine, {.steps = steps, .record_series = false});
+    return RepOut{r.ntt, r.best_clean};
+  });
+
   Grid g;
   g.ntt.assign(kRhos.size(), std::vector<double>(kMaxSamples, 0.0));
   g.clean.assign(kRhos.size(), std::vector<double>(kMaxSamples, 0.0));
-  for (std::size_t ri = 0; ri < kRhos.size(); ++ri) {
-    std::shared_ptr<const varmodel::NoiseModel> noise;
-    if (kRhos[ri] == 0.0) {
-      noise = std::make_shared<varmodel::NoNoise>();
-    } else {
-      noise = std::make_shared<varmodel::ParetoNoise>(kRhos[ri], kAlpha);
+  for (std::size_t c = 0; c < outs.size(); ++c) {
+    double acc = 0.0, acc_clean = 0.0;
+    for (const auto& o : outs[c]) {
+      acc += o.ntt;
+      acc_clean += o.clean;
     }
-    for (int k = 1; k <= kMaxSamples; ++k) {
-      struct RepOut {
-        double ntt, clean;
-      };
-      const auto outs = bench::per_rep(reps, [&](long rep) {
-        cluster::SimulatedCluster machine(
-            db, noise,
-            {.ranks = 6,
-             .seed = bench::seed() +
-                     1000003ULL * static_cast<std::uint64_t>(rep + 1)});
-        // refresh=0: paper-literal Algorithm 2; est=min, replicas=0
-        // (sequential samples, the worst case) are the defaults.
-        auto pro = core::make_strategy(
-            "pro:refresh=0,k=" + std::to_string(k), space, bench::seed());
-        const core::SessionResult r = core::run_session(
-            *pro, machine, {.steps = steps, .record_series = false});
-        return RepOut{r.ntt, r.best_clean};
-      });
-      double acc = 0.0, acc_clean = 0.0;
-      for (const auto& o : outs) {
-        acc += o.ntt;
-        acc_clean += o.clean;
-      }
-      g.ntt[ri][static_cast<std::size_t>(k - 1)] =
-          acc / static_cast<double>(reps);
-      g.clean[ri][static_cast<std::size_t>(k - 1)] =
-          acc_clean / static_cast<double>(reps);
-    }
+    g.ntt[c / kMaxSamples][c % kMaxSamples] = acc / static_cast<double>(reps);
+    g.clean[c / kMaxSamples][c % kMaxSamples] =
+        acc_clean / static_cast<double>(reps);
   }
   return g;
 }

@@ -5,8 +5,6 @@
 // application iteration).
 #include <benchmark/benchmark.h>
 
-#include <atomic>
-#include <future>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -19,13 +17,13 @@
 #include "core/round_engine.h"
 #include "core/session.h"
 #include "core/simplex.h"
+#include "exp/parallel_runner.h"
 #include "gs2/database.h"
 #include "gs2/surface.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "stats/pareto.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 #include "varmodel/composite_noise.h"
 #include "varmodel/pareto_noise.h"
 #include "varmodel/simple_noise.h"
@@ -259,35 +257,18 @@ void BM_DatabaseLookup_Concurrent(benchmark::State& state) {
 }
 BENCHMARK(BM_DatabaseLookup_Concurrent)->Threads(1)->Threads(4)->Threads(8);
 
-// Round-trip cost of dispatching one trivial task through the pool — the
-// per-repetition overhead floor of exp::run_repetitions.  Must stay
-// microseconds: repetitions are whole tuning sessions (milliseconds+).
-void BM_ThreadPool_Dispatch(benchmark::State& state) {
-  util::ThreadPool pool(2);
+// One fork-join batch of 256 empty indices on 4 threads — the per-index
+// overhead floor of exp::run_repetitions and exp::run_grid.  Per index it
+// must stay far below one repetition, a whole tuning session (tens of
+// microseconds and up).
+void BM_RunIndexed_Dispatch(benchmark::State& state) {
   for (auto _ : state) {
-    auto f = pool.submit([] { return 1; });
-    benchmark::DoNotOptimize(f.get());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_ThreadPool_Dispatch);
-
-// Batch dispatch: 256 tasks submitted at once, then drained — the shape
-// run_repetitions actually uses (queue everything, join once).
-void BM_ThreadPool_BatchDispatch(benchmark::State& state) {
-  for (auto _ : state) {
-    std::atomic<int> done{0};
-    {
-      util::ThreadPool pool(4);
-      for (int i = 0; i < 256; ++i) {
-        pool.submit([&done] { done.fetch_add(1, std::memory_order_relaxed); });
-      }
-    }
-    benchmark::DoNotOptimize(done.load());
+    exp::detail::run_indexed(256, 4,
+                             [](long i) { benchmark::DoNotOptimize(i); });
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 256);
 }
-BENCHMARK(BM_ThreadPool_BatchDispatch);
+BENCHMARK(BM_RunIndexed_Dispatch);
 
 void BM_ParetoNoiseSample(benchmark::State& state) {
   const varmodel::ParetoNoise noise(0.3, 1.7);

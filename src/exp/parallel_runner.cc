@@ -1,10 +1,11 @@
 #include "exp/parallel_runner.h"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
 #include <thread>
 
 #include "util/env.h"
-#include "util/thread_pool.h"
 
 namespace protuner::exp {
 
@@ -41,27 +42,32 @@ void run_indexed(long n, unsigned threads,
   threads = static_cast<unsigned>(
       std::min<long>(n, static_cast<long>(threads)));
 
-  if (threads <= 1) {
-    for (long rep = 0; rep < n; ++rep) body(rep);
-    return;
-  }
-
-  // One exception slot per repetition: after all tasks complete, rethrow
-  // the lowest-rep failure so the error the caller sees does not depend on
+  // One exception slot per index: every index runs, then the lowest
+  // failure is rethrown, so the error the caller sees does not depend on
   // scheduling.
   std::vector<std::exception_ptr> errors(static_cast<std::size_t>(n));
-  {
-    util::ThreadPool pool(threads);
-    for (long rep = 0; rep < n; ++rep) {
-      pool.submit([rep, &body, &errors] {
-        try {
-          body(rep);
-        } catch (...) {
-          errors[static_cast<std::size_t>(rep)] = std::current_exception();
-        }
-      });
+  // Each worker claims one index at a time.  An index is a whole
+  // repetition (tens of microseconds at least), so the fetch_add is noise
+  // and single-index claims keep the tail of the batch shortest.  Results
+  // are published by the join, so the counter needs no ordering.
+  std::atomic<long> next{0};
+  const auto drain = [&] {
+    for (long i = next.fetch_add(1, std::memory_order_relaxed); i < n;
+         i = next.fetch_add(1, std::memory_order_relaxed)) {
+      try {
+        body(i);
+      } catch (...) {
+        errors[static_cast<std::size_t>(i)] = std::current_exception();
+      }
     }
-    // ThreadPool's destructor drains the queue and joins.
+  };
+  if (threads <= 1) {
+    drain();
+  } else {
+    std::vector<std::jthread> workers;
+    workers.reserve(threads);
+    for (unsigned t = 0; t < threads; ++t) workers.emplace_back(drain);
+    // ~jthread joins every worker before the error slots are read.
   }
   for (const auto& e : errors) {
     if (e) std::rethrow_exception(e);

@@ -1,5 +1,5 @@
 // Parallel experiment execution: run the repetitions of a figure/ablation
-// harness across a thread pool with results that are bit-identical to the
+// harness across worker threads with results that are bit-identical to the
 // serial run.
 //
 // The repetitions of every harness in bench/ are independent simulations
@@ -11,20 +11,22 @@
 //     util::Rng::jump (disjoint subsequences of the xoshiro orbit), and
 //   * a 64-bit `seed` (the first draw of that stream) for components that
 //     take an integer seed,
-// executes them across a util::ThreadPool sized by the REPRO_THREADS
-// environment knob (default: hardware_concurrency), and returns the per-rep
-// results **in repetition order**.  Because the per-rep inputs are
-// precomputed serially and the merge is ordered, any aggregate the caller
-// folds over the returned vector is bit-identical for every thread count —
-// including the serial REPRO_THREADS=1 run.
+// executes them fork-join on REPRO_THREADS workers (default:
+// hardware_concurrency) that claim indices from one atomic counter, and
+// returns the per-rep results **in repetition order**.  run_grid() does the
+// same for a whole sweep: cells × reps run as one index space, so a sweep
+// pays one batch tail instead of one per cell.  Because the per-rep inputs
+// are precomputed serially and the merge is ordered, any aggregate the
+// caller folds over the returned vector is bit-identical for every thread
+// count — including the serial REPRO_THREADS=1 run.
 //
 // Requirements on `fn`: it must not touch mutable state shared across
 // repetitions except through thread-safe components (gs2::Database's
 // interpolation cache is; the stateless noise models are).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <exception>
 #include <functional>
 #include <type_traits>
 #include <utility>
@@ -48,10 +50,10 @@ struct RepContext {
 };
 
 namespace detail {
-/// Executes body(rep) for rep in [0, n) across `threads` workers (resolved
-/// via default_threads() when 0; serial in-place when the resolved count is
-/// 1 or n < 2).  Blocks until all complete; rethrows the lowest-rep
-/// exception, if any.
+/// Executes body(i) for i in [0, n) on `threads` workers (resolved via
+/// default_threads() when 0; serial in-place when the resolved count is 1
+/// or n < 2).  Every index runs exactly once, even when some throw; then
+/// the lowest-index exception, if any, is rethrown.
 void run_indexed(long n, unsigned threads,
                  const std::function<void(long)>& body);
 
@@ -59,24 +61,44 @@ void run_indexed(long n, unsigned threads,
 std::vector<RepContext> make_contexts(long n, std::uint64_t base_seed);
 }  // namespace detail
 
+/// Runs `fn(cell, ctx)` for every cell in [0, cells) and every repetition
+/// context of make_contexts(reps, base_seed) — each cell sees the same
+/// contexts — as one batch of cells × reps indices.  Returns result[cell]
+/// in repetition order.  `threads == 0` resolves via default_threads().  If
+/// any call throws, the exception of the lowest failing (cell, rep) is
+/// rethrown after all calls finish.
+template <typename Fn>
+auto run_grid(long cells, long reps, std::uint64_t base_seed, Fn&& fn,
+              unsigned threads = 0)
+    -> std::vector<
+        std::vector<std::invoke_result_t<Fn&, long, const RepContext&>>> {
+  using R = std::invoke_result_t<Fn&, long, const RepContext&>;
+  static_assert(!std::is_void_v<R>,
+                "run_grid requires fn to return the per-rep result");
+  cells = std::max(cells, 0L);
+  reps = std::max(reps, 0L);
+  const std::vector<RepContext> ctx = detail::make_contexts(reps, base_seed);
+  std::vector<std::vector<R>> out(
+      static_cast<std::size_t>(cells),
+      std::vector<R>(static_cast<std::size_t>(reps)));
+  detail::run_indexed(cells * reps, threads, [&](long i) {
+    const auto cell = static_cast<std::size_t>(i / reps);
+    const auto rep = static_cast<std::size_t>(i % reps);
+    out[cell][rep] = fn(static_cast<long>(cell), ctx[rep]);
+  });
+  return out;
+}
+
 /// Runs `fn(ctx)` for each of `n` repetitions and returns the results in
-/// repetition order.  `threads == 0` resolves via default_threads().  If
-/// any repetition throws, the exception of the lowest-numbered failing
-/// repetition is rethrown after all repetitions finish.
+/// repetition order: the one-cell run_grid.
 template <typename Fn>
 auto run_repetitions(long n, std::uint64_t base_seed, Fn&& fn,
                      unsigned threads = 0)
     -> std::vector<std::invoke_result_t<Fn&, const RepContext&>> {
-  using R = std::invoke_result_t<Fn&, const RepContext&>;
-  static_assert(!std::is_void_v<R>,
-                "run_repetitions requires fn to return the per-rep result");
-  std::vector<RepContext> ctx = detail::make_contexts(n, base_seed);
-  std::vector<R> out(static_cast<std::size_t>(n < 0 ? 0 : n));
-  detail::run_indexed(n, threads, [&](long rep) {
-    const auto i = static_cast<std::size_t>(rep);
-    out[i] = fn(static_cast<const RepContext&>(ctx[i]));
-  });
-  return out;
+  auto grid = run_grid(
+      1, n, base_seed,
+      [&fn](long, const RepContext& ctx) { return fn(ctx); }, threads);
+  return std::move(grid.front());
 }
 
 /// Convenience fold: sums fn(ctx).value contributions in repetition order.

@@ -192,8 +192,8 @@ obs::RegistrySnapshot SessionManager::metrics_snapshot() const {
   for (const auto& [name, hosted] : pinned) {
     merge(hosted->server->metrics_snapshot());
   }
-  // Process-wide subsystem telemetry (database tiers, clean-time cache,
-  // thread pools) carries no session label but belongs on the serving
+  // Process-wide subsystem telemetry (database tiers, clean-time cache)
+  // carries no session label but belongs on the serving
   // process's exposition page alongside its sessions.
   obs::RegistrySnapshot process_wide;
   for (auto& inst : obs::Registry::global().snapshot().instruments) {

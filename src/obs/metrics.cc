@@ -160,8 +160,8 @@ double HistogramSnapshot::quantile(double q) const {
 
 Registry& Registry::global() {
   // Leaked singleton: instrument references taken from the global registry
-  // must stay valid through static destruction (thread pools and servers
-  // record from worker threads that may outlive main's locals).
+  // must stay valid through static destruction (servers record from
+  // worker threads that may outlive main's locals).
   static Registry* g = new Registry();
   return *g;
 }

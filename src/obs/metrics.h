@@ -237,8 +237,8 @@ class Registry {
   Registry& operator=(const Registry&) = delete;
 
   /// The default process-wide registry every built-in subsystem records
-  /// into (database tiers, clean-time cache, thread pool, round engine,
-  /// harmony servers).  Never destroyed, so instrument references taken
+  /// into (database tiers, clean-time cache, round engine, harmony
+  /// servers).  Never destroyed, so instrument references taken
   /// from it are valid for the process lifetime.
   static Registry& global();
 

@@ -60,8 +60,8 @@ Tracer::~Tracer() {
 }
 
 Tracer& Tracer::global() {
-  // Leaked: worker threads (thread pool, server ticker) may record during
-  // static destruction.  OBS_TRACE is parsed exactly once, here.
+  // Leaked: worker threads (repetition workers, server ticker) may record
+  // during static destruction.  OBS_TRACE is parsed exactly once, here.
   static Tracer* g = [] {
     auto* t = new Tracer();
     if (const char* env = std::getenv("OBS_TRACE")) {

@@ -37,16 +37,29 @@ void Rng::jump() {
   static constexpr std::uint64_t kJump[] = {
       0x180ec6d33cfd0abaULL, 0xd5a61266f0c9392cULL, 0xa9582618e03fc9aaULL,
       0x39abdc4529b1661cULL};
-  std::array<std::uint64_t, 4> acc{};
-  for (std::uint64_t word : kJump) {
+  // operator()'s state transition on locals, folded through a mask rather
+  // than a branch: the state stays in registers and the jump polynomial's
+  // random bits cost no mispredictions.  Every repetition context and every
+  // simulated rank's stream pays one jump.
+  std::uint64_t s0 = state_[0], s1 = state_[1], s2 = state_[2], s3 = state_[3];
+  std::uint64_t a0 = 0, a1 = 0, a2 = 0, a3 = 0;
+  for (const std::uint64_t word : kJump) {
     for (int b = 0; b < 64; ++b) {
-      if (word & (1ULL << b)) {
-        for (int i = 0; i < 4; ++i) acc[static_cast<std::size_t>(i)] ^= state_[static_cast<std::size_t>(i)];
-      }
-      (*this)();
+      const std::uint64_t take = 0 - ((word >> b) & 1);
+      a0 ^= s0 & take;
+      a1 ^= s1 & take;
+      a2 ^= s2 & take;
+      a3 ^= s3 & take;
+      const std::uint64_t t = s1 << 17;
+      s2 ^= s0;
+      s3 ^= s1;
+      s1 ^= s2;
+      s0 ^= s3;
+      s2 ^= t;
+      s3 = rotl(s3, 45);
     }
   }
-  state_ = acc;
+  state_ = {a0, a1, a2, a3};
 }
 
 Rng Rng::split(std::uint64_t n) const {

@@ -9,12 +9,12 @@
 #include <cstdlib>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "gs2/database.h"
 #include "gs2/surface.h"
-#include "util/thread_pool.h"
 
 namespace protuner::exp {
 namespace {
@@ -176,9 +176,9 @@ TEST(ParallelRunner, SharedDatabaseCacheIsConsistentUnderContention) {
 
   std::atomic<bool> mismatch{false};
   {
-    util::ThreadPool pool(8);
+    std::vector<std::jthread> threads;
     for (int t = 0; t < 8; ++t) {
-      pool.submit([&] {
+      threads.emplace_back([&] {
         for (std::size_t i = 0; i < pts.size(); ++i) {
           if (db.clean_time(pts[i]) != expected[i]) mismatch = true;
         }
@@ -186,6 +186,87 @@ TEST(ParallelRunner, SharedDatabaseCacheIsConsistentUnderContention) {
     }
   }
   EXPECT_FALSE(mismatch.load());
+}
+
+TEST(ParallelRunner, EveryIndexRunsExactlyOnce) {
+  for (const unsigned threads : {2u, 3u, 8u}) {
+    const long t = threads;
+    for (const long n : {1L, t - 1, t, 1000L}) {
+      std::vector<std::atomic<int>> runs(static_cast<std::size_t>(n));
+      detail::run_indexed(n, threads, [&](long i) {
+        runs[static_cast<std::size_t>(i)].fetch_add(1);
+      });
+      for (long i = 0; i < n; ++i) {
+        EXPECT_EQ(runs[static_cast<std::size_t>(i)].load(), 1)
+            << "index " << i << " of " << n << " on " << threads
+            << " threads";
+      }
+    }
+  }
+}
+
+/// A per-cell variant of fake_experiment: the cell index changes the value.
+double fake_cell_experiment(long cell, const RepContext& ctx) {
+  return fake_experiment(ctx) * static_cast<double>(cell + 1) +
+         static_cast<double>(cell);
+}
+
+TEST(ParallelRunner, GridCellsMatchPerCellRunRepetitions) {
+  const long cells = 5, reps = 37;
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    const auto grid =
+        run_grid(cells, reps, kSeed, fake_cell_experiment, threads);
+    ASSERT_EQ(grid.size(), static_cast<std::size_t>(cells));
+    for (long c = 0; c < cells; ++c) {
+      const auto one = run_repetitions(
+          reps, kSeed,
+          [c](const RepContext& ctx) { return fake_cell_experiment(c, ctx); },
+          1);
+      const auto& got = grid[static_cast<std::size_t>(c)];
+      ASSERT_EQ(got.size(), one.size());
+      for (std::size_t r = 0; r < one.size(); ++r) {
+        // Bit-identical, not approximately equal.
+        EXPECT_EQ(got[r], one[r]) << "cell " << c << " rep " << r << " with "
+                                  << threads << " threads";
+      }
+    }
+  }
+}
+
+TEST(ParallelRunner, GridRethrowsLowestCellRepAfterEveryIndexRan) {
+  const long cells = 4, reps = 8;
+  for (const unsigned threads : {1u, 4u}) {
+    std::atomic<long> ran{0};
+    std::string what;
+    try {
+      run_grid(
+          cells, reps, kSeed,
+          [&](long cell, const RepContext& ctx) -> int {
+            ran.fetch_add(1);
+            if ((cell == 2 && ctx.rep == 1) || (cell == 1 && ctx.rep == 5) ||
+                (cell == 3 && ctx.rep == 0)) {
+              throw std::runtime_error("cell " + std::to_string(cell) +
+                                       " rep " + std::to_string(ctx.rep));
+            }
+            return 0;
+          },
+          threads);
+    } catch (const std::runtime_error& e) {
+      what = e.what();
+      EXPECT_EQ(ran.load(), cells * reps) << threads << " threads";
+    }
+    EXPECT_EQ(what, "cell 1 rep 5") << threads << " threads";
+  }
+}
+
+TEST(ParallelRunner, GridHandlesZeroCellsAndZeroReps) {
+  std::atomic<int> calls{0};
+  const auto body = [&](long, const RepContext&) { return ++calls; };
+  EXPECT_TRUE(run_grid(0, 5, kSeed, body, 4).empty());
+  const auto no_reps = run_grid(3, 0, kSeed, body, 4);
+  ASSERT_EQ(no_reps.size(), 3u);
+  for (const auto& cell : no_reps) EXPECT_TRUE(cell.empty());
+  EXPECT_EQ(calls.load(), 0);
 }
 
 }  // namespace

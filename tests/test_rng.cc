@@ -129,6 +129,48 @@ TEST(Rng, JumpProducesDisjointStream) {
   for (int i = 0; i < 1000; ++i) EXPECT_FALSE(first.count(b()));
 }
 
+TEST(Rng, JumpMatchesReferenceXoshiroJump) {
+  // The published xoshiro256 jump on a state seeded like Rng's: for each
+  // bit of the jump polynomial, fold the state into the accumulator when
+  // the bit is set, then step the generator once.
+  const auto rotl = [](std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  };
+  std::uint64_t s[4];
+  SplitMix64 sm(42);
+  for (auto& w : s) w = sm.next();
+  const auto next = [&] {
+    const std::uint64_t result = rotl(s[0] + s[3], 23) + s[0];
+    const std::uint64_t t = s[1] << 17;
+    s[2] ^= s[0];
+    s[3] ^= s[1];
+    s[1] ^= s[2];
+    s[0] ^= s[3];
+    s[2] ^= t;
+    s[3] = rotl(s[3], 45);
+    return result;
+  };
+  static constexpr std::uint64_t kJump[] = {
+      0x180ec6d33cfd0abaULL, 0xd5a61266f0c9392cULL, 0xa9582618e03fc9aaULL,
+      0x39abdc4529b1661cULL};
+  for (int j = 0; j < 3; ++j) {
+    std::uint64_t acc[4] = {0, 0, 0, 0};
+    for (const std::uint64_t word : kJump) {
+      for (int b = 0; b < 64; ++b) {
+        if (word & (1ULL << b)) {
+          for (int i = 0; i < 4; ++i) acc[i] ^= s[i];
+        }
+        next();
+      }
+    }
+    std::copy(std::begin(acc), std::end(acc), std::begin(s));
+  }
+
+  Rng rng(42);
+  for (int j = 0; j < 3; ++j) rng.jump();
+  for (int i = 0; i < 16; ++i) EXPECT_EQ(rng(), next()) << "draw " << i;
+}
+
 TEST(Rng, SplitStreamsAreIndependentAndDeterministic) {
   Rng base(42);
   Rng s0 = base.split(0);
