@@ -1,35 +1,21 @@
 // Serving-tier soak benchmark: the contention-free fetch/report hot path
-// (DESIGN.md §12) vs. a faithful replica of the pre-change server, at the
-// loadgen's workload shape — N sessions × P ranks driven by phase-locked
-// multiplexing workers with heavy-tailed (Pareto) reported times, with and
-// without a monitor antagonist sweeping the accounting accessors.
-//
-// The replica (`prechange::Server`) is the server as it stood before this
-// optimization pass: one mutex across fetch/report/tick/accessors, fetch
-// returning a fresh Point by value.  Semantics are identical (same engine,
-// same protocol, same telemetry), so the throughput ratio isolates the
-// locking/allocation work: the double-buffered lock-free Collecting path,
-// fetch_into's recycled capacity, and the atomics-backed stats cache.
+// (DESIGN.md §12) at the loadgen's workload shape — N sessions × P ranks
+// driven by phase-locked multiplexing workers with heavy-tailed (Pareto)
+// reported times, with and without a monitor antagonist sweeping the
+// accounting accessors.
 //
 // BENCH_serving.json (bench_smoke_serving ctest / bench-smoke target) is
 // the committed trajectory file for the serving tier.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <latch>
 #include <memory>
-#include <mutex>
-#include <optional>
-#include <stdexcept>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "core/fixed.h"
-#include "core/round_engine.h"
 #include "harmony/server.h"
 #include "util/rng.h"
 #include "varmodel/pareto_noise.h"
@@ -37,158 +23,6 @@
 namespace {
 
 using namespace protuner;
-
-// ---------------------------------------------------------------------------
-// Pre-change replica: harmony::Server as of PR 6 (single mutex over the
-// whole protocol and every accessor), preserved verbatim minus the deadline
-// machinery the soak does not exercise (report_timeout stays 0 here, under
-// which the original's deadline branches were dead code).
-// ---------------------------------------------------------------------------
-namespace prechange {
-
-class Server {
- public:
-  Server(core::TuningStrategyPtr strategy, std::size_t clients,
-         harmony::ServerOptions options)
-      : strategy_(std::move(strategy)),
-        clients_(clients),
-        options_(std::move(options)),
-        obs_fetch_ns_(options_.metrics->histogram(
-            "protuner_harmony_fetch_ns", "", labels())),
-        obs_report_ns_(options_.metrics->histogram(
-            "protuner_harmony_report_ns", "", labels())),
-        obs_round_wall_ns_(options_.metrics->histogram(
-            "protuner_harmony_round_wall_ns", "", labels())),
-        engine_(*strategy_, engine_options()) {
-    rank_round_.assign(clients_, 0);
-    fetched_.assign(clients_, false);
-    const std::scoped_lock lock(mutex_);
-    engine_.open_round();
-    round_opened_ = std::chrono::steady_clock::now();
-  }
-
-  core::Point fetch(std::size_t rank) {
-    const auto entered = std::chrono::steady_clock::now();
-    std::unique_lock lock(mutex_);
-    if (fetched_[rank] && rank_round_[rank] == round_ &&
-        engine_.expected(rank)) {
-      throw harmony::ProtocolError("double fetch");
-    }
-    for (;;) {
-      if (rank_round_[rank] == round_ && engine_.expected(rank)) break;
-      if (rank_round_[rank] <= round_) {
-        fetched_[rank] = false;
-        engine_.reactivate(rank);
-        rank_round_[rank] = round_ + 1;
-      }
-      round_ready_.wait(lock);
-    }
-    fetched_[rank] = true;
-    obs_fetch_ns_.record(elapsed_ns(entered));
-    return engine_.assignment_for(rank);
-  }
-
-  void report(std::size_t rank, double time) {
-    const auto entered = std::chrono::steady_clock::now();
-    const std::scoped_lock lock(mutex_);
-    if (!fetched_[rank]) {
-      throw harmony::ProtocolError("report without fetch");
-    }
-    fetched_[rank] = false;
-    if (rank_round_[rank] < round_) {
-      ++rank_round_[rank];
-      return;
-    }
-    engine_.submit(rank, time);
-    rank_round_[rank] = round_ + 1;
-    if (engine_.complete()) {
-      obs_round_wall_ns_.record(elapsed_ns(round_opened_));
-      engine_.close_round();
-      engine_.open_round();
-      round_ = engine_.rounds_completed();
-      round_opened_ = std::chrono::steady_clock::now();
-      round_ready_.notify_all();
-    }
-    obs_report_ns_.record(elapsed_ns(entered));
-  }
-
-  // The original accounting accessors: every one serializes against the
-  // traffic mutex.
-  double total_time() const {
-    const std::scoped_lock lock(mutex_);
-    return engine_.total_time();
-  }
-  std::size_t rounds_completed() const {
-    const std::scoped_lock lock(mutex_);
-    return engine_.rounds_completed();
-  }
-  core::Point best_point() const {
-    const std::scoped_lock lock(mutex_);
-    return strategy_->best_point();
-  }
-  bool converged() const {
-    const std::scoped_lock lock(mutex_);
-    return strategy_->converged();
-  }
-  std::optional<std::size_t> convergence_round() const {
-    const std::scoped_lock lock(mutex_);
-    return engine_.convergence_round();
-  }
-  std::size_t active_ranks() const {
-    const std::scoped_lock lock(mutex_);
-    return engine_.active_count();
-  }
-  std::string strategy_name() const {
-    const std::scoped_lock lock(mutex_);
-    return strategy_->name();
-  }
-
- private:
-  core::RoundEngineOptions engine_options() const {
-    core::RoundEngineOptions eo;
-    eo.width = clients_;
-    eo.pad_assignment = true;
-    eo.record_series = false;
-    eo.metrics = options_.metrics;
-    eo.session = options_.session;
-    return eo;
-  }
-  obs::Labels labels() const { return {{"session", options_.session}}; }
-  static double elapsed_ns(std::chrono::steady_clock::time_point since) {
-    return static_cast<double>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - since)
-            .count());
-  }
-
-  core::TuningStrategyPtr strategy_;
-  const std::size_t clients_;
-  const harmony::ServerOptions options_;
-  obs::Histogram& obs_fetch_ns_;
-  obs::Histogram& obs_report_ns_;
-  obs::Histogram& obs_round_wall_ns_;
-  mutable std::mutex mutex_;
-  std::condition_variable round_ready_;
-  core::RoundEngine engine_;
-  std::size_t round_ = 0;
-  std::vector<std::size_t> rank_round_;
-  std::vector<bool> fetched_;
-  std::chrono::steady_clock::time_point round_opened_;
-};
-
-// Fetch/report through the pre-change API: fetch allocates its returned
-// Point, reports go through the same single mutex.
-inline void drive_rank_op(Server& server, std::size_t rank, double think,
-                          core::Point& scratch) {
-  scratch = server.fetch(rank);
-  server.report(rank, think);
-}
-
-}  // namespace prechange
-
-// ---------------------------------------------------------------------------
-// Soak driver, shared by both server types.
-// ---------------------------------------------------------------------------
 
 struct SoakShape {
   std::size_t sessions;
@@ -198,17 +32,16 @@ struct SoakShape {
   bool monitor;
 };
 
-template <class ServerT>
-std::vector<std::unique_ptr<ServerT>> make_servers(const SoakShape& shape,
-                                                   obs::Registry& registry) {
-  std::vector<std::unique_ptr<ServerT>> servers;
+std::vector<std::unique_ptr<harmony::Server>> make_servers(
+    const SoakShape& shape, obs::Registry& registry) {
+  std::vector<std::unique_ptr<harmony::Server>> servers;
   servers.reserve(shape.sessions);
   for (std::size_t s = 0; s < shape.sessions; ++s) {
     harmony::ServerOptions so;
     so.metrics = &registry;
     so.record_series = false;
     so.session = "soak-" + std::to_string(s);
-    servers.push_back(std::make_unique<ServerT>(
+    servers.push_back(std::make_unique<harmony::Server>(
         std::make_unique<core::FixedStrategy>(core::Point(4, 1.0)),
         shape.ranks, so));
   }
@@ -218,10 +51,8 @@ std::vector<std::unique_ptr<ServerT>> make_servers(const SoakShape& shape,
 // One soak run; returns completed fetch+report op count.  Worker shape
 // matches apps::run_loadgen: per-session phase-locked multiplexers, think
 // times drawn from the paper's Pareto noise and reported as virtual time.
-template <class ServerT, class FetchReport>
 std::size_t run_soak(const SoakShape& shape,
-                     std::vector<std::unique_ptr<ServerT>>& servers,
-                     FetchReport&& fetch_report) {
+                     std::vector<std::unique_ptr<harmony::Server>>& servers) {
   std::latch start(1);
   std::atomic<bool> stop{false};
   const varmodel::ParetoNoise think(0.3, 1.7);
@@ -230,7 +61,7 @@ std::size_t run_soak(const SoakShape& shape,
   for (std::size_t s = 0; s < shape.sessions; ++s) {
     for (std::size_t w = 0; w < shape.workers; ++w) {
       threads.emplace_back([&, s, w] {
-        ServerT& server = *servers[s];
+        harmony::Server& server = *servers[s];
         const std::size_t lo = w * shape.ranks / shape.workers;
         const std::size_t hi = (w + 1) * shape.ranks / shape.workers;
         util::Rng rng(0x9e3779b97f4a7c15ULL * (s * shape.workers + w + 1));
@@ -238,7 +69,8 @@ std::size_t run_soak(const SoakShape& shape,
         start.wait();
         for (std::size_t round = 0; round < shape.rounds; ++round) {
           for (std::size_t r = lo; r < hi; ++r) {
-            fetch_report(server, r, think.observe(50e-6, rng), scratch);
+            server.fetch_into(r, scratch);
+            server.report(r, think.observe(50e-6, rng));
           }
         }
       });
@@ -279,60 +111,36 @@ SoakShape shape_from(const benchmark::State& state) {
                    state.range(4) != 0};
 }
 
-void BM_Serving_prechange(benchmark::State& state) {
-  const SoakShape shape = shape_from(state);
-  std::size_t ops = 0;
-  for (auto _ : state) {
-    obs::Registry registry;
-    auto servers = make_servers<prechange::Server>(shape, registry);
-    ops += run_soak(shape, servers,
-                    [](prechange::Server& server, std::size_t rank,
-                       double think, core::Point& scratch) {
-                      prechange::drive_rank_op(server, rank, think, scratch);
-                    });
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(ops));
-}
-
 void BM_Serving_sharded(benchmark::State& state) {
   const SoakShape shape = shape_from(state);
   std::size_t ops = 0;
   for (auto _ : state) {
     obs::Registry registry;
-    auto servers = make_servers<harmony::Server>(shape, registry);
-    ops += run_soak(shape, servers,
-                    [](harmony::Server& server, std::size_t rank,
-                       double think, core::Point& scratch) {
-                      server.fetch_into(rank, scratch);
-                      server.report(rank, think);
-                    });
+    auto servers = make_servers(shape, registry);
+    ops += run_soak(shape, servers);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(ops));
 }
 
 // Args: {sessions, ranks, workers/session, rounds, monitor}.
-// The headline acceptance shape is 8 sessions × 64 ranks; the smaller
-// shapes track how the win scales down, and the monitored rows measure
+// The headline shape is 8 sessions × 64 ranks; the smaller shapes track
+// how the per-op cost scales down, and the monitored rows measure
 // exporter interference (the production serving shape: something is
 // always scraping).  workers=1 is the event-loop row: one thread drives
 // all 64 ranks and closes every round inline, so nothing ever blocks and
 // the pure per-op cost shows through without scheduler noise.
-#define SERVING_SHAPES(BM)                           \
-  BENCHMARK(BM)                                      \
-      ->Args({1, 16, 2, 40, 0})                      \
-      ->Args({4, 16, 2, 40, 0})                      \
-      ->Args({8, 64, 1, 40, 0})                      \
-      ->Args({8, 64, 2, 20, 0})                      \
-      ->Args({8, 64, 2, 20, 1})                      \
-      ->Args({8, 64, 8, 20, 0})                      \
-      ->Args({8, 64, 16, 20, 0})                     \
-      ->Args({8, 64, 64, 10, 0})                     \
-      ->Unit(benchmark::kMillisecond)                \
-      ->MeasureProcessCPUTime()                      \
-      ->UseRealTime()
-
-SERVING_SHAPES(BM_Serving_prechange);
-SERVING_SHAPES(BM_Serving_sharded);
+BENCHMARK(BM_Serving_sharded)
+    ->Args({1, 16, 2, 40, 0})
+    ->Args({4, 16, 2, 40, 0})
+    ->Args({8, 64, 1, 40, 0})
+    ->Args({8, 64, 2, 20, 0})
+    ->Args({8, 64, 2, 20, 1})
+    ->Args({8, 64, 8, 20, 0})
+    ->Args({8, 64, 16, 20, 0})
+    ->Args({8, 64, 64, 10, 0})
+    ->Unit(benchmark::kMillisecond)
+    ->MeasureProcessCPUTime()
+    ->UseRealTime();
 
 }  // namespace
 

@@ -43,9 +43,6 @@ class CleanTimeCache {
     return {clean_.data(), clean_.size()};
   }
 
-  /// Drops the cached batch (e.g. after swapping landscapes).
-  void invalidate() { valid_ = false; }
-
  private:
   bool matches(std::span<const core::Point> configs,
                std::uint64_t version) const;

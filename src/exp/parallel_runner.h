@@ -101,17 +101,4 @@ auto run_repetitions(long n, std::uint64_t base_seed, Fn&& fn,
   return std::move(grid.front());
 }
 
-/// Convenience fold: sums fn(ctx).value contributions in repetition order.
-/// Equivalent to running serially and accumulating — kept for harnesses
-/// that only need a scalar mean.
-template <typename Fn>
-double mean_over_repetitions(long n, std::uint64_t base_seed, Fn&& fn,
-                             unsigned threads = 0) {
-  const auto vals =
-      run_repetitions(n, base_seed, std::forward<Fn>(fn), threads);
-  double acc = 0.0;
-  for (const double v : vals) acc += v;
-  return n > 0 ? acc / static_cast<double>(n) : 0.0;
-}
-
 }  // namespace protuner::exp

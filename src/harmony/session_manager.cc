@@ -1,43 +1,22 @@
 #include "harmony/session_manager.h"
 
 #include <algorithm>
-#include <functional>
 #include <mutex>
 #include <utility>
 
 namespace protuner::harmony {
 
-SessionManager::Shard& SessionManager::shard_for(const std::string& name) {
-  return shards_[std::hash<std::string>{}(name) % kShardCount];
-}
-
-const SessionManager::Shard& SessionManager::shard_for(
-    const std::string& name) const {
-  return shards_[std::hash<std::string>{}(name) % kShardCount];
-}
-
 std::shared_ptr<SessionManager::Hosted> SessionManager::find_hosted(
     const std::string& name) const {
-  const Shard& shard = shard_for(name);
-  const std::shared_lock lock(shard.mutex);
-  const auto it = shard.sessions.find(name);
-  return it == shard.sessions.end() ? nullptr : it->second;
+  const std::shared_lock lock(mutex_);
+  const auto it = sessions_.find(name);
+  return it == sessions_.end() ? nullptr : it->second;
 }
 
 std::vector<std::pair<std::string, std::shared_ptr<SessionManager::Hosted>>>
 SessionManager::pin_all() const {
-  std::vector<std::pair<std::string, std::shared_ptr<Hosted>>> out;
-  for (const Shard& shard : shards_) {
-    const std::shared_lock lock(shard.mutex);
-    for (const auto& [name, hosted] : shard.sessions) {
-      out.emplace_back(name, hosted);
-    }
-  }
-  // Shards split the namespace by hash; re-establish the global name order
-  // callers of names()/stats_all() rely on.
-  std::sort(out.begin(), out.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  return out;
+  const std::shared_lock lock(mutex_);
+  return {sessions_.begin(), sessions_.end()};
 }
 
 std::shared_ptr<Server> SessionManager::create(const std::string& name,
@@ -54,10 +33,8 @@ std::shared_ptr<Server> SessionManager::create(const std::string& name,
       std::make_shared<Server>(std::move(strategy), clients, options);
   auto hosted = std::make_shared<Hosted>();
   hosted->server = std::move(server);
-  Shard& shard = shard_for(name);
-  const std::unique_lock lock(shard.mutex);
-  const auto [it, inserted] =
-      shard.sessions.try_emplace(name, std::move(hosted));
+  const std::unique_lock lock(mutex_);
+  const auto [it, inserted] = sessions_.try_emplace(name, std::move(hosted));
   if (!inserted) {
     throw SessionError("create: session '" + name + "' already exists");
   }
@@ -65,10 +42,9 @@ std::shared_ptr<Server> SessionManager::create(const std::string& name,
 }
 
 std::shared_ptr<Server> SessionManager::attach(const std::string& name) {
-  const Shard& shard = shard_for(name);
-  const std::shared_lock lock(shard.mutex);
-  const auto it = shard.sessions.find(name);
-  if (it == shard.sessions.end()) {
+  const std::shared_lock lock(mutex_);
+  const auto it = sessions_.find(name);
+  if (it == sessions_.end()) {
     throw SessionError("attach: no session named '" + name + "'");
   }
   // Reader lock suffices: remove() takes the writer lock, so its
@@ -78,10 +54,9 @@ std::shared_ptr<Server> SessionManager::attach(const std::string& name) {
 }
 
 void SessionManager::detach(const std::string& name) {
-  const Shard& shard = shard_for(name);
-  const std::shared_lock lock(shard.mutex);
-  const auto it = shard.sessions.find(name);
-  if (it == shard.sessions.end()) {
+  const std::shared_lock lock(mutex_);
+  const auto it = sessions_.find(name);
+  if (it == sessions_.end()) {
     throw SessionError("detach: no session named '" + name + "'");
   }
   // CAS loop rather than blind decrement: concurrent over-detach must not
@@ -102,10 +77,9 @@ std::shared_ptr<Server> SessionManager::find(const std::string& name) const {
 }
 
 bool SessionManager::remove(const std::string& name) {
-  Shard& shard = shard_for(name);
-  const std::unique_lock lock(shard.mutex);
-  const auto it = shard.sessions.find(name);
-  if (it == shard.sessions.end()) return false;
+  const std::unique_lock lock(mutex_);
+  const auto it = sessions_.find(name);
+  if (it == sessions_.end()) return false;
   // Writer lock excludes attach(), so this check is race-free.
   const std::size_t attached =
       it->second->attached.load(std::memory_order_relaxed);
@@ -113,7 +87,7 @@ bool SessionManager::remove(const std::string& name) {
     throw SessionError("remove: session '" + name + "' still has " +
                        std::to_string(attached) + " attachment(s)");
   }
-  shard.sessions.erase(it);
+  sessions_.erase(it);
   return true;
 }
 
@@ -126,12 +100,8 @@ std::vector<std::string> SessionManager::names() const {
 }
 
 std::size_t SessionManager::size() const {
-  std::size_t total = 0;
-  for (const Shard& shard : shards_) {
-    const std::shared_lock lock(shard.mutex);
-    total += shard.sessions.size();
-  }
-  return total;
+  const std::shared_lock lock(mutex_);
+  return sessions_.size();
 }
 
 SessionManager::SessionStats SessionManager::stats_of(
@@ -153,7 +123,7 @@ SessionManager::SessionStats SessionManager::stats_of(
 
 SessionManager::SessionStats SessionManager::stats(
     const std::string& name) const {
-  // Pin the record under the shard's reader lock, aggregate after release:
+  // Pin the record under the reader lock, aggregate after release:
   // the server accessor calls must never extend the registry critical
   // section (they are cheap today, but stats must not be able to block
   // create/remove however slow the session is).

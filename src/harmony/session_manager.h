@@ -13,22 +13,20 @@
 //   manager.detach("gs2");
 //   manager.remove("gs2");               // only once fully detached
 //
-// Thread-safe and contention-shy (DESIGN.md §12): the registry is sharded
-// by name hash, each shard behind a shared_mutex.  Lookups (attach, find,
-// stats, names) take one shard's reader lock; only create and remove take
-// a writer lock, and only on the one shard that owns the name — so
-// registry churn on one session never blocks another session's attach or
-// a dashboard's stats sweep.  Attach counts are atomics on a shared_ptr'd
-// record: attach/detach under the reader lock mutate the count without
-// ever excluding each other or unrelated lookups (remove's writer lock is
-// what makes its attached==0 check race-free).  Aggregation (stats_all,
-// metrics_snapshot) copies the handles out under the brief reader locks
-// and does every server call after release, so a slow exporter or a stats
-// sweep over a big session never holds the registry against create/remove
-// (Server's own accessors are wait-free against its traffic in turn).
+// Thread-safe (DESIGN.md §12): one shared_mutex guards the name-ordered
+// registry.  Lookups (attach, detach, find, stats, names) take the reader
+// lock; only create and remove take the writer lock.  Registry traffic
+// arrives at session rate, so one lock is enough.  Attach counts are
+// atomics on a shared_ptr'd record: attach/detach under the reader lock
+// mutate the count without ever excluding each other or unrelated lookups
+// (remove's writer lock is what makes its attached==0 check race-free).
+// Aggregation (stats, stats_all, metrics_snapshot) copies the handles out
+// under the brief reader lock and does every server call after release, so
+// a slow exporter or a stats sweep over a big session never holds the
+// registry against create/remove (Server's own accessors are wait-free
+// against its traffic in turn).
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstddef>
 #include <map>
@@ -102,31 +100,22 @@ class SessionManager {
 
  private:
   // One hosted session.  shared_ptr'd so aggregators can pin a record
-  // outside the shard lock; `attached` is atomic so attach/detach work
+  // outside the registry lock; `attached` is atomic so attach/detach work
   // under the reader lock.
   struct Hosted {
     std::shared_ptr<Server> server;
     std::atomic<std::size_t> attached{0};
   };
 
-  static constexpr std::size_t kShardCount = 16;
-
-  struct Shard {
-    mutable std::shared_mutex mutex;
-    std::map<std::string, std::shared_ptr<Hosted>> sessions;
-  };
-
-  Shard& shard_for(const std::string& name);
-  const Shard& shard_for(const std::string& name) const;
-  /// Looks the name up under the shard's reader lock; nullptr if unknown.
+  /// Looks the name up under the reader lock; nullptr if unknown.
   std::shared_ptr<Hosted> find_hosted(const std::string& name) const;
-  /// Pins every hosted record, name-sorted, touching each shard only
-  /// briefly under its reader lock.
+  /// Pins every hosted record, name-sorted, under one brief reader lock.
   std::vector<std::pair<std::string, std::shared_ptr<Hosted>>> pin_all()
       const;
   static SessionStats stats_of(const std::string& name, const Hosted& hosted);
 
-  std::array<Shard, kShardCount> shards_;
+  mutable std::shared_mutex mutex_;
+  std::map<std::string, std::shared_ptr<Hosted>> sessions_;
 };
 
 }  // namespace protuner::harmony

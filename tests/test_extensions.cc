@@ -1,6 +1,5 @@
 // Tests for the extension features: bursty noise, grid search, adaptive-K
-// PRO (the paper's stated future work) and the harmony SessionBuilder
-// facade.
+// PRO (the paper's stated future work) and spec-built harmony sessions.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -9,9 +8,11 @@
 #include "cluster/simulated_cluster.h"
 #include "core/grid_search.h"
 #include "core/landscape.h"
+#include "core/parameter_space.h"
 #include "core/pro.h"
 #include "core/session.h"
-#include "harmony/api.h"
+#include "core/strategy_spec.h"
+#include "harmony/server.h"
 #include "spec/spec.h"
 #include "stats/autocorr.h"
 #include "util/summary.h"
@@ -176,98 +177,67 @@ TEST(AdaptiveK, RespectsMaxSamples) {
   EXPECT_GE(pro.current_samples(), 1);
 }
 
-// ------------------------------------------------------------ SessionBuilder
+// ------------------------------------------------------- Harmony sessions
+// The Active Harmony workflow of §1: declare the tunables (type and range),
+// pick a strategy by spec, host it in a harmony::Server.
 
-TEST(SessionBuilder, BuildsWorkingProServer) {
-  harmony::SessionBuilder builder;
-  builder.add_int("a", 0, 20)
-      .add_int("b", 0, 20)
-      .algorithm(harmony::Algorithm::kPro)
-      .samples(2)
-      .clients(4);
-  EXPECT_EQ(builder.parameter_count(), 2u);
-  auto server = builder.build();
+TEST(HarmonySession, ProServerConverges) {
+  const core::ParameterSpace space({core::Parameter::integer("a", 0, 20),
+                                    core::Parameter::integer("b", 0, 20)});
+  harmony::Server server(core::make_strategy("pro:k=2", space), 4);
 
   const core::QuadraticLandscape land(core::Point{7.0, 3.0}, 1.0, 0.2);
   for (int step = 0; step < 200; ++step) {
     std::vector<core::Point> cfgs;
-    for (std::size_t r = 0; r < 4; ++r) cfgs.push_back(server->fetch(r));
+    for (std::size_t r = 0; r < 4; ++r) cfgs.push_back(server.fetch(r));
     for (std::size_t r = 0; r < 4; ++r) {
-      server->report(r, land.clean_time(cfgs[r]));
+      server.report(r, land.clean_time(cfgs[r]));
     }
   }
-  EXPECT_EQ(server->best_point(), (core::Point{7.0, 3.0}));
+  EXPECT_EQ(server.best_point(), (core::Point{7.0, 3.0}));
 }
 
-TEST(SessionBuilder, SupportsAllAlgorithms) {
-  for (auto algo : {harmony::Algorithm::kPro, harmony::Algorithm::kSro,
-                    harmony::Algorithm::kNelderMead}) {
-    harmony::SessionBuilder builder;
-    builder.add_int("a", 0, 10).algorithm(algo).clients(2);
-    auto server = builder.build();
+TEST(HarmonySession, EveryStrategySpecCompletesARound) {
+  const core::ParameterSpace space({core::Parameter::integer("a", 0, 20)});
+  for (const char* text :
+       {"pro", "sro", "nm", "pro:k=2", "spsa:a=0.3", "rs:m=8,n0=2"}) {
+    harmony::Server server(core::make_strategy(text, space), 3);
     // One full round must complete without deadlock.
-    std::vector<core::Point> cfgs;
-    for (std::size_t r = 0; r < 2; ++r) cfgs.push_back(server->fetch(r));
-    for (std::size_t r = 0; r < 2; ++r) server->report(r, 1.0);
-    EXPECT_EQ(server->rounds_completed(), 1u);
+    for (std::size_t r = 0; r < 3; ++r) (void)server.fetch(r);
+    for (std::size_t r = 0; r < 3; ++r) server.report(r, 1.0);
+    EXPECT_EQ(server.rounds_completed(), 1u) << text;
   }
+  // Malformed specs fail loudly with the spec diagnostics.
+  EXPECT_THROW((void)core::make_strategy("pro:kk=2", space), spec::SpecError);
 }
 
-TEST(SessionBuilder, StrategySpecOverridesEnumAlgorithm) {
-  // A declarative spec (DESIGN.md §13) takes precedence over the enum
-  // setters; any registered strategy is reachable without a new enum value.
-  for (const char* text : {"pro:k=2", "spsa:a=0.3", "rs:m=8,n0=2"}) {
-    harmony::SessionBuilder builder;
-    builder.add_int("a", 0, 20)
-        .algorithm(harmony::Algorithm::kNelderMead)  // overridden below
-        .strategy_spec(text)
-        .noise_spec("pareto:rho=0.2,alpha=1.7")
-        .clients(3);
-    EXPECT_EQ(builder.strategy_spec(), text);
-    EXPECT_EQ(builder.noise_spec(), "pareto:rho=0.2,alpha=1.7");
-    auto server = builder.build();
-    std::vector<core::Point> cfgs;
-    for (std::size_t r = 0; r < 3; ++r) cfgs.push_back(server->fetch(r));
-    for (std::size_t r = 0; r < 3; ++r) server->report(r, 1.0);
-    EXPECT_EQ(server->rounds_completed(), 1u);
-  }
-  // Malformed specs fail loudly at build() with the spec diagnostics.
-  harmony::SessionBuilder bad;
-  bad.add_int("a", 0, 5).strategy_spec("pro:kk=2").clients(1);
-  EXPECT_THROW((void)bad.build(), spec::SpecError);
-}
-
-TEST(SessionBuilder, MixedParameterKinds) {
-  harmony::SessionBuilder builder;
-  builder.add_int("i", 1, 9)
-      .add_continuous("c", 0.0, 1.0)
-      .add_discrete("d", {2.0, 4.0, 8.0})
-      .clients(3);
-  const auto space = builder.space();
-  EXPECT_EQ(space.size(), 3u);
+TEST(HarmonySession, MixedParameterKinds) {
+  const core::ParameterSpace space(
+      {core::Parameter::integer("i", 1, 9),
+       core::Parameter::continuous("c", 0.0, 1.0),
+       core::Parameter::discrete("d", {2.0, 4.0, 8.0})});
   EXPECT_EQ(space.param(0).kind(), core::ParamKind::kInteger);
   EXPECT_EQ(space.param(1).kind(), core::ParamKind::kContinuous);
   EXPECT_EQ(space.param(2).kind(), core::ParamKind::kDiscrete);
-  auto server = builder.build();
-  const core::Point cfg = server->fetch(0);
-  EXPECT_TRUE(space.admissible(cfg));
+  harmony::Server server(core::make_strategy("pro", space), 3);
+  EXPECT_TRUE(space.admissible(server.fetch(0)));
 }
 
-TEST(SessionBuilder, AdaptiveSamplingServerRuns) {
-  harmony::SessionBuilder builder;
-  builder.add_int("a", 0, 20).adaptive_samples(4).clients(4);
-  auto server = builder.build();
+TEST(HarmonySession, AdaptiveSamplingServerRuns) {
+  const core::ParameterSpace space({core::Parameter::integer("a", 0, 20)});
+  harmony::Server server(
+      core::make_strategy("pro:adaptive=1,max_k=4,refresh=1", space), 4);
   const core::QuadraticLandscape land(core::Point{9.0}, 1.0, 0.5);
   util::Rng rng(9);
   const varmodel::ParetoNoise noise(0.3, 1.7);
   for (int step = 0; step < 150; ++step) {
     std::vector<core::Point> cfgs;
-    for (std::size_t r = 0; r < 4; ++r) cfgs.push_back(server->fetch(r));
+    for (std::size_t r = 0; r < 4; ++r) cfgs.push_back(server.fetch(r));
     for (std::size_t r = 0; r < 4; ++r) {
-      server->report(r, noise.observe(land.clean_time(cfgs[r]), rng));
+      server.report(r, noise.observe(land.clean_time(cfgs[r]), rng));
     }
   }
-  EXPECT_EQ(server->rounds_completed(), 150u);
+  EXPECT_EQ(server.rounds_completed(), 150u);
 }
 
 }  // namespace

@@ -148,13 +148,6 @@ TEST(ParallelRunner, DefaultThreadsHonoursEnvKnob) {
   EXPECT_GE(default_threads(), 1u);
 }
 
-TEST(ParallelRunner, MeanOverRepetitionsMatchesManualFold) {
-  const auto vals = run_repetitions(20, kSeed, fake_experiment, 1);
-  double acc = 0.0;
-  for (const double v : vals) acc += v;
-  EXPECT_EQ(mean_over_repetitions(20, kSeed, fake_experiment, 4), acc / 20.0);
-}
-
 TEST(ParallelRunner, SharedDatabaseCacheIsConsistentUnderContention) {
   // Many threads interpolating the same points must agree with the serial
   // answer (pure function + sharded cache ⇒ no torn or stale values).

@@ -46,7 +46,7 @@ TEST(ServingStress, RegistryChurnWhileRanksFetchAndReport) {
   // create/attach/detach/remove ephemeral sessions and an exporter sweeps
   // aggregate views.  Everything must run to completion with the traffic
   // sessions' accounting intact — under TSan this is also the data-race
-  // proof for the sharded registry + lock-free collecting phase.
+  // proof for the registry lock + lock-free collecting phase.
   constexpr std::size_t kRanks = 4;
   constexpr std::size_t kRounds = 150;
   constexpr int kChurnThreads = 2;

@@ -86,6 +86,27 @@ TEST(SessionManager, CreateAttachDetachRemoveLifecycle) {
   // A removed session keeps working for holders of the shared_ptr.
   drive_rounds(*a, 2, 1);
   EXPECT_EQ(a->rounds_completed(), 1u);
+
+  // names() and stats_all() come back name-sorted whatever the creation
+  // order.
+  constexpr int kMany = 40;
+  for (int i = kMany - 1; i >= 0; --i) {
+    const std::string name = "s" + std::string(i < 10 ? "0" : "") +
+                             std::to_string(i);
+    manager.create(name, fixed(1.0), 1);
+  }
+  EXPECT_EQ(manager.size(), static_cast<std::size_t>(kMany) + 1);
+  const auto names = manager.names();
+  ASSERT_EQ(names.size(), manager.size());
+  EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
+  EXPECT_EQ(names.front(), "b");
+  EXPECT_EQ(names[1], "s00");
+  EXPECT_EQ(names.back(), "s39");
+  const auto all = manager.stats_all();
+  ASSERT_EQ(all.size(), names.size());
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    EXPECT_EQ(all[i].name, names[i]);
+  }
 }
 
 TEST(SessionManager, StatsSnapshotLiveAccounting) {
