@@ -29,11 +29,8 @@ CacheCounters& cache_counters() {
 
 }  // namespace
 
-bool CleanTimeCache::matches(std::span<const core::Point> configs,
-                             std::uint64_t version) const {
-  if (!valid_ || version != version_ || configs.size() != sizes_.size()) {
-    return false;
-  }
+bool CleanTimeCache::matches(std::span<const core::Point> configs) const {
+  if (!valid_ || configs.size() != sizes_.size()) return false;
   std::size_t off = 0;
   for (std::size_t i = 0; i < configs.size(); ++i) {
     const core::Point& x = configs[i];
@@ -50,8 +47,7 @@ bool CleanTimeCache::matches(std::span<const core::Point> configs,
   return true;
 }
 
-void CleanTimeCache::store(std::span<const core::Point> configs,
-                           std::uint64_t version) {
+void CleanTimeCache::store(std::span<const core::Point> configs) {
   sizes_.resize(configs.size());
   std::size_t total = 0;
   for (std::size_t i = 0; i < configs.size(); ++i) {
@@ -64,14 +60,12 @@ void CleanTimeCache::store(std::span<const core::Point> configs,
     for (std::size_t d = 0; d < x.size(); ++d) coords_[off + d] = x[d];
     off += x.size();
   }
-  version_ = version;
   valid_ = true;
 }
 
 bool CleanTimeCache::refresh(const core::Landscape& landscape,
                              std::span<const core::Point> configs) {
-  const std::uint64_t version = landscape.version();
-  if (matches(configs, version)) {
+  if (matches(configs)) {
     cache_counters().replay.add();
     return true;
   }
@@ -90,7 +84,7 @@ bool CleanTimeCache::refresh(const core::Landscape& landscape,
       throw std::domain_error(ss.str());
     }
   }
-  store(configs, version);
+  store(configs);
   return false;
 }
 

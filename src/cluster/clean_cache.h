@@ -5,9 +5,7 @@
 // the batched landscape lookup — the per-step cost that remains after the
 // indexed database work — is redundant whenever the assignment repeats.
 // CleanTimeCache keeps a flattened (SoA) copy of the last batch plus its
-// clean times and replays them when the incoming batch matches, guarded by
-// core::Landscape::version() so a mutated substrate (gs2::Database::insert)
-// forces a recompute.
+// clean times and replays them when the incoming batch matches.
 //
 // The cache also owns the release-mode positivity check: every clean time
 // is validated once per recompute (not per step), so a bad landscape can't
@@ -31,10 +29,10 @@ namespace protuner::cluster {
 class CleanTimeCache {
  public:
   /// Makes clean() valid for `configs`: replays the cached times when the
-  /// batch is identical to the previous call (same configs, same landscape
-  /// version), otherwise recomputes through landscape.clean_times() and
-  /// validates positivity.  Throws std::domain_error on a non-positive
-  /// clean time.  Returns true on a cache hit (no landscape call).
+  /// batch is identical to the previous call, otherwise recomputes through
+  /// landscape.clean_times() and validates positivity.  Throws
+  /// std::domain_error on a non-positive clean time.  Returns true on a
+  /// cache hit (no landscape call).
   bool refresh(const core::Landscape& landscape,
                std::span<const core::Point> configs);
 
@@ -44,9 +42,8 @@ class CleanTimeCache {
   }
 
  private:
-  bool matches(std::span<const core::Point> configs,
-               std::uint64_t version) const;
-  void store(std::span<const core::Point> configs, std::uint64_t version);
+  bool matches(std::span<const core::Point> configs) const;
+  void store(std::span<const core::Point> configs);
 
   // SoA snapshot of the last batch: all coordinates concatenated plus each
   // config's offset — flat buffers so the compare is a linear scan and the
@@ -54,7 +51,6 @@ class CleanTimeCache {
   std::vector<double> coords_;
   std::vector<std::uint32_t> sizes_;
   std::vector<double> clean_;
-  std::uint64_t version_ = 0;
   bool valid_ = false;
 };
 

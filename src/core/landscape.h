@@ -25,19 +25,17 @@ class Landscape {
   /// Must be strictly positive.
   virtual double clean_time(const Point& x) const = 0;
 
-  /// Batch evaluation: out[i] = clean_time(xs[i]).  Candidates arrive
-  /// n-at-a-time in an SPMD step (one per rank), so substrates that can
-  /// amortize work across a batch (gs2::Database: one cache probe, deduped
-  /// misses, shared scratch) override this; the default is the scalar loop
-  /// and is always equivalent.  `out.size()` must equal `xs.size()`.
+  /// Batch evaluation: out[i] = clean_time(xs[i]), one call per SPMD step
+  /// (one candidate per rank).  No library landscape overrides the scalar
+  /// loop; it stays virtual so a decorator can time a whole batch as one
+  /// call.
+  /// `out.size()` must equal `xs.size()`.
   virtual void clean_times(std::span<const Point> xs,
                            std::span<double> out) const;
 
-  /// Mutation counter: changes whenever clean_time() results may change.
-  /// Immutable landscapes (everything here except gs2::Database, which can
-  /// absorb new measurements) keep the default constant 0.  Evaluators use
-  /// it to reuse clean times across steps when the assignment repeats —
-  /// the dominant shape of a converged tuning loop.
+  /// Always 0: every landscape is immutable and nothing in the library
+  /// reads this.  It exists only because the perfbench tracing decorator
+  /// overrides it; delete it with that override.
   virtual std::uint64_t version() const { return 0; }
 
   virtual std::string name() const = 0;

@@ -8,7 +8,6 @@
 #include <cstdlib>
 #include <istream>
 #include <limits>
-#include <mutex>
 #include <new>
 #include <ostream>
 #include <sstream>
@@ -123,9 +122,9 @@ struct FreeDeleter {
 // ---------------------------------------------------------------------------
 // The index: SoA storage of the table (tree order), a value-split k-d tree
 // over it, an open-addressing exact-hit table and the lattice memo.  Built
-// once per table revision and immutable afterwards except for the memo
-// slots, which are only touched through relaxed std::atomic_ref operations,
-// so concurrent lookups need no locking.
+// once, by the Database constructor, and immutable afterwards except for
+// the memo slots, which are only touched through relaxed std::atomic_ref
+// operations, so concurrent lookups need no locking.
 //
 // Exactness contract: the k-NN selection and the per-neighbour distances
 // must reproduce the brute-force reference bit-for-bit.  Distances are
@@ -136,6 +135,9 @@ struct FreeDeleter {
 // with smaller values are never skipped.  Any tree shape whose split bounds
 // are true bounds satisfies it.
 struct Database::Index {
+  Index(const core::ParameterSpace& space,
+        const std::map<core::Point, double>& table);
+
   std::size_t dim = 0;
   std::size_t n = 0;
   std::vector<double> pts;    ///< row-major coordinates, tree order
@@ -155,14 +157,14 @@ struct Database::Index {
   std::vector<std::uint64_t> slot_hash;
   std::vector<std::uint32_t> slot_row;
 
-  // Lattice memo: slot s holds the bits of the interpolated value of the
-  // admissible point at mixed-radix lattice position s, or 0 while it is
-  // empty.  Null when the space has a continuous axis or its lattice
-  // exceeds kMaxMemoSlots.  Zero-filled by calloc, which leaves freshly
-  // mapped pages untouched.  Interpolation is a pure function of this
-  // index, so racing fills of one slot store identical bits and relaxed
-  // order suffices; a value whose bits are all zero (+0.0) is simply
-  // recomputed on every lookup.
+  // Lattice memo: slot s holds the bits of the clean time (stored or
+  // interpolated) of the admissible point at mixed-radix lattice position
+  // s, or 0 while it is empty.  Null when the space has a continuous axis
+  // or its lattice exceeds kMaxMemoSlots.  Zero-filled by calloc, which
+  // leaves freshly mapped pages untouched.  A clean time is a pure function
+  // of this index, so racing fills of one slot store identical bits and
+  // relaxed order suffices; a value whose bits are all zero (+0.0) is
+  // simply recomputed on every lookup.
   std::unique_ptr<std::uint64_t[], FreeDeleter> memo;
 
   static constexpr std::size_t kNoSlot =
@@ -177,7 +179,7 @@ struct Database::Index {
   }
 
   const double* exact_find(std::uint64_t h, const core::Point& x) const {
-    if (slot_hash.empty() || x.size() != dim) return nullptr;
+    if (x.size() != dim) return nullptr;
     const std::size_t mask = slot_hash.size() - 1;
     for (std::size_t i = h & mask;; i = (i + 1) & mask) {
       if (slot_hash[i] == 0) return nullptr;
@@ -262,7 +264,6 @@ struct Database::Index {
   void knn(const double* x, std::size_t k,
            std::vector<std::pair<double, double>>& heap) const {
     heap.clear();
-    if (n == 0 || k == 0) return;
     search(0, x, k, heap);
   }
 
@@ -394,37 +395,72 @@ std::uint32_t Database::Index::build_node(Index& idx,
   return id;
 }
 
-Database::Database(core::ParameterSpace space, DatabaseOptions options)
-    : space_(std::move(space)), options_(options) {
+Database::Index::Index(const core::ParameterSpace& space,
+                       const std::map<core::Point, double>& table)
+    : dim(space.size()), n(table.size()) {
+  range.reserve(dim);
+  for (std::size_t d = 0; d < dim; ++d) range.push_back(space.param(d).range());
+  // Raw AoS copy in table order, then a row permutation from the recursive
+  // value splits, then the final SoA-per-row fill.
+  std::vector<double> rp(n * dim);
+  std::vector<double> rv(n);
+  std::size_t r = 0;
+  for (const auto& [pt, val] : table) {
+    std::copy(pt.begin(), pt.end(), rp.begin() + r * dim);
+    rv[r] = val;
+    ++r;
+  }
+  std::vector<std::uint32_t> rows(n);
+  for (std::uint32_t i = 0; i < n; ++i) rows[i] = i;
+  build_node(*this, rows, rp, 0, static_cast<std::uint32_t>(n));
+  pts.resize(n * dim);
+  vals.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t src = rows[i];
+    std::copy(rp.begin() + src * dim, rp.begin() + (src + 1) * dim,
+              pts.begin() + i * dim);
+    vals[i] = rv[src];
+  }
+  // Exact-hit table at load factor <= 0.5.
+  std::size_t cap = 16;
+  while (cap < n * 2) cap *= 2;
+  slot_hash.assign(cap, 0);
+  slot_row.assign(cap, 0);
+  const std::size_t mask = cap - 1;
+  core::Point tmp(dim);
+  for (std::size_t i = 0; i < n; ++i) {
+    std::copy(pts.begin() + i * dim, pts.begin() + (i + 1) * dim,
+              tmp.begin());
+    const std::uint64_t h = point_hash(tmp);
+    std::size_t pos = h & mask;
+    while (slot_hash[pos] != 0) pos = (pos + 1) & mask;
+    slot_hash[pos] = h;
+    slot_row[pos] = static_cast<std::uint32_t>(i);
+  }
+  if (const std::size_t slots = lattice_size(space)) {
+    memo.reset(
+        static_cast<std::uint64_t*>(std::calloc(slots, sizeof(std::uint64_t))));
+    if (!memo) throw std::bad_alloc();
+  }
+}
+
+Database::Database(core::ParameterSpace space,
+                   std::map<core::Point, double> table,
+                   DatabaseOptions options)
+    : space_(std::move(space)), options_(options), table_(std::move(table)) {
   assert(options_.interpolation_neighbors >= 1);
   assert(options_.idw_power > 0.0);
-}
-
-Database::Database(Database&& other) noexcept
-    : space_(std::move(other.space_)),
-      options_(other.options_),
-      table_(std::move(other.table_)),
-      version_(other.version_.load(std::memory_order_acquire)),
-      index_(std::move(other.index_)),
-      index_ptr_(other.index_ptr_.load(std::memory_order_acquire)) {
-  other.index_ptr_.store(nullptr, std::memory_order_release);
-}
-
-Database& Database::operator=(Database&& other) noexcept {
-  if (this != &other) {
-    space_ = std::move(other.space_);
-    options_ = other.options_;
-    table_ = std::move(other.table_);
-    version_.store(other.version_.load(std::memory_order_acquire),
-                   std::memory_order_release);
-    index_ = std::move(other.index_);
-    index_ptr_.store(other.index_ptr_.load(std::memory_order_acquire),
-                     std::memory_order_release);
-    other.index_ptr_.store(nullptr, std::memory_order_release);
+  if (table_.empty()) throw std::invalid_argument("database: empty table");
+  for (const auto& [x, time] : table_) {
+    if (const char* why = entry_error(x, space_.size(), time)) {
+      throw std::invalid_argument(std::string("database: ") + why);
+    }
   }
-  return *this;
+  index_ = std::make_unique<const Index>(space_, table_);
 }
 
+Database::Database(Database&&) noexcept = default;
+Database& Database::operator=(Database&&) noexcept = default;
 Database::~Database() = default;
 
 Database Database::measure(const core::ParameterSpace& space,
@@ -432,7 +468,7 @@ Database Database::measure(const core::ParameterSpace& space,
                            const DatabaseOptions& options,
                            const varmodel::NoiseModel* noise,
                            std::uint64_t seed) {
-  Database db(space, options);
+  std::map<core::Point, double> table;
   util::Rng rng(seed);
 
   std::vector<std::vector<double>> axes;
@@ -441,16 +477,14 @@ Database Database::measure(const core::ParameterSpace& space,
     axes.push_back(axis_values(space.param(i), options.stride));
   }
 
-  // Cartesian product over the decimated axes.  Bulk inserts: no per-entry
-  // invalidation (the database is still private to this builder); the
-  // index is built once, lazily, on the first lookup.
+  // Cartesian product over the decimated axes.
   core::Point x(space.size());
   std::vector<std::size_t> idx(space.size(), 0);
   for (;;) {
     for (std::size_t i = 0; i < space.size(); ++i) x[i] = axes[i][idx[i]];
     double t = source.clean_time(x);
     if (noise != nullptr) t += noise->sample(t, rng);
-    db.insert_bulk(x, t);
+    table[x] = t;
     // Odometer increment.
     std::size_t axis = 0;
     while (axis < space.size() && ++idx[axis] == axes[axis].size()) {
@@ -459,34 +493,7 @@ Database Database::measure(const core::ParameterSpace& space,
     }
     if (axis == space.size()) break;
   }
-  return db;
-}
-
-void Database::insert_bulk(const core::Point& x, double time) {
-  assert(x.size() == space_.size());
-  assert(time > 0.0);
-  table_[x] = time;
-}
-
-void Database::insert(const core::Point& x, double time) {
-  if (const char* why = entry_error(x, space_.size(), time)) {
-    throw std::invalid_argument(std::string("database insert: ") + why);
-  }
-  const auto [it, inserted] = table_.try_emplace(x, time);
-  if (!inserted) {
-    if (it->second == time) return;  // no observable change: keep everything
-    it->second = time;
-  }
-  // The new measurement may enter the k-NN set of any interpolated point,
-  // so every memoised value is potentially stale: drop the index and its
-  // memo with it (rebuilt on the next lookup).
-  index_ptr_.store(nullptr, std::memory_order_release);
-  index_.reset();
-  version_.fetch_add(1, std::memory_order_acq_rel);
-}
-
-std::uint64_t Database::version() const {
-  return version_.load(std::memory_order_acquire);
+  return Database(space, std::move(table), options);
 }
 
 void Database::save(std::ostream& out) const {
@@ -499,7 +506,7 @@ void Database::save(std::ostream& out) const {
 
 Database Database::load(std::istream& in, core::ParameterSpace space,
                         DatabaseOptions options) {
-  Database db(std::move(space), options);
+  std::map<core::Point, double> table;
   std::string line;
   std::size_t lineno = 0;
   while (std::getline(in, line)) {
@@ -519,83 +526,18 @@ Database Database::load(std::istream& in, core::ParameterSpace space,
     }
     const double time = fields.back();
     fields.pop_back();
-    if (const char* why = entry_error(fields, db.space_.size(), time)) {
+    if (const char* why = entry_error(fields, space.size(), time)) {
       throw std::runtime_error(std::string("database load: ") + why +
                                " at line " + std::to_string(lineno));
     }
-    db.insert_bulk(fields, time);
+    table[std::move(fields)] = time;
   }
-  return db;
-}
-
-const Database::Index& Database::index() const {
-  if (const Index* idx = index_ptr_.load(std::memory_order_acquire)) {
-    return *idx;
-  }
-  const std::lock_guard lock(index_build_mutex_);
-  if (index_ == nullptr) {
-    auto idx = std::make_unique<Index>();
-    idx->dim = space_.size();
-    idx->n = table_.size();
-    idx->range.reserve(idx->dim);
-    for (std::size_t d = 0; d < idx->dim; ++d) {
-      idx->range.push_back(space_.param(d).range());
-    }
-    // Raw AoS copy in table order, then a row permutation from the
-    // recursive value splits, then the final SoA-per-row fill.
-    std::vector<double> rp(idx->n * idx->dim);
-    std::vector<double> rv(idx->n);
-    std::size_t r = 0;
-    for (const auto& [pt, val] : table_) {
-      std::copy(pt.begin(), pt.end(), rp.begin() + r * idx->dim);
-      rv[r] = val;
-      ++r;
-    }
-    if (idx->n > 0) {
-      std::vector<std::uint32_t> rows(idx->n);
-      for (std::uint32_t i = 0; i < idx->n; ++i) rows[i] = i;
-      Index::build_node(*idx, rows, rp, 0, static_cast<std::uint32_t>(idx->n));
-      idx->pts.resize(idx->n * idx->dim);
-      idx->vals.resize(idx->n);
-      for (std::size_t i = 0; i < idx->n; ++i) {
-        const std::size_t src = rows[i];
-        std::copy(rp.begin() + src * idx->dim,
-                  rp.begin() + (src + 1) * idx->dim,
-                  idx->pts.begin() + i * idx->dim);
-        idx->vals[i] = rv[src];
-      }
-      // Exact-hit table at load factor <= 0.5.
-      std::size_t cap = 16;
-      while (cap < idx->n * 2) cap *= 2;
-      idx->slot_hash.assign(cap, 0);
-      idx->slot_row.assign(cap, 0);
-      const std::size_t mask = cap - 1;
-      core::Point tmp(idx->dim);
-      for (std::size_t i = 0; i < idx->n; ++i) {
-        std::copy(idx->pts.begin() + i * idx->dim,
-                  idx->pts.begin() + (i + 1) * idx->dim, tmp.begin());
-        const std::uint64_t h = point_hash(tmp);
-        std::size_t pos = h & mask;
-        while (idx->slot_hash[pos] != 0) pos = (pos + 1) & mask;
-        idx->slot_hash[pos] = h;
-        idx->slot_row[pos] = static_cast<std::uint32_t>(i);
-      }
-      if (const std::size_t slots = lattice_size(space_)) {
-        idx->memo.reset(static_cast<std::uint64_t*>(
-            std::calloc(slots, sizeof(std::uint64_t))));
-        if (!idx->memo) throw std::bad_alloc();
-      }
-    }
-    index_ = std::move(idx);
-    index_ptr_.store(index_.get(), std::memory_order_release);
-  }
-  return *index_;
+  if (table.empty()) throw std::runtime_error("database load: no entries");
+  return Database(std::move(space), std::move(table), options);
 }
 
 std::optional<double> Database::exact(const core::Point& x) const {
-  if (table_.empty()) return std::nullopt;
-  const Index& idx = index();
-  if (const double* v = idx.exact_find(point_hash(x), x)) return *v;
+  if (const double* v = index_->exact_find(point_hash(x), x)) return *v;
   return std::nullopt;
 }
 
@@ -657,7 +599,7 @@ std::vector<double> Database::decimate_axis(std::vector<double> all,
 }
 
 double Database::interpolate_uncached(const core::Point& x) const {
-  return interpolate_indexed(index(), x);
+  return interpolate_indexed(*index_, x);
 }
 
 double Database::interpolate_indexed(const Index& idx,
@@ -684,80 +626,22 @@ double Database::interpolate_indexed(const Index& idx,
 
 double Database::clean_time(const core::Point& x) const {
   assert(x.size() == space_.size());
-  const Index& idx = index();
   TierCounters& tiers = tier_counters();
-  if (const double* v = idx.exact_find(point_hash(x), x)) {
-    tiers.exact.add();
-    return *v;
-  }
-  const std::size_t slot = idx.memo_slot(space_, x);
-  if (const std::optional<double> v = idx.memo_get(slot)) {
+  const std::size_t slot = index_->memo_slot(space_, x);
+  if (const std::optional<double> v = index_->memo_get(slot)) {
     tiers.memo.add();
     return *v;
   }
-  tiers.kdtree.add();
-  const double value = interpolate_indexed(idx, x);
-  idx.memo_put(slot, value);
+  double value;
+  if (const double* v = index_->exact_find(point_hash(x), x)) {
+    tiers.exact.add();
+    value = *v;
+  } else {
+    tiers.kdtree.add();
+    value = interpolate_indexed(*index_, x);
+  }
+  index_->memo_put(slot, value);
   return value;
-}
-
-void Database::clean_times(std::span<const core::Point> xs,
-                           std::span<double> out) const {
-  assert(xs.size() == out.size());
-  if (xs.empty()) return;
-  const Index& idx = index();
-
-  // Per-thread scratch: memo slots and the indices of memo misses.
-  thread_local std::vector<std::size_t> slots;
-  thread_local std::vector<std::size_t> misses;
-  slots.resize(xs.size());
-  misses.clear();
-
-  // Pass 1: exact hits and one memo probe per point.  Tier tallies are
-  // batched locally, so a batch costs at most one relaxed add per tier
-  // instead of one per point.  Each add lands in the calling thread's
-  // counter cell (obs/metrics.h), so workers do not share its line.
-  std::uint64_t exact_hits = 0;
-  std::uint64_t memo_hits = 0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    const core::Point& x = xs[i];
-    assert(x.size() == space_.size());
-    if (const double* v = idx.exact_find(point_hash(x), x)) {
-      out[i] = *v;
-      ++exact_hits;
-      continue;
-    }
-    slots[i] = idx.memo_slot(space_, x);
-    if (const std::optional<double> v = idx.memo_get(slots[i])) {
-      out[i] = *v;
-      ++memo_hits;
-      continue;
-    }
-    misses.push_back(i);
-  }
-  TierCounters& tiers = tier_counters();
-  if (exact_hits > 0) tiers.exact.add(exact_hits);
-  if (memo_hits > 0) tiers.memo.add(memo_hits);
-  if (!misses.empty()) tiers.kdtree.add(misses.size());
-
-  // Pass 2: interpolate each *unique* miss once (batches arrive one config
-  // per rank, and replicated sampling makes intra-batch duplicates common),
-  // publish it to the memo, and copy it to any duplicates.
-  for (std::size_t m = 0; m < misses.size(); ++m) {
-    const std::size_t i = misses[m];
-    bool duplicate = false;
-    for (std::size_t p = 0; p < m; ++p) {
-      const std::size_t j = misses[p];
-      if (slots[j] == slots[i] && xs[j] == xs[i]) {
-        out[i] = out[j];
-        duplicate = true;
-        break;
-      }
-    }
-    if (duplicate) continue;
-    out[i] = interpolate_indexed(idx, xs[i]);
-    idx.memo_put(slots[i], out[i]);
-  }
 }
 
 }  // namespace protuner::gs2

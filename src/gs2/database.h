@@ -9,31 +9,29 @@
 // Gs2Surface) on a sparse sub-grid, optionally with one-shot measurement
 // noise baked in — exactly the role the authors' measured database played.
 //
-// Evaluation hot path (every optimizer step bottoms out here):
-//   1. exact table   — open-addressing hash over the stored points;
-//   2. lattice memo  — one 64-bit slot per admissible point of an all-
+// The database is immutable: it is constructed from its complete table,
+// and the constructor builds the index once.  Every lookup goes through
+// clean_time(), which tries three tiers in order and memoises the answer:
+//   1. lattice memo  — one 64-bit slot per admissible point of an all-
 //                      integer/discrete space, read with one relaxed load
 //                      and filled with one relaxed store, so hits and
 //                      racing misses write nothing shared;
+//   2. exact table   — open-addressing hash over the stored points;
 //   3. k-d tree      — k-NN + inverse-distance weighting over a value-split
 //                      tree, bit-identical to the brute-force reference.
-// All three live in one index, built once per table revision (after
-// measure()/load(), lazily after insert()); insert() drops the index, which
-// invalidates the memo with it.  Points off the lattice (and every point of
-// a space with a continuous axis) have no memo slot and always take the
-// k-d tree: the strategies only propose admissible points, so no workload
-// repeats an off-lattice query.
+// A stored lattice point therefore costs one hash probe and is a memo hit
+// after that.  Points off the lattice (and every point of a space with a
+// continuous axis) have no memo slot and take the exact table or the k-d
+// tree every time: the strategies only propose admissible points, so no
+// workload repeats an off-lattice query.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "core/landscape.h"
@@ -56,12 +54,15 @@ struct DatabaseOptions {
 /// A sparse table of (configuration -> measured time) implementing
 /// core::Landscape via weighted-nearest-neighbour lookup.
 ///
-/// Concurrency contract: any number of threads may call
-/// clean_time()/clean_times()/exact() concurrently; insert() and load-time
-/// mutation must not race with readers.
+/// Concurrency contract: every member is const, so any number of threads
+/// may call any of them concurrently.
 class Database final : public core::Landscape {
  public:
-  Database(core::ParameterSpace space, DatabaseOptions options);
+  /// Builds the index over `table`.  Throws std::invalid_argument on an
+  /// empty table, an arity mismatch, a non-finite coordinate or a
+  /// non-finite or non-positive time.
+  Database(core::ParameterSpace space, std::map<core::Point, double> table,
+           DatabaseOptions options = {});
   Database(Database&&) noexcept;
   Database& operator=(Database&&) noexcept;
   ~Database() override;
@@ -69,26 +70,22 @@ class Database final : public core::Landscape {
   /// Builds the database by "measuring" `source` on the sparse sub-grid.
   /// When `noise` is non-null each stored entry is one noisy observation
   /// (measurement error baked into the table, like a real one-shot sweep).
+  /// Throws std::invalid_argument when `source` (plus noise) yields a
+  /// non-finite or non-positive time.
   static Database measure(const core::ParameterSpace& space,
                           const core::Landscape& source,
                           const DatabaseOptions& options,
                           const varmodel::NoiseModel* noise = nullptr,
                           std::uint64_t seed = 0);
 
-  /// Adds or overwrites one measurement.  Storing the value already present
-  /// is a no-op; otherwise the index (and the memo with it) is dropped and
-  /// rebuilt on the next lookup.  Throws std::invalid_argument on an arity
-  /// mismatch, a non-finite coordinate or a non-finite or non-positive time.
-  void insert(const core::Point& x, double time);
-
   /// Writes all entries as CSV (one row per measurement: the coordinates
   /// followed by the time).  Interpolation options are not persisted.
   void save(std::ostream& out) const;
 
   /// Reads entries previously written by save() into a new database over
-  /// `space`.  Throws std::runtime_error naming the line on malformed
-  /// input, arity mismatch, a non-finite coordinate or a non-finite or
-  /// non-positive time.
+  /// `space`.  Throws std::runtime_error on input with no entries, and
+  /// naming the line on malformed input, arity mismatch, a non-finite
+  /// coordinate or a non-finite or non-positive time.
   static Database load(std::istream& in, core::ParameterSpace space,
                        DatabaseOptions options = {});
 
@@ -100,20 +97,11 @@ class Database final : public core::Landscape {
 
   /// Landscape interface: exact hit, else inverse-distance-weighted average
   /// of the closest entries (distances in range-normalised coordinates).
+  /// Memo first, then the exact table, then the k-d tree; each lookup adds
+  /// one to exactly one protuner_db_lookups_total{tier=memo|exact|kdtree}.
   double clean_time(const core::Point& x) const override;
 
-  /// Batch lookup: one memo probe per point, misses deduped within the
-  /// batch and each unique miss interpolated once.  Produces exactly the
-  /// same values as scalar clean_time() calls in any order.
-  void clean_times(std::span<const core::Point> xs,
-                   std::span<double> out) const override;
-
   std::string name() const override { return "GS2Database"; }
-
-  /// Bumped by every insert() that changes the table, telling step
-  /// evaluators their cached clean times are stale (core::Landscape::version
-  /// contract).
-  std::uint64_t version() const override;
 
   /// Brute-force O(N) interpolation (the pre-index implementation), kept as
   /// the behavioural reference: the indexed path must reproduce it
@@ -122,9 +110,9 @@ class Database final : public core::Landscape {
   /// steady-state allocation, same result as the historical partial_sort).
   double interpolate_reference(const core::Point& x) const;
 
-  /// Interpolation through the k-d tree, bypassing the memo — the
-  /// steady-state cost of a memo miss.  For equivalence tests and
-  /// benchmarks; clean_time() is the production path.
+  /// Interpolation through the k-d tree, bypassing the memo and the exact
+  /// table — the steady-state cost of a memo miss.  For equivalence tests
+  /// and benchmarks; clean_time() is the production path.
   double interpolate_uncached(const core::Point& x) const;
 
   /// Decimates one axis's admissible values by `stride` (>= 1), always
@@ -140,16 +128,6 @@ class Database final : public core::Landscape {
   double normalized_distance2(const core::Point& a,
                               const core::Point& b) const;
 
-  /// Table insert without index invalidation or validation — the bulk path
-  /// used by measure()/load() while the database is still private to its
-  /// builder (the index is built once, lazily, on the first lookup).
-  void insert_bulk(const core::Point& x, double time);
-
-  /// Returns the index, building it on first use after a table revision.
-  /// Thread-safe: concurrent readers may race to build; one wins, the
-  /// others wait on the build mutex.
-  const Index& index() const;
-
   /// Interpolates a memo miss through the k-d tree (k-NN + IDW),
   /// bit-identical to interpolate_reference.
   double interpolate_indexed(const Index& idx, const core::Point& x) const;
@@ -157,13 +135,7 @@ class Database final : public core::Landscape {
   core::ParameterSpace space_;
   DatabaseOptions options_;
   std::map<core::Point, double> table_;
-  std::atomic<std::uint64_t> version_{0};
-
-  // Lazily built index over table_.  The atomic pointer is the fast-path
-  // guard; the mutex serializes (re)builds.
-  mutable std::unique_ptr<Index> index_;
-  mutable std::atomic<const Index*> index_ptr_{nullptr};
-  mutable std::mutex index_build_mutex_;
+  std::unique_ptr<const Index> index_;
 };
 
 }  // namespace protuner::gs2

@@ -1,5 +1,5 @@
 // Tests for database save/load persistence and the input checks on load()
-// and insert().
+// and the table constructor.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -53,12 +53,22 @@ TEST(DatabaseIo, LoadSkipsEmptyLines) {
 
 TEST(DatabaseIo, RoundTripPreservesFullPrecision) {
   const core::ParameterSpace space({core::Parameter::integer("x", 0, 9)});
-  gs2::Database db(space, {});
-  db.insert(core::Point{1.0}, 0.12345678901234567);
+  const gs2::Database db(space, {{core::Point{1.0}, 0.12345678901234567}});
   std::stringstream buffer;
   db.save(buffer);
   const gs2::Database loaded = gs2::Database::load(buffer, space);
   EXPECT_DOUBLE_EQ(*loaded.exact(core::Point{1.0}), 0.12345678901234567);
+}
+
+TEST(DatabaseIo, LoadRejectsEmptyInput) {
+  // An empty table has no neighbours to interpolate from, so it is
+  // rejected at load time rather than on the first lookup.
+  const core::ParameterSpace space({core::Parameter::integer("x", 0, 9)});
+  for (const char* text : {"", "\n\n"}) {
+    std::stringstream buffer(text);
+    EXPECT_THROW((void)gs2::Database::load(buffer, space), std::runtime_error)
+        << "input '" << text << "'";
+  }
 }
 
 TEST(DatabaseIo, LoadRejectsNonFiniteValuesAndNonPositiveTimes) {
@@ -78,21 +88,25 @@ TEST(DatabaseIo, LoadRejectsNonFiniteValuesAndNonPositiveTimes) {
   }
 }
 
-TEST(DatabaseIo, InsertRejectsNonFiniteValuesAndNonPositiveTimes) {
+TEST(DatabaseIo, ConstructorRejectsBadEntriesAndEmptyTable) {
   const core::ParameterSpace space({core::Parameter::integer("x", 0, 9),
                                     core::Parameter::integer("y", 0, 9)});
-  gs2::Database db(space, {});
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
-  EXPECT_THROW(db.insert(core::Point{nan, 1.0}, 1.0), std::invalid_argument);
-  EXPECT_THROW(db.insert(core::Point{1.0, -inf}, 1.0), std::invalid_argument);
-  EXPECT_THROW(db.insert(core::Point{1.0, 1.0}, nan), std::invalid_argument);
-  EXPECT_THROW(db.insert(core::Point{1.0, 1.0}, inf), std::invalid_argument);
-  EXPECT_THROW(db.insert(core::Point{1.0, 1.0}, 0.0), std::invalid_argument);
-  EXPECT_THROW(db.insert(core::Point{1.0, 1.0}, -1.0), std::invalid_argument);
-  EXPECT_THROW(db.insert(core::Point{1.0}, 1.0), std::invalid_argument);
-  EXPECT_EQ(db.entries(), 0u);
-  db.insert(core::Point{1.0, 2.0}, 3.0);
+  // One entry per table: a NaN coordinate compares unordered, so std::map
+  // would fold it into any other key.
+  const auto build = [&](const core::Point& x, double time) {
+    return gs2::Database(space, {{x, time}});
+  };
+  EXPECT_THROW((void)build(core::Point{nan, 1.0}, 1.0), std::invalid_argument);
+  EXPECT_THROW((void)build(core::Point{1.0, -inf}, 1.0), std::invalid_argument);
+  EXPECT_THROW((void)build(core::Point{1.0, 1.0}, nan), std::invalid_argument);
+  EXPECT_THROW((void)build(core::Point{1.0, 1.0}, inf), std::invalid_argument);
+  EXPECT_THROW((void)build(core::Point{1.0, 1.0}, 0.0), std::invalid_argument);
+  EXPECT_THROW((void)build(core::Point{1.0, 1.0}, -1.0), std::invalid_argument);
+  EXPECT_THROW((void)build(core::Point{1.0}, 1.0), std::invalid_argument);
+  EXPECT_THROW((void)gs2::Database(space, {}), std::invalid_argument);
+  const gs2::Database db = build(core::Point{1.0, 2.0}, 3.0);
   EXPECT_EQ(db.entries(), 1u);
   EXPECT_EQ(db.clean_time(core::Point{1.0, 2.0}), 3.0);
 }

@@ -3,7 +3,8 @@
 // Database, on admissible lattice points (memoised) and off-lattice points
 // (always the k-d tree), including simultaneous miss-recompute of the same
 // point.  Run under -DPROTUNER_SANITIZE=thread this covers the lattice
-// memo's relaxed load / racing relaxed store and the lazy index build race.
+// memo's relaxed load / racing relaxed store, the one shared write left on
+// the otherwise immutable database.
 #include <gtest/gtest.h>
 
 #include <algorithm>

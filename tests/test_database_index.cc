@@ -6,8 +6,11 @@
 // decimation must handle degenerate axes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
+#include <map>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -47,10 +50,6 @@ std::uint64_t tier_count(const char* tier) {
   return obs::Registry::global()
       .counter("protuner_db_lookups_total", {}, {{"tier", tier}})
       .value();
-}
-
-std::uint64_t total_lookups() {
-  return tier_count("exact") + tier_count("memo") + tier_count("kdtree");
 }
 
 TEST(DatabaseIndex, IndexedInterpolationMatchesReferenceBitForBit) {
@@ -99,16 +98,16 @@ TEST(DatabaseIndex, IndexedInterpolationMatchesReferenceBitForBit) {
                               .interpolation_neighbors = s.neighbors,
                               .idw_power = s.power};
     // Every row of the flat table has y == 4, so the tree never splits on y.
-    Database flat_db(flat, opt);
+    std::map<core::Point, double> flat_table;
     for (double x = 0.0; x <= 20.0; x += static_cast<double>(s.stride)) {
       for (double z = 0.0; z <= 20.0; z += 2.0) {
-        flat_db.insert(core::Point{x, 4.0, z},
-                       flat_bowl.clean_time(core::Point{x, 4.0, z}));
+        flat_table[core::Point{x, 4.0, z}] =
+            flat_bowl.clean_time(core::Point{x, 4.0, z});
       }
     }
     const Database dbs[] = {Database::measure(gs2, surface, opt),
                             Database::measure(grid4, bowl, opt),
-                            std::move(flat_db),
+                            Database(flat, std::move(flat_table), opt),
                             Database::measure(mixed, mixed_bowl, opt)};
     const core::ParameterSpace* spaces[] = {&gs2, &grid4, &flat, &mixed};
     for (int which = 0; which < 4; ++which) {
@@ -198,53 +197,36 @@ TEST(DatabaseIndex, SignedZeroQueryHitsPositiveZeroEntry) {
   // (easily produced by simplex arithmetic) must take the exact-hit path.
   core::ParameterSpace space({core::Parameter::integer("x", 0, 10),
                               core::Parameter::integer("y", 0, 10)});
-  Database db(space, {.stride = 1, .interpolation_neighbors = 1});
-  db.insert(core::Point{0.0, 5.0}, 3.5);
-  db.insert(core::Point{10.0, 5.0}, 9.0);
+  const Database db(
+      space, {{core::Point{0.0, 5.0}, 3.5}, {core::Point{10.0, 5.0}, 9.0}},
+      {.stride = 1, .interpolation_neighbors = 1});
   EXPECT_EQ(db.clean_time(core::Point{-0.0, 5.0}), 3.5);
   EXPECT_TRUE(db.exact(core::Point{-0.0, 5.0}).has_value());
 }
 
-TEST(DatabaseIndex, InsertRebuildsIndexAndInvalidatesCache) {
-  core::ParameterSpace space({core::Parameter::integer("x", 0, 100)});
-  Database db(space, {.stride = 1, .interpolation_neighbors = 1});
-  db.insert(core::Point{0.0}, 1.0);
-  const std::uint64_t v1 = db.version();
-  EXPECT_DOUBLE_EQ(db.clean_time(core::Point{50.0}), 1.0);  // k-d tree
-  const std::uint64_t memo_before = tier_count("memo");
-  EXPECT_DOUBLE_EQ(db.clean_time(core::Point{50.0}), 1.0);  // memoised
-  EXPECT_EQ(tier_count("memo"), memo_before + 1);
-  db.insert(core::Point{60.0}, 42.0);
-  EXPECT_GT(db.version(), v1);
-  EXPECT_DOUBLE_EQ(db.clean_time(core::Point{50.0}), 42.0);
-  // Re-inserting an existing measurement with its existing value is a no-op
-  // and must not disturb lookups or the version.
-  const std::uint64_t v2 = db.version();
-  db.insert(core::Point{60.0}, 42.0);
-  EXPECT_EQ(db.version(), v2);
-  EXPECT_DOUBLE_EQ(db.clean_time(core::Point{50.0}), 42.0);
-  // Overwriting with a new value takes effect.
-  db.insert(core::Point{60.0}, 7.0);
-  EXPECT_GT(db.version(), v2);
-  EXPECT_DOUBLE_EQ(db.clean_time(core::Point{50.0}), 7.0);
-}
-
 TEST(DatabaseIndex, TierCountsMatchPointsAndOnlyLatticePointsAreMemoised) {
-  // Every point passed in is counted by exactly one tier.  A repeated
-  // admissible point is a memo hit; a repeated off-lattice point (or any
-  // point of a space with a continuous axis) walks the k-d tree again.
+  // Every point passed in is counted by exactly one tier, and a batch
+  // tallies exactly as the same scalar calls do.  An admissible point is
+  // answered by the exact table (stored) or the k-d tree (not stored) on
+  // first sight and by the memo after that.  An off-lattice point walks the
+  // k-d tree every time, and a stored point of a space with a continuous
+  // axis (no memo) is an exact hit every time.
   const Gs2Surface surface;
   const auto space = gs2_space();
-  const Database db = Database::measure(space, surface, {});
   const core::ParameterSpace mixed({core::Parameter::integer("i", 0, 12),
                                     core::Parameter::continuous("c", 0, 1)});
-  const Database mixed_db = Database::measure(
-      mixed, core::QuadraticLandscape(core::Point{5.0, 0.3}, 1.0, 0.1), {});
+  const core::QuadraticLandscape mixed_bowl(core::Point{5.0, 0.3}, 1.0, 0.1);
+  const Database probe = Database::measure(space, surface, {});
+  const Database mixed_probe = Database::measure(mixed, mixed_bowl, {});
   util::Rng rng(31);
-  std::vector<core::Point> lattice, off, cont;
-  while (lattice.size() < 40) {
+  std::vector<core::Point> stored, lattice, off, cont, cont_stored;
+  while (stored.size() < 40 || lattice.size() < 40) {
     core::Point x = random_grid_point(space, rng);
-    if (!db.exact(x)) lattice.push_back(std::move(x));
+    std::vector<core::Point>& into = probe.exact(x) ? stored : lattice;
+    if (into.size() < 40 &&
+        std::find(into.begin(), into.end(), x) == into.end()) {
+      into.push_back(std::move(x));
+    }
   }
   for (int i = 0; i < 40; ++i) {
     core::Point x = random_box_point(space, rng);
@@ -252,34 +234,52 @@ TEST(DatabaseIndex, TierCountsMatchPointsAndOnlyLatticePointsAreMemoised) {
     off.push_back(std::move(x));
     cont.push_back(random_grid_point(mixed, rng));
   }
-  std::vector<double> out(40);
-  const auto lookups = [&](const Database& d, const std::vector<core::Point>& xs,
-                           bool batch) {
-    if (batch) {
-      d.clean_times(xs, out);
-    } else {
-      for (std::size_t i = 0; i < xs.size(); ++i) out[i] = d.clean_time(xs[i]);
+  for (double i = 0.0; i <= 12.0; i += 2.0) {
+    for (const double c : {0.0, 0.25, 0.5, 0.75, 1.0}) {
+      ASSERT_TRUE(mixed_probe.exact(core::Point{i, c}).has_value());
+      cont_stored.push_back(core::Point{i, c});
     }
-  };
-  for (const bool batch : {false, true}) {
-    const std::uint64_t total0 = total_lookups();
-    const std::uint64_t memo0 = tier_count("memo");
-    const std::uint64_t kd0 = tier_count("kdtree");
-    lookups(db, lattice, batch);  // first sight (or memo hits on pass 2)
-    lookups(db, lattice, batch);  // memo hits
-    EXPECT_EQ(tier_count("memo") - memo0, batch ? 80u : 40u);
-    const std::uint64_t kd1 = tier_count("kdtree");
-    EXPECT_EQ(kd1 - kd0, batch ? 0u : 40u);
-    lookups(db, off, batch);
-    lookups(db, off, batch);
-    lookups(mixed_db, cont, batch);
-    lookups(mixed_db, cont, batch);
-    EXPECT_EQ(tier_count("kdtree") - kd1, 160u);
-    EXPECT_EQ(total_lookups() - total0, 240u);
   }
-  // The uncached reads agree with the memoised ones.
-  for (const core::Point& x : lattice) {
-    EXPECT_EQ(db.clean_time(x), db.interpolate_reference(x));
+  using Tally = std::array<std::uint64_t, 3>;  // exact, memo, kdtree
+  const std::uint64_t n_cont = cont_stored.size();
+  for (const bool batch : {false, true}) {
+    // Fresh databases, so each mode starts with an empty memo.
+    const Database db = Database::measure(space, surface, {});
+    const Database mixed_db = Database::measure(mixed, mixed_bowl, {});
+    const auto tally = [&](const Database& d,
+                           const std::vector<core::Point>& xs) {
+      const Tally before{tier_count("exact"), tier_count("memo"),
+                         tier_count("kdtree")};
+      std::vector<double> out(xs.size());
+      if (batch) {
+        d.clean_times(xs, out);
+      } else {
+        for (std::size_t i = 0; i < xs.size(); ++i) {
+          out[i] = d.clean_time(xs[i]);
+        }
+      }
+      return Tally{tier_count("exact") - before[0],
+                   tier_count("memo") - before[1],
+                   tier_count("kdtree") - before[2]};
+    };
+    SCOPED_TRACE(batch ? "batch" : "scalar");
+    EXPECT_EQ(tally(db, stored), (Tally{40, 0, 0}));
+    EXPECT_EQ(tally(db, stored), (Tally{0, 40, 0}));
+    EXPECT_EQ(tally(db, lattice), (Tally{0, 0, 40}));
+    EXPECT_EQ(tally(db, lattice), (Tally{0, 40, 0}));
+    EXPECT_EQ(tally(db, off), (Tally{0, 0, 40}));
+    EXPECT_EQ(tally(db, off), (Tally{0, 0, 40}));
+    EXPECT_EQ(tally(mixed_db, cont), (Tally{0, 0, 40}));
+    EXPECT_EQ(tally(mixed_db, cont), (Tally{0, 0, 40}));
+    EXPECT_EQ(tally(mixed_db, cont_stored), (Tally{n_cont, 0, 0}));
+    EXPECT_EQ(tally(mixed_db, cont_stored), (Tally{n_cont, 0, 0}));
+    // The memoised reads agree with the uncached ones.
+    for (const core::Point& x : lattice) {
+      EXPECT_EQ(db.clean_time(x), db.interpolate_reference(x));
+    }
+    for (const core::Point& x : stored) {
+      EXPECT_EQ(db.clean_time(x), *db.exact(x));
+    }
   }
 }
 
@@ -308,7 +308,7 @@ TEST(DatabaseIndex, MovedDatabaseStillAnswers) {
   const double expect = db.clean_time(off);  // builds index + memoises
   Database moved = std::move(db);
   EXPECT_EQ(moved.clean_time(off), expect);
-  Database assigned(space, {});
+  Database assigned = Database::measure(space, surface, {.stride = 3});
   assigned = std::move(moved);
   EXPECT_EQ(assigned.clean_time(off), expect);
 }

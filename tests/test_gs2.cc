@@ -2,7 +2,9 @@
 // and trace generation.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
+#include <stdexcept>
 
 #include "core/landscape.h"
 #include "gs2/database.h"
@@ -99,23 +101,33 @@ TEST(Database, InterpolatesOffGridPoints) {
 
 TEST(Database, InterpolationIsWeightedTowardNearestNeighbor) {
   core::ParameterSpace space({core::Parameter::integer("x", 0, 10)});
-  Database db(space, {.stride = 1, .interpolation_neighbors = 2});
-  db.insert(core::Point{0.0}, 1.0);
-  db.insert(core::Point{10.0}, 11.0);
+  const Database db(space, {{core::Point{0.0}, 1.0}, {core::Point{10.0}, 11.0}},
+                    {.stride = 1, .interpolation_neighbors = 2});
   const double near_low = db.clean_time(core::Point{1.0});
   const double near_high = db.clean_time(core::Point{9.0});
   EXPECT_LT(near_low, 6.0);
   EXPECT_GT(near_high, 6.0);
 }
 
-TEST(Database, InsertInvalidatesInterpolationCache) {
+TEST(Database, SingleNeighborTakesNearestEntry) {
   core::ParameterSpace space({core::Parameter::integer("x", 0, 10)});
-  Database db(space, {.stride = 1, .interpolation_neighbors = 1});
-  db.insert(core::Point{0.0}, 1.0);
-  const double before = db.clean_time(core::Point{5.0});
-  EXPECT_DOUBLE_EQ(before, 1.0);
-  db.insert(core::Point{6.0}, 42.0);
+  const Database db(space, {{core::Point{0.0}, 1.0}, {core::Point{6.0}, 42.0}},
+                    {.stride = 1, .interpolation_neighbors = 1});
   EXPECT_DOUBLE_EQ(db.clean_time(core::Point{5.0}), 42.0);
+  EXPECT_DOUBLE_EQ(db.clean_time(core::Point{2.0}), 1.0);
+}
+
+TEST(Database, MeasureRejectsNonPositiveAndNanTimes) {
+  // Checked in every build, not by assert: a source that yields 0 or NaN
+  // at one grid point must not reach the table.
+  core::ParameterSpace space({core::Parameter::integer("x", 0, 10)});
+  const core::FunctionLandscape zero(
+      "zero", [](const core::Point& x) { return x[0] == 4.0 ? 0.0 : 1.0; });
+  const core::FunctionLandscape nan("nan", [](const core::Point& x) {
+    return x[0] == 4.0 ? std::numeric_limits<double>::quiet_NaN() : 1.0;
+  });
+  EXPECT_THROW((void)Database::measure(space, zero, {}), std::invalid_argument);
+  EXPECT_THROW((void)Database::measure(space, nan, {}), std::invalid_argument);
 }
 
 TEST(Database, MeasurementNoiseBakedIn) {

@@ -247,9 +247,9 @@ TEST(StepAllocation, WarmedReferenceInterpolationIsAllocationFree) {
 
 TEST(StepAllocation, WarmedDatabaseLatticeMissIsAllocationFree) {
   // The lattice memo is one slot array sized when the index is built, so
-  // after one warm-up miss per thread (the k-NN heap and the batch scratch
-  // are per-thread) neither a cold lattice miss — k-d tree walk plus one
-  // slot store — nor a memo hit may touch the heap.
+  // after one warm-up miss per thread (the k-NN heap is per-thread scratch)
+  // neither a cold lattice miss — k-d tree walk plus one slot store — nor a
+  // memo hit may touch the heap, through clean_time or clean_times.
   const gs2::Gs2Surface surface;
   const auto space = gs2::gs2_space();
   const gs2::Database db = gs2::Database::measure(space, surface, {});
@@ -266,7 +266,7 @@ TEST(StepAllocation, WarmedDatabaseLatticeMissIsAllocationFree) {
   const std::span<const Point> scalar(fresh.data() + 8, 32);
   const std::span<const Point> batch(fresh.data() + 40, 8);
   std::vector<double> out(8);
-  db.clean_times(warm, out);  // the warm-up miss: sizes this thread's scratch
+  db.clean_times(warm, out);  // the warm-up misses: size this thread's heap
   double acc = 0.0;
   const std::size_t before = allocation_count();
   for (const Point& x : scalar) acc += db.clean_time(x);  // cold misses
@@ -332,50 +332,26 @@ TEST(StepValidation, TraceClusterRejectsNonPositiveCleanTime) {
                std::domain_error);
 }
 
-TEST(CleanTimeCache, ReplaysRepeatsAndTracksLandscapeVersion) {
+TEST(CleanTimeCache, ReplaysRepeatedBatches) {
   // Direct contract check: refresh() misses on first sight, hits on the
-  // byte-identical repeat, and misses again when the landscape's version
-  // counter moves (gs2::Database::insert bumps it).
+  // byte-identical repeat, and misses again on a different assignment.
   core::ParameterSpace space({core::Parameter::integer("x", 0, 10)});
-  auto db = std::make_shared<gs2::Database>(
-      space, gs2::DatabaseOptions{.stride = 1, .interpolation_neighbors = 1});
-  db->insert(Point{0.0}, 1.0);
+  const gs2::Database db(
+      space, {{Point{0.0}, 1.0}, {Point{6.0}, 42.0}},
+      gs2::DatabaseOptions{.stride = 1, .interpolation_neighbors = 1});
   cluster::CleanTimeCache cache;
   const std::vector<Point> configs(3, Point{5.0});
-  EXPECT_FALSE(cache.refresh(*db, {configs.data(), configs.size()}));
-  EXPECT_DOUBLE_EQ(cache.clean()[0], 1.0);
-  EXPECT_TRUE(cache.refresh(*db, {configs.data(), configs.size()}));
-  db->insert(Point{6.0}, 42.0);  // nearest neighbour of 5 is now 6
-  EXPECT_FALSE(cache.refresh(*db, {configs.data(), configs.size()}))
-      << "insert() must invalidate the replay cache";
+  EXPECT_FALSE(cache.refresh(db, {configs.data(), configs.size()}));
   EXPECT_DOUBLE_EQ(cache.clean()[0], 42.0);
+  EXPECT_TRUE(cache.refresh(db, {configs.data(), configs.size()}));
+  EXPECT_DOUBLE_EQ(cache.clean()[2], 42.0);
+  // A different point misses and recomputes.
+  const std::vector<Point> near_zero(3, Point{2.0});
+  EXPECT_FALSE(cache.refresh(db, {near_zero.data(), near_zero.size()}));
+  EXPECT_DOUBLE_EQ(cache.clean()[0], 1.0);
   // A different assignment shape also misses.
-  const std::vector<Point> other(2, Point{5.0});
-  EXPECT_FALSE(cache.refresh(*db, {other.data(), other.size()}));
-}
-
-TEST(CleanTimeCache, ClusterSeesFreshValuesAfterInsert) {
-  // End to end: a converged loop replays cached clean times, yet an
-  // insert() into the backing database still reaches the next step.
-  core::ParameterSpace space({core::Parameter::integer("x", 0, 10)});
-  auto db = std::make_shared<gs2::Database>(
-      space, gs2::DatabaseOptions{.stride = 1, .interpolation_neighbors = 1});
-  db->insert(Point{0.0}, 1.0);
-  cluster::SimulatedCluster machine(db,
-                                    std::make_shared<varmodel::NoNoise>(),
-                                    {.ranks = 2, .seed = 2});
-  std::vector<double> out(2);
-  const std::vector<Point> configs(2, Point{5.0});
-  for (int s = 0; s < 3; ++s) {
-    machine.run_step_into({configs.data(), configs.size()},
-                          {out.data(), out.size()});
-    EXPECT_DOUBLE_EQ(out[0], 1.0);
-  }
-  db->insert(Point{6.0}, 42.0);
-  machine.run_step_into({configs.data(), configs.size()},
-                        {out.data(), out.size()});
-  EXPECT_DOUBLE_EQ(out[0], 42.0);
-  EXPECT_DOUBLE_EQ(out[1], 42.0);
+  const std::vector<Point> other(2, Point{2.0});
+  EXPECT_FALSE(cache.refresh(db, {other.data(), other.size()}));
 }
 
 TEST(Strategy, ProposeIntoOverridesAreAllocationFree) {
