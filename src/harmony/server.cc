@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <cassert>
+#include <cmath>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -481,6 +482,13 @@ void Server::fetch_slow(std::size_t rank, core::Point& out,
 void Server::report(std::size_t rank, double time) {
   obs::ScopedSpan span(obs::Tracer::global(), "harmony/report");
   const std::uint64_t entered = obs::LatencyClock::now();
+  if (!std::isfinite(time) || time < 0) {
+    // A NaN, infinite or negative time would corrupt T_k = max_p t_p and
+    // the monotone Total_Time; reject it before any rank state changes.
+    note_protocol_error("error/report-time", rank);
+    throw ProtocolError("report: rank " + std::to_string(rank) +
+                        " reported an invalid time " + std::to_string(time));
+  }
   if (rank >= clients_) {
     note_protocol_error("error/report-rank", rank);
     throw ProtocolError("report: rank " + std::to_string(rank) +

@@ -163,7 +163,9 @@ class Server {
   /// recently fetched by `rank`.  The final report of a round closes it:
   /// the engine accounts T_k, advances the strategy and publishes the next
   /// assignment.  A report for a round that was already deadline-closed is
-  /// discarded (the rank's measurement arrived too late to count).
+  /// discarded (the rank's measurement arrived too late to count).  A
+  /// NaN, infinite or negative `time` is a ProtocolError and changes no
+  /// state.
   void report(std::size_t rank, double time);
 
   /// Deadline poll for drivers with no rank blocked in fetch(): closes the

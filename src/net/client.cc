@@ -108,8 +108,7 @@ const Frame& HarmonyClient::recv_frame() {
     consumed_ = 0;
   }
   for (;;) {
-    const Decoded d =
-        decode_frame({in_.data(), in_used_}, options_.max_frame);
+    const Decoded d = decode_frame({in_.data(), in_used_});
     if (d.status == DecodeStatus::kFrame) {
       consumed_ = d.consumed;
       frame_ = d.frame;
@@ -121,7 +120,7 @@ const Frame& HarmonyClient::recv_frame() {
                      std::string(d.error));
     }
     if (in_used_ == in_.size()) {
-      const std::size_t cap = 4 + options_.max_frame;
+      const std::size_t cap = 4 + kMaxFrameBytes;
       if (in_.size() >= cap) {
         close();
         throw NetError("server frame exceeds the size cap");
@@ -168,8 +167,7 @@ std::uint32_t HarmonyClient::attach(const std::string& session,
                                     std::uint32_t rank) {
   session_ = session;
   out_.clear();
-  append_simple(out_, MsgType::kAttach, rank, session,
-                options_.wire_version);
+  append_simple(out_, MsgType::kAttach, rank, session);
   send_buffer();
   const Frame& f = expect_reply(MsgType::kAttach);
   std::uint32_t clients = 0;
@@ -193,7 +191,7 @@ void HarmonyClient::fetch_into(std::uint32_t rank, core::Point& out) {
   obs::ScopedSpan span(obs::Tracer::global(), "client/fetch");
   const std::uint64_t entered = obs::LatencyClock::now();
   out_.clear();
-  append_simple(out_, MsgType::kFetch, rank, {}, options_.wire_version);
+  append_simple(out_, MsgType::kFetch, rank, {});
   send_buffer();
   const Frame& f = expect_reply(MsgType::kFetch);
   if (!parse_config_body(f.body, out)) {
@@ -218,13 +216,12 @@ void HarmonyClient::fetch_into(std::uint32_t rank, core::Point& out) {
 void HarmonyClient::report(std::uint32_t rank, double time) {
   obs::ScopedSpan span(obs::Tracer::global(), "client/report");
   const std::uint64_t entered = obs::LatencyClock::now();
-  const bool trace = has_last_trace_ && options_.wire_version >= 2;
-  if (trace && span.active()) {
+  if (has_last_trace_ && span.active()) {
     span.set_context({last_trace_.trace_id, last_trace_.span_id});
   }
   out_.clear();
-  append_report(out_, rank, {}, time, options_.wire_version,
-                trace ? &last_trace_ : nullptr);
+  append_report(out_, rank, {}, time,
+                has_last_trace_ ? &last_trace_ : nullptr);
   send_buffer();
   expect_reply(MsgType::kReport);
   if (report_ns_ != nullptr) {
@@ -239,9 +236,7 @@ void HarmonyClient::report(std::uint32_t rank, double time) {
 }
 
 void HarmonyClient::push_stats(std::uint32_t rank) {
-  if (fd_ < 0 || options_.wire_version < 2 || options_.metrics == nullptr) {
-    return;
-  }
+  if (fd_ < 0 || options_.metrics == nullptr) return;
   obs::RegistrySnapshot current = options_.metrics->snapshot();
   const obs::RegistrySnapshot delta = stats_delta(current, last_pushed_);
   // An empty delta still advances the baseline: the comparison work is
@@ -250,8 +245,7 @@ void HarmonyClient::push_stats(std::uint32_t rank) {
     stats_body_.clear();
     encode_stats(stats_body_, delta);
     out_.clear();
-    append_frame(out_, MsgType::kStats, rank, {}, stats_body_,
-                 options_.wire_version);
+    append_frame(out_, MsgType::kStats, rank, {}, stats_body_);
     send_buffer();
     expect_reply(MsgType::kStats);
   }
@@ -267,7 +261,7 @@ void HarmonyClient::detach(std::uint32_t rank) {
   }
   if (fd_ < 0) return;  // the push may have torn the connection down
   out_.clear();
-  append_simple(out_, MsgType::kDetach, rank, {}, options_.wire_version);
+  append_simple(out_, MsgType::kDetach, rank, {});
   send_buffer();
   try {
     expect_reply(MsgType::kDetach);

@@ -43,7 +43,6 @@ struct ClientOptions {
   /// Bound on each blocking send/receive.  fetch_into() waits up to this
   /// long for the server to open the round.
   std::chrono::milliseconds io_timeout{60000};
-  std::size_t max_frame = kMaxFrameBytes;
   /// When set, the client records its end-to-end call latencies as
   /// protuner_net_client_{fetch,report}_ns{session=...} in this registry.
   /// It is also the registry the telemetry push ships from (see
@@ -54,10 +53,6 @@ struct ClientOptions {
   /// co-resident server merges pushes into — pushing a registry you are
   /// merged into echoes the merged series back on every push.
   obs::Registry* metrics = nullptr;
-  /// Wire version to speak.  Version 2 (the default) carries trace
-  /// trailers and Stats pushes; set 1 to emulate a PR-9 peer against a
-  /// newer server (no trailers, no Stats).
-  std::uint8_t wire_version = kWireVersion;
   /// Push metric deltas every N successful reports (0: only on detach).
   std::size_t stats_every_rounds = 0;
 };
@@ -91,9 +86,9 @@ class HarmonyClient {
   void detach(std::uint32_t rank);
 
   /// Ships the delta of Options::metrics since the last push as a Stats
-  /// frame and waits for the ack.  No-op when disconnected, speaking wire
-  /// v1, or no registry was configured; a quiet period (empty delta) sends
-  /// nothing.  detach() calls this; call it directly for mid-run pushes.
+  /// frame and waits for the ack.  No-op when disconnected or no registry
+  /// was configured; a quiet period (empty delta) sends nothing.  detach()
+  /// calls this; call it directly for mid-run pushes.
   void push_stats(std::uint32_t rank);
 
   /// Drops the connection without the detach handshake (the server treats

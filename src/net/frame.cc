@@ -1,7 +1,5 @@
 #include "net/frame.h"
 
-#include <limits>
-
 namespace protuner::net {
 
 namespace {
@@ -13,31 +11,45 @@ Decoded bad(std::string_view why) {
   return d;
 }
 
+/// Appends the fixed header and the session; the caller then appends
+/// exactly `body_len` body bytes and append_trailer(out, trace).
+void append_header(std::vector<std::uint8_t>& out, MsgType type,
+                   std::uint32_t rank, std::string_view session,
+                   std::size_t body_len, const WireTrace* trace) {
+  const std::size_t trailer = trace != nullptr ? kTraceTrailerBytes : 0;
+  const std::size_t length = 8 + session.size() + body_len + trailer;
+  append_u32(out, static_cast<std::uint32_t>(length));
+  out.push_back(kWireVersion);
+  std::uint8_t raw_type = static_cast<std::uint8_t>(type);
+  if (trace != nullptr) raw_type |= kTraceFlag;
+  out.push_back(raw_type);
+  append_u16(out, static_cast<std::uint16_t>(session.size()));
+  append_u32(out, rank);
+  out.insert(out.end(), session.begin(), session.end());
+}
+
+void append_trailer(std::vector<std::uint8_t>& out, const WireTrace* trace) {
+  if (trace == nullptr) return;
+  append_u64(out, trace->trace_id);
+  append_u64(out, trace->span_id);
+}
+
 }  // namespace
 
-Decoded decode_frame(std::span<const std::uint8_t> buf,
-                     std::size_t max_frame) {
+Decoded decode_frame(std::span<const std::uint8_t> buf) {
   Decoded d;
   if (buf.size() < 4) return d;  // kNeedMore
   const std::uint32_t length = load_u32(buf.data());
   if (length < 8) return bad("frame length below the 8-byte header minimum");
-  if (length > max_frame) return bad("frame exceeds the size cap");
+  if (length > kMaxFrameBytes) return bad("frame exceeds the size cap");
   if (buf.size() < 4 + static_cast<std::size_t>(length)) return d;
-  const std::uint8_t version = buf[4];
-  if (version < kMinWireVersion || version > kWireVersion) {
-    return bad("unsupported wire version");
-  }
+  if (buf[4] != kWireVersion) return bad("unsupported wire version");
+  // Bit 7 announces the trailer; the low bits must name a type (1..6).
   const std::uint8_t raw_type = buf[5];
-  // v1: types 1..5, no trailer flag.  v2: bit 7 announces the trailer and
-  // the low bits must name a type (1..6).
-  const bool has_trace = version >= 2 && (raw_type & kTraceFlag) != 0;
-  const std::uint8_t type =
-      version >= 2 ? static_cast<std::uint8_t>(raw_type & ~kTraceFlag)
-                   : raw_type;
-  const std::uint8_t max_type = version >= 2
-                                    ? static_cast<std::uint8_t>(MsgType::kStats)
-                                    : static_cast<std::uint8_t>(MsgType::kError);
-  if (type < static_cast<std::uint8_t>(MsgType::kAttach) || type > max_type) {
+  const bool has_trace = (raw_type & kTraceFlag) != 0;
+  const std::uint8_t type = static_cast<std::uint8_t>(raw_type & ~kTraceFlag);
+  if (type < static_cast<std::uint8_t>(MsgType::kAttach) ||
+      type > static_cast<std::uint8_t>(MsgType::kStats)) {
     return bad("unknown message type");
   }
   const std::uint16_t session_len = load_u16(buf.data() + 6);
@@ -48,7 +60,6 @@ Decoded decode_frame(std::span<const std::uint8_t> buf,
   d.status = DecodeStatus::kFrame;
   d.consumed = 4 + static_cast<std::size_t>(length);
   d.frame.type = static_cast<MsgType>(type);
-  d.frame.version = version;
   d.frame.rank = load_u32(buf.data() + 8);
   d.frame.session = std::string_view(
       reinterpret_cast<const char*>(buf.data() + kFixedHeaderBytes),
@@ -64,72 +75,46 @@ Decoded decode_frame(std::span<const std::uint8_t> buf,
   return d;
 }
 
-void append_header(std::vector<std::uint8_t>& out, MsgType type,
-                   std::uint32_t rank, std::string_view session,
-                   std::size_t body_len, std::uint8_t version,
-                   const WireTrace* trace) {
-  if (version < 2) trace = nullptr;  // v1 peers cannot parse the trailer
-  const std::size_t trailer = trace != nullptr ? kTraceTrailerBytes : 0;
-  const std::size_t length = 8 + session.size() + body_len + trailer;
-  append_u32(out, static_cast<std::uint32_t>(length));
-  out.push_back(version);
-  std::uint8_t raw_type = static_cast<std::uint8_t>(type);
-  if (trace != nullptr) raw_type |= kTraceFlag;
-  out.push_back(raw_type);
-  append_u16(out, static_cast<std::uint16_t>(session.size()));
-  append_u32(out, rank);
-  out.insert(out.end(), session.begin(), session.end());
-}
-
-void append_trace_trailer(std::vector<std::uint8_t>& out,
-                          const WireTrace& trace) {
-  append_u64(out, trace.trace_id);
-  append_u64(out, trace.span_id);
-}
-
 void append_frame(std::vector<std::uint8_t>& out, MsgType type,
                   std::uint32_t rank, std::string_view session,
-                  std::span<const std::uint8_t> body, std::uint8_t version,
+                  std::span<const std::uint8_t> body,
                   const WireTrace* trace) {
-  append_header(out, type, rank, session, body.size(), version, trace);
+  append_header(out, type, rank, session, body.size(), trace);
   out.insert(out.end(), body.begin(), body.end());
-  if (trace != nullptr && version >= 2) append_trace_trailer(out, *trace);
+  append_trailer(out, trace);
 }
 
 void append_simple(std::vector<std::uint8_t>& out, MsgType type,
                    std::uint32_t rank, std::string_view session,
-                   std::uint8_t version, const WireTrace* trace) {
-  append_header(out, type, rank, session, 0, version, trace);
-  if (trace != nullptr && version >= 2) append_trace_trailer(out, *trace);
+                   const WireTrace* trace) {
+  append_frame(out, type, rank, session, {}, trace);
 }
 
 void append_attach_ack(std::vector<std::uint8_t>& out, std::uint32_t rank,
-                       std::uint32_t clients, std::uint8_t version) {
-  append_header(out, MsgType::kAttach, rank, {}, 4, version);
+                       std::uint32_t clients) {
+  append_header(out, MsgType::kAttach, rank, {}, 4, nullptr);
   append_u32(out, clients);
 }
 
 void append_report(std::vector<std::uint8_t>& out, std::uint32_t rank,
                    std::string_view session, double time,
-                   std::uint8_t version, const WireTrace* trace) {
-  append_header(out, MsgType::kReport, rank, session, 8, version, trace);
+                   const WireTrace* trace) {
+  append_header(out, MsgType::kReport, rank, session, 8, trace);
   append_f64(out, time);
-  if (trace != nullptr && version >= 2) append_trace_trailer(out, *trace);
+  append_trailer(out, trace);
 }
 
 void append_config(std::vector<std::uint8_t>& out, std::uint32_t rank,
-                   const core::Point& config, std::uint8_t version,
-                   const WireTrace* trace) {
-  append_header(out, MsgType::kFetch, rank, {}, 4 + 8 * config.size(),
-                version, trace);
+                   const core::Point& config, const WireTrace* trace) {
+  append_header(out, MsgType::kFetch, rank, {}, 4 + 8 * config.size(), trace);
   append_u32(out, static_cast<std::uint32_t>(config.size()));
   for (const double v : config) append_f64(out, v);
-  if (trace != nullptr && version >= 2) append_trace_trailer(out, *trace);
+  append_trailer(out, trace);
 }
 
 void append_error(std::vector<std::uint8_t>& out, std::uint32_t rank,
-                  std::string_view message, std::uint8_t version) {
-  append_header(out, MsgType::kError, rank, {}, message.size(), version);
+                  std::string_view message) {
+  append_header(out, MsgType::kError, rank, {}, message.size(), nullptr);
   out.insert(out.end(), message.begin(), message.end());
 }
 

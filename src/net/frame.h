@@ -4,19 +4,17 @@
 //
 //   offset  size  field
 //   0       4     length       bytes following this field (8 .. kMaxFrameBytes)
-//   4       1     version      1 or 2 (kWireVersion)
-//   5       1     type         MsgType (v2: low 7 bits; bit 7 = trace trailer)
+//   4       1     version      kWireVersion (2); any other value is rejected
+//   5       1     type         MsgType in the low 7 bits; bit 7 = trace trailer
 //   6       2     session_len  bytes of session name following the header
 //   8       4     rank         client rank the frame concerns
 //   12      s     session      UTF-8 session name (s == session_len)
 //   12+s    b     body         type-specific payload
-//   end-16  16    trace        OPTIONAL v2 trailer: u64 trace_id, u64 span_id
+//   end-16  16    trace        OPTIONAL trailer: u64 trace_id, u64 span_id
 //
-// The trailer is present iff bit 7 of the type byte is set (v2 frames only);
-// it is counted in `length` and sits at the very end of the frame, after the
-// body, so `b == length - 8 - s - (trailer ? 16 : 0)`.  Version 1 frames are
-// exactly the PR-9 format: types 1..5, no trailer, no Stats — a v2 endpoint
-// accepts them unchanged and replies in version 1 (old clients keep working).
+// The trailer is present iff bit 7 of the type byte is set; it is counted in
+// `length` and sits at the very end of the frame, after the body, so
+// `b == length - 8 - s - (trailer ? 16 : 0)`.
 //
 // Bodies (all integers little-endian, doubles IEEE-754 little-endian):
 //   Attach  request: empty            reply: u32 clients (session width)
@@ -24,7 +22,7 @@
 //   Report  request: f64 time         reply: empty (ack)
 //   Detach  request: empty            reply: empty (ack)
 //   Error   server → client only: UTF-8 message; the connection closes next
-//   Stats   request: metric deltas (v2 only, see net/stats_codec.h)
+//   Stats   request: metric deltas (see net/stats_codec.h)
 //                                     reply: empty (ack)
 //
 // After Attach binds a connection to a session, requests may carry an empty
@@ -49,12 +47,11 @@
 
 namespace protuner::net {
 
+/// The only wire version spoken or accepted.
 inline constexpr std::uint8_t kWireVersion = 2;
-/// Oldest version the decoder still accepts (PR-9 peers).
-inline constexpr std::uint8_t kMinWireVersion = 1;
 /// Fixed header: length prefix + version + type + session_len + rank.
 inline constexpr std::size_t kFixedHeaderBytes = 12;
-/// Bit 7 of the type byte (v2): a 16-byte trace trailer ends the frame.
+/// Bit 7 of the type byte: a 16-byte trace trailer ends the frame.
 inline constexpr std::uint8_t kTraceFlag = 0x80;
 inline constexpr std::size_t kTraceTrailerBytes = 16;
 /// Hard cap on the `length` field.  A frame can carry a ~128k-dimensional
@@ -68,10 +65,10 @@ enum class MsgType : std::uint8_t {
   kReport = 3,
   kDetach = 4,
   kError = 5,
-  kStats = 6,  ///< v2 only: client telemetry push
+  kStats = 6,  ///< client telemetry push
 };
 
-/// Cross-process trace correlation carried by the v2 trailer: which round
+/// Cross-process trace correlation carried by the trailer: which round
 /// (trace_id) and which server-side span (span_id) a frame belongs to.
 struct WireTrace {
   std::uint64_t trace_id = 0;
@@ -81,7 +78,6 @@ struct WireTrace {
 /// One decoded frame.  `session` and `body` view the caller's buffer.
 struct Frame {
   MsgType type = MsgType::kError;
-  std::uint8_t version = kWireVersion;
   std::uint32_t rank = 0;
   std::string_view session;
   std::span<const std::uint8_t> body;
@@ -104,8 +100,7 @@ struct Decoded {
 
 /// Attempts to decode one frame from the front of `buf`.  Never throws,
 /// never allocates, never reads past `buf`.
-Decoded decode_frame(std::span<const std::uint8_t> buf,
-                     std::size_t max_frame = kMaxFrameBytes);
+Decoded decode_frame(std::span<const std::uint8_t> buf);
 
 // ----------------------------------------------------------- LE primitives
 
@@ -158,57 +153,37 @@ inline double load_f64(const std::uint8_t* p) {
 // batch several frames before a single send.  Appending into a warm vector
 // reuses its capacity — no allocation in steady state.
 //
-// Each encoder takes the wire version to emit (a server replies in the
-// version its peer spoke) and an optional trace trailer.  Trailers require
-// version 2; passing one with version 1 is a caller bug and is dropped.
-
-/// Appends the 12-byte fixed header plus the session bytes.  The caller
-/// must then append exactly `body_len` body bytes, then the 16-byte trace
-/// trailer iff `trace` was non-null (see append_trace_trailer).
-void append_header(std::vector<std::uint8_t>& out, MsgType type,
-                   std::uint32_t rank, std::string_view session,
-                   std::size_t body_len,
-                   std::uint8_t version = kWireVersion,
-                   const WireTrace* trace = nullptr);
-
-/// Appends the 16-byte trailer announced to append_header via `trace`.
-void append_trace_trailer(std::vector<std::uint8_t>& out,
-                          const WireTrace& trace);
+// Encoders that take a `trace` append the 16-byte trailer (and set bit 7 of
+// the type byte) iff it is non-null.
 
 /// Frame with an arbitrary body.
 void append_frame(std::vector<std::uint8_t>& out, MsgType type,
                   std::uint32_t rank, std::string_view session,
                   std::span<const std::uint8_t> body,
-                  std::uint8_t version = kWireVersion,
                   const WireTrace* trace = nullptr);
 
 /// Body-less frame (Attach/Fetch/Detach requests, Report/Detach acks).
 void append_simple(std::vector<std::uint8_t>& out, MsgType type,
                    std::uint32_t rank, std::string_view session,
-                   std::uint8_t version = kWireVersion,
                    const WireTrace* trace = nullptr);
 
 /// Attach ack: u32 session width.
 void append_attach_ack(std::vector<std::uint8_t>& out, std::uint32_t rank,
-                       std::uint32_t clients,
-                       std::uint8_t version = kWireVersion);
+                       std::uint32_t clients);
 
 /// Report request: one f64 observed time.
 void append_report(std::vector<std::uint8_t>& out, std::uint32_t rank,
                    std::string_view session, double time,
-                   std::uint8_t version = kWireVersion,
                    const WireTrace* trace = nullptr);
 
 /// Fetch reply: u32 count + count × f64.
 void append_config(std::vector<std::uint8_t>& out, std::uint32_t rank,
                    const core::Point& config,
-                   std::uint8_t version = kWireVersion,
                    const WireTrace* trace = nullptr);
 
 /// Error frame: UTF-8 message as the body.
 void append_error(std::vector<std::uint8_t>& out, std::uint32_t rank,
-                  std::string_view message,
-                  std::uint8_t version = kWireVersion);
+                  std::string_view message);
 
 // ------------------------------------------------------------- body parsers
 // Return false on malformed bodies (wrong size); never throw.

@@ -229,9 +229,10 @@ void NetServer::handle_readable(Connection* c) {
   while (!c->closed) {
     if (c->in_used == c->in.size()) {
       // A partial frame larger than the buffer: grow toward the frame cap.
-      // decode_frame rejects length > max_frame from the first 4 bytes, so
-      // the buffer never needs more than the cap plus its length prefix.
-      const std::size_t cap = 4 + options_.max_frame;
+      // decode_frame rejects length > kMaxFrameBytes from the first 4
+      // bytes, so the buffer never needs more than the cap plus its length
+      // prefix.
+      const std::size_t cap = 4 + kMaxFrameBytes;
       if (c->in.size() >= cap) {
         obs_decode_errors_.add();
         decode_errors_.fetch_add(1, std::memory_order_relaxed);
@@ -281,8 +282,7 @@ void NetServer::handle_readable(Connection* c) {
 
     std::size_t off = 0;
     while (!c->closed) {
-      const Decoded d = decode_frame(
-          {c->in.data() + off, c->in_used - off}, options_.max_frame);
+      const Decoded d = decode_frame({c->in.data() + off, c->in_used - off});
       if (d.status == DecodeStatus::kFrame) {
         handle_frame(c, d.frame);
         off += d.consumed;
@@ -316,9 +316,6 @@ void NetServer::handle_writable(Connection* c) { flush_out(c); }
 
 void NetServer::handle_frame(Connection* c, const Frame& f) {
   const std::uint64_t entered = obs::LatencyClock::now();
-  // A server answers in the version its peer speaks, so a v1 client never
-  // sees a trailer (or a Stats ack) it cannot decode.
-  c->peer_version = f.version;
   switch (f.type) {
     case MsgType::kAttach:
       handle_attach(c, f);
@@ -333,7 +330,7 @@ void NetServer::handle_frame(Connection* c, const Frame& f) {
       handle_stats(c, f);
       return;
     case MsgType::kDetach:
-      append_simple(c->out, MsgType::kDetach, f.rank, {}, c->peer_version);
+      append_simple(c->out, MsgType::kDetach, f.rank, {});
       c->draining = true;  // close once the ack flushes
       return;
     case MsgType::kError:
@@ -361,42 +358,42 @@ void NetServer::handle_attach(Connection* c, const Frame& f) {
   ++sessions_[static_cast<std::size_t>(idx)].attached_conns;
   append_attach_ack(
       c->out, f.rank,
-      static_cast<std::uint32_t>(sessions_[idx].server->clients()),
-      c->peer_version);
+      static_cast<std::uint32_t>(sessions_[idx].server->clients()));
 }
 
 int NetServer::entry_index_for(std::string_view name) {
-  for (std::size_t i = 0; i < sessions_.size(); ++i) {
-    if (sessions_[i].name == name) {
-      // Another connection of a known session: count the attachment.
-      try {
-        (void)manager_.attach(sessions_[i].name);
-      } catch (const harmony::SessionError&) {
-        return -1;  // removed since — treat as unknown
-      }
-      return static_cast<int>(i);
-    }
-  }
-  SessionEntry e;
-  e.name.assign(name);
+  std::shared_ptr<harmony::Server> server;
   try {
-    e.server = manager_.attach(e.name);
+    server = manager_.attach(std::string(name));  // counts the attachment
   } catch (const harmony::SessionError&) {
     return -1;
   }
-  const obs::Labels labels{{"session", e.name}};
-  e.fetch_wire_ns = &registry_.histogram(
-      "protuner_net_fetch_wire_ns",
-      "Fetch wire latency: frame decoded to reply queued, including the "
-      "wait for the round to open (ns)",
-      labels);
-  e.report_wire_ns = &registry_.histogram(
-      "protuner_net_report_wire_ns",
-      "Report wire latency: frame decoded to ack queued (ns)", labels);
-  e.last_rounds = e.server->rounds_completed();
-  e.last_advance = std::chrono::steady_clock::now();
-  sessions_.push_back(std::move(e));
-  return static_cast<int>(sessions_.size()) - 1;
+  std::size_t i = 0;
+  while (i < sessions_.size() && sessions_[i].name != name) ++i;
+  if (i == sessions_.size()) {
+    SessionEntry& e = sessions_.emplace_back();
+    e.name.assign(name);
+    const obs::Labels labels{{"session", e.name}};
+    e.fetch_wire_ns = &registry_.histogram(
+        "protuner_net_fetch_wire_ns",
+        "Fetch wire latency: frame decoded to reply queued, including the "
+        "wait for the round to open (ns)",
+        labels);
+    e.report_wire_ns = &registry_.histogram(
+        "protuner_net_report_wire_ns",
+        "Report wire latency: frame decoded to ack queued (ns)", labels);
+  }
+  SessionEntry& e = sessions_[i];
+  if (e.server != server) {
+    // A new entry, or its session was removed and re-created under the
+    // same name.  remove() required a zero attach count, so no connection
+    // still uses the old server; rebinding drops the loop's pin on it.
+    e.server = std::move(server);
+    e.last_rounds = e.server->rounds_completed();
+    e.last_advance = std::chrono::steady_clock::now();
+    e.stalled = false;
+  }
+  return static_cast<int>(i);
 }
 
 bool NetServer::session_matches(const Connection* c, const Frame& f) const {
@@ -419,8 +416,7 @@ void NetServer::handle_fetch(Connection* c, const Frame& f,
     obs::TraceContext trace;
     if (e.server->try_fetch_into(f.rank, scratch_, trace)) {
       const WireTrace wt{trace.trace_id, trace.span_id};
-      append_config(c->out, f.rank, scratch_, c->peer_version,
-                    trace ? &wt : nullptr);
+      append_config(c->out, f.rank, scratch_, trace ? &wt : nullptr);
       e.fetch_wire_ns->record(wire_ns(entered));
     } else {
       park_fetch(c, f.rank, entered);
@@ -455,7 +451,7 @@ void NetServer::handle_report(Connection* c, const Frame& f,
         f.has_trace ? obs::TraceContext{f.trace.trace_id, f.trace.span_id}
                     : obs::TraceContext{});
     e.server->report(f.rank, time);
-    append_simple(c->out, MsgType::kReport, f.rank, {}, c->peer_version);
+    append_simple(c->out, MsgType::kReport, f.rank, {});
     e.report_wire_ns->record(wire_ns(entered));
   } catch (const harmony::ProtocolError& ex) {
     error_close(c, ex.what());
@@ -506,7 +502,7 @@ void NetServer::handle_stats(Connection* c, const Frame& f) {
     error_close(c, "stats: push rejected (bad instrument or series cap)");
     return;
   }
-  append_simple(c->out, MsgType::kStats, f.rank, {}, c->peer_version);
+  append_simple(c->out, MsgType::kStats, f.rank, {});
 }
 
 // ------------------------------------------------------------- HTTP scrapes
@@ -625,8 +621,7 @@ void NetServer::retry_parked(SessionEntry& e) {
         obs::TraceContext trace;
         if (e.server->try_fetch_into(pf.rank, scratch_, trace)) {
           const WireTrace wt{trace.trace_id, trace.span_id};
-          append_config(c->out, pf.rank, scratch_, c->peer_version,
-                        trace ? &wt : nullptr);
+          append_config(c->out, pf.rank, scratch_, trace ? &wt : nullptr);
           e.fetch_wire_ns->record(wire_ns(pf.entered));
         } else {
           c->parked[w++] = pf;
@@ -677,7 +672,7 @@ void NetServer::check_stall(SessionEntry& e,
   if (timeout <= std::chrono::duration<double>::zero()) {
     const auto deadline = e.server->report_timeout();
     if (deadline <= std::chrono::duration<double>::zero()) return;
-    timeout = deadline * options_.stall_factor;
+    timeout = deadline * kStallFactor;
   }
   if (std::chrono::duration<double>(now - e.last_advance) < timeout) return;
   e.stalled = true;
@@ -786,7 +781,6 @@ void NetServer::destroy_pending() {
     c->draining = false;
     c->want_write = false;
     c->mode = kModeUnknown;
-    c->peer_version = kWireVersion;
     c->in_used = 0;
     c->out.clear();
     c->out_off = 0;

@@ -66,8 +66,6 @@ struct NetServerOptions {
   /// TCP port; 0 picks an ephemeral port (read it back via port()).
   std::uint16_t port = 0;
   int backlog = 1024;
-  /// Hard cap on accepted frame length (see net/frame.h).
-  std::size_t max_frame = kMaxFrameBytes;
   /// epoll_wait timeout: the cadence of deadline ticks and parked-fetch
   /// sweeps when the loop is otherwise idle.
   std::chrono::milliseconds poll_interval{5};
@@ -81,16 +79,15 @@ struct NetServerOptions {
   /// this long while connections are attached is declared stalled — the
   /// flight recorder dumps to stderr once per episode and /healthz answers
   /// 503 until the watermark moves again.  Zero derives the timeout from
-  /// the session's own report deadline (report_timeout × stall_factor);
+  /// the session's own report deadline (report_timeout × kStallFactor);
   /// sessions with neither an explicit stall_timeout nor a deadline are
   /// never declared stalled.
   std::chrono::duration<double> stall_timeout{0};
-  double stall_factor = 4.0;
   /// Flight recorder the loop's control-plane events land in; null means
   /// obs::FlightRecorder::global() (which SIGUSR1 dumps target).
   obs::FlightRecorder* flight = nullptr;
   /// Cap on the number of distinct registry series one connection may
-  /// create via Stats pushes — the series-churn counterpart of max_frame:
+  /// create via Stats pushes — the series-churn counterpart of the frame cap:
   /// without it a buggy or adversarial client minting unique metric
   /// names/label sets grows server memory (and the /metrics page) without
   /// bound.  Merging into existing series is never limited; a push that
@@ -144,6 +141,8 @@ class NetServer {
   static constexpr std::uint8_t kModeHttp = 2;
   /// Cap on a buffered HTTP request (we only serve bare GETs).
   static constexpr std::size_t kMaxHttpRequest = 8192;
+  /// A derived stall timeout is this many report deadlines.
+  static constexpr double kStallFactor = 4.0;
   struct ParkedFetch {
     std::uint32_t rank = 0;
     std::uint64_t entered = 0;  ///< LatencyClock stamp at frame decode
@@ -174,7 +173,6 @@ class NetServer {
     bool want_write = false;    ///< EPOLLOUT armed
     bool in_parked_list = false;
     std::uint8_t mode = kModeUnknown;        ///< frames vs HTTP demux
-    std::uint8_t peer_version = kWireVersion;  ///< replies match the peer
     int entry = -1;             ///< index into sessions_ once attached
     std::size_t stats_series = 0;  ///< registry series minted by its pushes
     std::vector<std::uint8_t> in;

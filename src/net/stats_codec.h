@@ -1,4 +1,4 @@
-// Body codec for Stats frames (wire v2, DESIGN.md §15): a serialized
+// Body codec for Stats frames (DESIGN.md §15): a serialized
 // obs::RegistrySnapshot, the client half of the fleet telemetry push.
 //
 // Layout (little-endian throughout):

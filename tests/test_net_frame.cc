@@ -107,10 +107,6 @@ TEST(NetFrame, RejectsOversizedLengthFromThePrefixAlone) {
   const Decoded d = net::decode_frame({buf.data(), buf.size()});
   EXPECT_EQ(d.status, DecodeStatus::kBadFrame);
   EXPECT_FALSE(d.error.empty());
-  // A tighter per-server cap applies the same way.
-  std::vector<std::uint8_t> small = attach_frame("s", 0);
-  EXPECT_EQ(net::decode_frame({small.data(), small.size()}, 4).status,
-            DecodeStatus::kBadFrame);
 }
 
 TEST(NetFrame, RejectsBelowMinimumLength) {
@@ -122,18 +118,21 @@ TEST(NetFrame, RejectsBelowMinimumLength) {
 
 TEST(NetFrame, RejectsGarbageTypeVersionAndSessionOverrun) {
   const std::vector<std::uint8_t> good = attach_frame("abc", 1);
-  {
+  // One dialect: every version byte but kWireVersion is rejected,
+  // including the retired version 1.
+  for (const int version : {0, 1, 3, 99, 0xFF}) {
     std::vector<std::uint8_t> bad = good;
-    bad[4] = 99;  // version
+    bad[4] = static_cast<std::uint8_t>(version);
     EXPECT_EQ(net::decode_frame({bad.data(), bad.size()}).status,
-              DecodeStatus::kBadFrame);
+              DecodeStatus::kBadFrame)
+        << "version " << version;
   }
   {
     std::vector<std::uint8_t> bad = good;
     bad[5] = 0;  // type below range
     EXPECT_EQ(net::decode_frame({bad.data(), bad.size()}).status,
               DecodeStatus::kBadFrame);
-    bad[5] = 7;  // type above the v2 range (6 is kStats, valid)
+    bad[5] = 7;  // type above the range (6 is kStats, valid)
     EXPECT_EQ(net::decode_frame({bad.data(), bad.size()}).status,
               DecodeStatus::kBadFrame);
   }
@@ -149,10 +148,10 @@ TEST(NetFrame, RejectsGarbageTypeVersionAndSessionOverrun) {
 TEST(NetFrame, TraceTrailerRoundTripsOnEveryTracedEncoder) {
   const net::WireTrace trace{0x1122334455667788ull, 0x99AABBCCDDEEFF00ull};
   std::vector<std::uint8_t> buf;
-  net::append_simple(buf, MsgType::kFetch, 2, "t", net::kWireVersion, &trace);
-  net::append_report(buf, 3, {}, 1.5, net::kWireVersion, &trace);
+  net::append_simple(buf, MsgType::kFetch, 2, "t", &trace);
+  net::append_report(buf, 3, {}, 1.5, &trace);
   core::Point cfg{2.0, 4.0};
-  net::append_config(buf, 4, cfg, net::kWireVersion, &trace);
+  net::append_config(buf, 4, cfg, &trace);
   net::append_simple(buf, MsgType::kDetach, 5, {});  // untraced control
 
   std::size_t off = 0;
@@ -164,7 +163,6 @@ TEST(NetFrame, TraceTrailerRoundTripsOnEveryTracedEncoder) {
   };
   for (int i = 0; i < 3; ++i) {
     const net::Frame f = next();
-    EXPECT_EQ(f.version, 2);
     ASSERT_TRUE(f.has_trace) << "frame " << i;
     EXPECT_EQ(f.trace.trace_id, trace.trace_id);
     EXPECT_EQ(f.trace.span_id, trace.span_id);
@@ -186,48 +184,48 @@ TEST(NetFrame, TraceTrailerRoundTripsOnEveryTracedEncoder) {
 
   // Truncation with a trailer present still never errors mid-frame.
   std::vector<std::uint8_t> one;
-  net::append_report(one, 1, "s", 2.0, net::kWireVersion, &trace);
+  net::append_report(one, 1, "s", 2.0, &trace);
   for (std::size_t len = 0; len < one.size(); ++len) {
     EXPECT_EQ(net::decode_frame({one.data(), len}).status,
               DecodeStatus::kNeedMore);
   }
 }
 
-TEST(NetFrame, Version1FramesStillDecodeWithoutTrailers) {
-  // A PR-9 peer's bytes: version 1, types 1..5, no trailer bit.
-  std::vector<std::uint8_t> buf;
-  net::append_simple(buf, MsgType::kAttach, 7, "legacy", 1);
-  net::append_report(buf, 7, {}, 3.25, 1);
-  std::size_t off = 0;
-  for (int i = 0; i < 2; ++i) {
-    const Decoded d = net::decode_frame({buf.data() + off, buf.size() - off});
+TEST(NetFrame, EncodersEmitTheDocumentedBytes) {
+  // Golden bytes for the net/frame.h layout, which a round trip cannot pin
+  // (a change on both the encode and the decode side passes it): u32
+  // length, version 2, type (bit 7: trailer), u16 session_len, u32 rank,
+  // session, body, then the trace trailer when there is one.
+  using Bytes = std::vector<std::uint8_t>;
+  const net::WireTrace trace{0x1122334455667788ull, 0x99AABBCCDDEEFF00ull};
+  const Bytes trailer = {0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11,
+                         0x00, 0xFF, 0xEE, 0xDD, 0xCC, 0xBB, 0xAA, 0x99};
+  Bytes attach, report, fetch, detach;
+  net::append_simple(attach, MsgType::kAttach, 7, "gs2");
+  net::append_report(report, 3, {}, 1.5, &trace);
+  net::append_config(fetch, 4, core::Point{2.0, -0.5}, &trace);
+  net::append_simple(detach, MsgType::kDetach, 5, {});
+
+  EXPECT_EQ(attach, (Bytes{11, 0, 0, 0, 2, 0x01, 3, 0, 7, 0, 0, 0,
+                           'g', 's', '2'}));
+  Bytes want = {32, 0, 0, 0, 2, 0x83, 0, 0, 3, 0, 0, 0,
+                0, 0, 0, 0, 0, 0, 0xF8, 0x3F};           // 1.5
+  want.insert(want.end(), trailer.begin(), trailer.end());
+  EXPECT_EQ(report, want);
+  want = {44, 0, 0, 0, 2, 0x82, 0, 0, 4, 0, 0, 0, 2, 0, 0, 0,  // n = 2
+          0, 0, 0, 0, 0, 0, 0x00, 0x40,                        // 2.0
+          0, 0, 0, 0, 0, 0, 0xE0, 0xBF};                       // -0.5
+  want.insert(want.end(), trailer.begin(), trailer.end());
+  EXPECT_EQ(fetch, want);
+  EXPECT_EQ(detach, (Bytes{8, 0, 0, 0, 2, 0x04, 0, 0, 5, 0, 0, 0}));
+
+  EXPECT_EQ(net::kWireVersion, 2);
+  for (const Bytes* b : {&attach, &report, &fetch, &detach}) {
+    const Decoded d = net::decode_frame({b->data(), b->size()});
     ASSERT_EQ(d.status, DecodeStatus::kFrame);
-    EXPECT_EQ(d.frame.version, 1);
-    EXPECT_FALSE(d.frame.has_trace);
-    off += d.consumed;
+    EXPECT_EQ(d.consumed, b->size());
+    EXPECT_EQ(d.frame.has_trace, b == &report || b == &fetch);
   }
-  EXPECT_EQ(off, buf.size());
-
-  // The encoders drop a trailer requested for a v1 frame (old peers would
-  // misparse it as body bytes), and v1 rejects both the trailer bit and
-  // the Stats type — they are v2 vocabulary.
-  const net::WireTrace trace{1, 2};
-  std::vector<std::uint8_t> v1traced;
-  net::append_simple(v1traced, MsgType::kFetch, 0, {}, 1, &trace);
-  const Decoded d = net::decode_frame({v1traced.data(), v1traced.size()});
-  ASSERT_EQ(d.status, DecodeStatus::kFrame);
-  EXPECT_FALSE(d.frame.has_trace);
-
-  std::vector<std::uint8_t> bad = attach_frame("abc", 1);
-  bad[4] = 1;             // version 1 ...
-  bad[5] = 0x80 | 2;      // ... may not set the trailer bit
-  EXPECT_EQ(net::decode_frame({bad.data(), bad.size()}).status,
-            DecodeStatus::kBadFrame);
-  bad = attach_frame("abc", 1);
-  bad[4] = 1;
-  bad[5] = 6;             // kStats does not exist in v1
-  EXPECT_EQ(net::decode_frame({bad.data(), bad.size()}).status,
-            DecodeStatus::kBadFrame);
 }
 
 TEST(NetFrame, StatsBodyRoundTripsThroughTheCodec) {
@@ -448,12 +446,27 @@ TEST(NetFrame, FuzzRandomBytesNeverCrashOrOverconsume) {
 }
 
 TEST(NetFrame, FuzzCorruptedValidFramesDecodeOrRejectCleanly) {
+  // Every encoder's output: untraced and traced frames, an Error and a
+  // Stats push whose body decode_stats must also survive corrupted.
+  std::vector<std::uint8_t> corpus;
+  const net::WireTrace trace{0x0123456789ABCDEFull, 42};
+  const core::Point cfg{1.0, 2.0, 3.0, 4.0};
+  net::append_simple(corpus, MsgType::kAttach, 1, "fuzzed-session");
+  net::append_config(corpus, 2, cfg);
+  net::append_report(corpus, 3, {}, 0.75, &trace);
+  net::append_config(corpus, 4, cfg, &trace);
+  net::append_error(corpus, 5, "report: attach first");
+  obs::Registry reg;
+  reg.counter("fuzz_ops_total", "ops", {{"phase", "fetch"}}).add(7);
+  reg.histogram("fuzz_ns", "latency").record(4e5);
+  std::vector<std::uint8_t> stats_body;
+  net::encode_stats(stats_body, reg.snapshot());
+  net::append_frame(corpus, MsgType::kStats, 6, {}, stats_body);
+
   util::Rng rng(0xBADC0DEu);
-  core::Point cfg{1.0, 2.0, 3.0, 4.0};
+  std::size_t stats_bodies = 0;
   for (int iter = 0; iter < 2000; ++iter) {
-    std::vector<std::uint8_t> buf;
-    net::append_simple(buf, MsgType::kAttach, 1, "fuzzed-session");
-    net::append_config(buf, 2, cfg);
+    std::vector<std::uint8_t> buf = corpus;
     // Corrupt 1-4 random bytes.
     const int flips = 1 + static_cast<int>(rng() % 4);
     for (int f = 0; f < flips; ++f) {
@@ -471,15 +484,25 @@ TEST(NetFrame, FuzzCorruptedValidFramesDecodeOrRejectCleanly) {
       if (d.status != DecodeStatus::kFrame) break;
       ASSERT_GT(d.consumed, 0u);
       ASSERT_LE(off + d.consumed, buf.size());
-      // Whatever survived the corruption, its views stay in bounds.
+      // Whatever survived the corruption, its session, body and trailer
+      // lie in order wholly inside this frame's bytes [off, off + consumed).
       const net::Frame& fr = d.frame;
-      if (!fr.session.empty()) {
-        EXPECT_GE(static_cast<const void*>(fr.session.data()),
-                  static_cast<const void*>(buf.data()));
+      const auto* session =
+          reinterpret_cast<const std::uint8_t*>(fr.session.data());
+      ASSERT_GE(session, buf.data() + off);
+      ASSERT_LE(session + fr.session.size(), fr.body.data());
+      const std::size_t trailer = fr.has_trace ? net::kTraceTrailerBytes : 0;
+      ASSERT_EQ(fr.body.data() + fr.body.size() + trailer,
+                buf.data() + off + d.consumed);
+      if (fr.type == MsgType::kStats) {
+        obs::RegistrySnapshot snap;  // false or a snapshot; never an overread
+        (void)net::decode_stats(fr.body, snap);
+        ++stats_bodies;
       }
       off += d.consumed;
     }
   }
+  EXPECT_GT(stats_bodies, 0u);
 }
 
 TEST(NetFrame, BodyParsersRejectWrongSizes) {

@@ -16,6 +16,7 @@
 
 #include <chrono>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <thread>
@@ -171,6 +172,15 @@ TEST(NetLoop, ProtocolMisuseMapsToProtocolErrorOnTheClient) {
     EXPECT_THROW(client.fetch_into(0, cfg), harmony::ProtocolError);
   }
   {
+    // A NaN time: a well-formed frame carrying a value the server rejects.
+    net::HarmonyClient client(fx.client_options());
+    client.attach("strict", 1);
+    Point cfg;
+    client.fetch_into(1, cfg);
+    EXPECT_THROW(client.report(1, std::numeric_limits<double>::quiet_NaN()),
+                 harmony::ProtocolError);
+  }
+  {
     // Unknown session.
     net::HarmonyClient client(fx.client_options());
     EXPECT_THROW(client.attach("no-such-session", 0),
@@ -191,6 +201,8 @@ TEST(NetLoop, ProtocolMisuseMapsToProtocolErrorOnTheClient) {
     client.fetch_into(0, cfg);
     EXPECT_THROW(client.fetch_into(0, cfg), harmony::ProtocolError);
   }
+  // Every misuse cost one connection and none was a decode error.
+  EXPECT_EQ(fx.server->decode_errors(), 0u);
 }
 
 TEST(NetLoop, DeadClientMidRoundBecomesAStraggler) {
@@ -278,39 +290,37 @@ TEST(NetLoop, WireTelemetryIsVisibleThroughObs) {
   EXPECT_NE(page.find("session=\"observed\""), std::string::npos);
 }
 
-TEST(NetLoop, Version1ClientInteroperatesWithTheV2Server) {
-  // A PR-9 peer: wire version 1, no trace trailers, no Stats push.  The v2
-  // server must speak v1 back to it for a complete attach → fetch → report
-  // → detach lifecycle.
+TEST(NetLoop, RecreatedSessionIsServedByTheNewServer) {
   LoopFixture fx;
-  auto hosted = fx.host("legacy", 2);
-  obs::Registry client_registry;
-  net::ClientOptions co = fx.client_options();
-  co.wire_version = 1;
-  co.metrics = &client_registry;
-  net::HarmonyClient old_client(co);
-  EXPECT_EQ(old_client.attach("legacy", 0), 2u);
-  net::HarmonyClient new_client(fx.client_options());
-  new_client.attach("legacy", 1);
+  std::shared_ptr<harmony::Server> first = fx.host("reborn", 1);
   Point cfg;
-  constexpr std::size_t kRounds = 10;
-  for (std::size_t k = 0; k < kRounds; ++k) {
-    old_client.fetch_into(0, cfg);
+  {
+    net::HarmonyClient client(fx.client_options());
+    client.attach("reborn", 0);
+    client.fetch_into(0, cfg);
     EXPECT_EQ(cfg, (Point{1.0, 2.0}));
-    new_client.fetch_into(1, cfg);
-    old_client.report(0, 1.0);
-    new_client.report(1, 2.0);
+    client.report(0, 1.0);
+    client.detach(0);
   }
-  old_client.detach(0);  // v1: the detach ships no stats frame
-  new_client.detach(1);
-  EXPECT_EQ(hosted->rounds_completed(), kRounds);
-  EXPECT_EQ(fx.server->decode_errors(), 0u);
-  // Nothing was merged for the v1 client: no {client="0"} series appeared.
-  for (const obs::InstrumentSnapshot& inst : fx.registry.snapshot().instruments) {
-    for (const auto& [k, v] : inst.labels) {
-      EXPECT_FALSE(k == "client" && v == "0") << inst.name;
-    }
-  }
+  // The loop releases its attachment when it closes the connection.
+  while (fx.manager.stats("reborn").attached != 0) std::this_thread::yield();
+  ASSERT_TRUE(fx.manager.remove("reborn"));
+  harmony::ServerOptions so;
+  so.metrics = &fx.registry;
+  so.session = "reborn";
+  std::shared_ptr<harmony::Server> second = fx.manager.create(
+      "reborn", std::make_unique<core::FixedStrategy>(Point{5.0, 6.0}), 1,
+      so);
+
+  net::HarmonyClient client(fx.client_options());
+  client.attach("reborn", 0);
+  client.fetch_into(0, cfg);
+  EXPECT_EQ(cfg, (Point{5.0, 6.0})) << "served by the removed server";
+  client.report(0, 1.0);
+  client.detach(0);
+  EXPECT_EQ(second->rounds_completed(), 1u);
+  EXPECT_EQ(first->rounds_completed(), 1u);
+  EXPECT_EQ(first.use_count(), 1) << "the loop still pins the removed server";
 }
 
 const obs::InstrumentSnapshot* find_with_client_label(

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -196,8 +197,19 @@ TEST(Server, ProtocolViolationsAreHardErrors) {
 
   (void)server.fetch(0);
   EXPECT_THROW((void)server.fetch(0), ProtocolError);       // double fetch
+  // NaN, infinite and negative times are rejected and change no state:
+  // the fetch stays outstanding and Total_Time stays monotone.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(), -1.0}) {
+    EXPECT_THROW(server.report(0, bad), ProtocolError) << bad;
+  }
   server.report(0, 1.0);
   EXPECT_THROW(server.report(0, 1.0), ProtocolError);       // double report
+  (void)server.fetch(1);
+  EXPECT_THROW(server.report(1, -3.0), ProtocolError);
+  server.report(1, 2.0);
+  EXPECT_EQ(server.rounds_completed(), 1u);
+  EXPECT_DOUBLE_EQ(server.total_time(), 2.0);
 }
 
 TEST(Server, RejectsNullStrategyAndZeroClients) {
