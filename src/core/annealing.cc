@@ -31,12 +31,6 @@ void AnnealingStrategy::start(std::size_t ranks) {
   proposals_ = current_;  // first step measures the starting points
 }
 
-StepProposal AnnealingStrategy::propose() {
-  StepProposal p;
-  p.configs = proposals_;
-  return p;
-}
-
 void AnnealingStrategy::propose_into(std::vector<Point>& out) {
   // Element-wise copy so the per-rank Point buffers are reused: the chains
   // propose every step forever, making this the steady-state path.

@@ -59,23 +59,10 @@ void CompassStrategy::shrink_step() {
   if (!any_above_floor) converged_ = true;
 }
 
-StepProposal CompassStrategy::propose() {
-  StepProposal p;
-  if (converged_) {
-    p.configs.assign(ranks_, incumbent_);
-    active_slots_ = 0;
-    return p;
-  }
-  p.configs = pending_;
-  active_slots_ = p.configs.size();
-  while (p.configs.size() < ranks_) p.configs.push_back(incumbent_);
-  return p;
-}
-
 void CompassStrategy::propose_into(std::vector<Point>& out) {
-  // Mirrors propose() (same assignment, same active_slots_ bookkeeping) but
-  // copy-assigns into the caller's buffer so the converged tail — incumbent
-  // on every rank, forever — runs without allocating.
+  // The pending poll first, the incumbent on every spare rank.  Copy-assigns
+  // into the caller's buffer so the converged tail — incumbent on every
+  // rank, forever — runs without allocating.
   if (converged_) {
     out.assign(ranks_, incumbent_);
     active_slots_ = 0;

@@ -24,7 +24,6 @@ class CompassStrategy final : public TuningStrategy {
   CompassStrategy(ParameterSpace space, CompassOptions opts);
 
   void start(std::size_t ranks) override;
-  StepProposal propose() override;
   void propose_into(std::vector<Point>& out) override;
   void observe(std::span<const double> times) override;
   const Point& best_point() const override { return incumbent_; }

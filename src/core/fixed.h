@@ -12,12 +12,6 @@ class FixedStrategy final : public TuningStrategy {
 
   void start(std::size_t ranks) override { ranks_ = ranks; }
 
-  StepProposal propose() override {
-    StepProposal p;
-    p.configs.assign(ranks_, config_);
-    return p;
-  }
-
   void propose_into(std::vector<Point>& out) override {
     // Copy-assign into recycled capacity: after the first round the fixed
     // assignment is republished with zero allocations.

@@ -25,12 +25,6 @@ void GeneticStrategy::start(std::size_t ranks) {
   generations_ = 0;
 }
 
-StepProposal GeneticStrategy::propose() {
-  StepProposal p;
-  p.configs = population_;
-  return p;
-}
-
 void GeneticStrategy::propose_into(std::vector<Point>& out) {
   // Element-wise copy so the per-individual Point buffers are reused: the
   // population is re-proposed every generation forever.

@@ -22,7 +22,6 @@ class GeneticStrategy final : public TuningStrategy {
   GeneticStrategy(ParameterSpace space, GeneticOptions opts);
 
   void start(std::size_t ranks) override;
-  StepProposal propose() override;
   void propose_into(std::vector<Point>& out) override;
   void observe(std::span<const double> times) override;
   const Point& best_point() const override { return best_point_; }

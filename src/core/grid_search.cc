@@ -57,24 +57,22 @@ void GridSearchStrategy::start(std::size_t ranks) {
   best_point_ = point_at(0);
 }
 
-StepProposal GridSearchStrategy::propose() {
-  StepProposal p;
-  if (done_) {
-    p.configs.assign(ranks_, best_point_);
-    pending_.clear();
-    return p;
-  }
+void GridSearchStrategy::propose_into(std::vector<Point>& out) {
   pending_.clear();
+  out.resize(ranks_);
+  if (done_) {
+    for (Point& slot : out) slot = best_point_;
+    return;
+  }
   const std::size_t total = sweep_size();
   for (std::size_t r = 0; r < ranks_ && cursor_ + r < total; ++r) {
     pending_.push_back(point_at(cursor_ + r));
   }
-  p.configs = pending_;
   // Pad the final partial wave with the incumbent so all ranks stay busy.
-  while (p.configs.size() < ranks_) {
-    p.configs.push_back(have_best_ ? best_point_ : pending_.front());
+  const Point& pad = have_best_ ? best_point_ : pending_.front();
+  for (std::size_t r = 0; r < ranks_; ++r) {
+    out[r] = r < pending_.size() ? pending_[r] : pad;
   }
-  return p;
 }
 
 void GridSearchStrategy::observe(std::span<const double> times) {

@@ -20,7 +20,7 @@ class GridSearchStrategy final : public TuningStrategy {
   GridSearchStrategy(ParameterSpace space, GridSearchOptions opts = {});
 
   void start(std::size_t ranks) override;
-  StepProposal propose() override;
+  void propose_into(std::vector<Point>& out) override;
   void observe(std::span<const double> times) override;
   const Point& best_point() const override { return best_point_; }
   double best_estimate() const override { return best_value_; }

@@ -30,12 +30,6 @@ void NelderMeadStrategy::begin_batch() {
   batch_.start(/*ranks=*/1, bo);
 }
 
-StepProposal NelderMeadStrategy::propose() {
-  StepProposal p;
-  propose_into(p.configs);
-  return p;
-}
-
 void NelderMeadStrategy::propose_into(std::vector<Point>& out) {
   out.resize(ranks_);
   active_slots_ = phase_ == Phase::kDone ? 0 : batch_.next_assignment(out);

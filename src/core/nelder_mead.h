@@ -31,7 +31,6 @@ class NelderMeadStrategy final : public TuningStrategy {
   NelderMeadStrategy(ParameterSpace space, NelderMeadOptions opts);
 
   void start(std::size_t ranks) override;
-  StepProposal propose() override;
   void propose_into(std::vector<Point>& out) override;
   void observe(std::span<const double> times) override;
   const Point& best_point() const override { return simplex_.best(); }

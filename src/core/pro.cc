@@ -125,12 +125,6 @@ void ProStrategy::update_adaptive_k(double fresh_observation) {
   opts_.samples = std::clamp(k, 1, opts_.max_samples);
 }
 
-StepProposal ProStrategy::propose() {
-  StepProposal p;
-  propose_into(p.configs);
-  return p;
-}
-
 void ProStrategy::propose_into(std::vector<Point>& out) {
   // Every processor runs one iteration each time step (paper §2): slots not
   // occupied by candidates run the incumbent, and the step cost is the max

@@ -92,7 +92,6 @@ class ProStrategy final : public TuningStrategy {
   void set_initial_simplex(Simplex s) { initial_override_ = std::move(s); }
 
   void start(std::size_t ranks) override;
-  StepProposal propose() override;
   void propose_into(std::vector<Point>& out) override;
   void observe(std::span<const double> times) override;
   const Point& best_point() const override;

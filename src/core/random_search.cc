@@ -19,12 +19,6 @@ void RandomSearchStrategy::start(std::size_t ranks) {
   }
 }
 
-StepProposal RandomSearchStrategy::propose() {
-  StepProposal p;
-  propose_into(p.configs);
-  return p;
-}
-
 void RandomSearchStrategy::propose_into(std::vector<Point>& out) {
   // Element-wise copy-assign: a warm buffer's Points are reused.
   out.resize(proposals_.size());

@@ -13,7 +13,6 @@ class RandomSearchStrategy final : public TuningStrategy {
   RandomSearchStrategy(ParameterSpace space, std::uint64_t seed);
 
   void start(std::size_t ranks) override;
-  StepProposal propose() override;
   void propose_into(std::vector<Point>& out) override;
   void observe(std::span<const double> times) override;
   const Point& best_point() const override { return best_point_; }

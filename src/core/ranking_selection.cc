@@ -73,12 +73,6 @@ std::size_t RankingSelectionStrategy::best_alive() const {
   return best;
 }
 
-StepProposal RankingSelectionStrategy::propose() {
-  StepProposal p;
-  propose_into(p.configs);
-  return p;
-}
-
 void RankingSelectionStrategy::propose_into(std::vector<Point>& out) {
   if (winner_ >= 0) {
     out.resize(ranks_);

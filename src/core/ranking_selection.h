@@ -55,7 +55,6 @@ class RankingSelectionStrategy final : public TuningStrategy {
   RankingSelectionStrategy(ParameterSpace space, RankingSelectionOptions opts);
 
   void start(std::size_t ranks) override;
-  StepProposal propose() override;
   void propose_into(std::vector<Point>& out) override;
   void observe(std::span<const double> times) override;
   const Point& best_point() const override;

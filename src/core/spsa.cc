@@ -64,12 +64,6 @@ void SpsaStrategy::prepare_probes() {
   minus_ = project_z(zm);
 }
 
-StepProposal SpsaStrategy::propose() {
-  StepProposal p;
-  propose_into(p.configs);
-  return p;
-}
-
 void SpsaStrategy::propose_into(std::vector<Point>& out) {
   if (frozen_) {
     out.resize(ranks_);

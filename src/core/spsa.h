@@ -42,7 +42,6 @@ class SpsaStrategy final : public TuningStrategy {
   SpsaStrategy(ParameterSpace space, SpsaOptions opts);
 
   void start(std::size_t ranks) override;
-  StepProposal propose() override;
   void propose_into(std::vector<Point>& out) override;
   void observe(std::span<const double> times) override;
   const Point& best_point() const override { return best_point_; }

@@ -43,12 +43,6 @@ void SroStrategy::begin_worst_move(double a, double b) {
   begin_batch();
 }
 
-StepProposal SroStrategy::propose() {
-  StepProposal p;
-  propose_into(p.configs);
-  return p;
-}
-
 void SroStrategy::propose_into(std::vector<Point>& out) {
   out.resize(ranks_);
   active_slots_ = phase_ == Phase::kDone ? 0 : batch_.next_assignment(out);

@@ -27,7 +27,6 @@ class SroStrategy final : public TuningStrategy {
   SroStrategy(ParameterSpace space, SroOptions opts);
 
   void start(std::size_t ranks) override;
-  StepProposal propose() override;
   void propose_into(std::vector<Point>& out) override;
   void observe(std::span<const double> times) override;
   const Point& best_point() const override { return simplex_.best(); }

@@ -36,19 +36,22 @@ class TuningStrategy {
   /// machine offers for concurrent evaluation.
   virtual void start(std::size_t ranks) = 0;
 
-  /// Assignment of configurations for the next application time step.
-  virtual StepProposal propose() = 0;
+  /// Fills `out` with the next application time step's assignment: one
+  /// configuration per busy rank, non-empty and no wider than the rank
+  /// count passed to start().  The one proposal entry point every strategy
+  /// implements and RoundEngine calls once per round.  `out` may arrive
+  /// holding a previous round's buffer: implementations must overwrite it
+  /// completely (resize + assign), never append, and reuse its capacity so
+  /// a warm tuning loop runs allocation-free.
+  virtual void propose_into(std::vector<Point>& out) = 0;
 
-  /// Non-allocating variant: fills `out` with the next step's assignment,
-  /// reusing its capacity.  Semantically identical to
-  /// `out = propose().configs`; strategies whose steady-state proposal is
-  /// cheap to materialise (FixedStrategy, converged engines pinning
-  /// best_point) override this so the tuning loop can run allocation-free.
-  /// Exactly one of propose()/propose_into() is consumed per round.  `out`
-  /// may arrive holding a previous round's buffer: implementations must
-  /// overwrite it completely (resize + assign), never append.
-  virtual void propose_into(std::vector<Point>& out) {
-    out = propose().configs;
+  /// Allocating convenience wrapper over propose_into() for tests and
+  /// one-off callers.  Virtual only because perfbench/trace.h's
+  /// TracedStrategy still overrides it; no strategy does.
+  virtual StepProposal propose() {
+    StepProposal p;
+    propose_into(p.configs);
+    return p;
   }
 
   /// Observed runtime of each config in the last proposal (same order).

@@ -386,29 +386,28 @@ void Server::fetch_into(std::size_t rank, core::Point& out) {
   }
 }
 
-bool Server::try_fetch_into(std::size_t rank, core::Point& out) {
-  obs::TraceContext ignored;
-  return try_fetch_into(rank, out, ignored);
-}
-
 bool Server::try_fetch_into(std::size_t rank, core::Point& out,
                             obs::TraceContext& trace) {
   obs::ScopedSpan span(obs::Tracer::global(), "harmony/fetch");
   const std::uint64_t entered = obs::LatencyClock::now();
   check_fetch_rank(rank);
-  if (fetch_fast(rank, out, entered)) {
-    const std::uint64_t id = round_trace_id(ranks_[rank].round);
-    trace = {id, id};
-    span.set_context(trace);
-    return true;
+  if (!fetch_fast(rank, out, entered)) {
+    const std::scoped_lock lock(mutex_);
+    if (!serve_locked(rank, out, entered)) return false;
   }
-  // Non-waiting slow path: the same protocol steps fetch_slow takes under
-  // the barrier lock — serve if the rank's round is open, re-enter a
-  // dropped/overtaken rank — except it returns false where fetch_slow
-  // would sleep on round_ready_.
-  const std::scoped_lock lock(mutex_);
+  // A fetch leaves rs.round at the round it served.
+  const std::uint64_t id = round_trace_id(ranks_[rank].round);
+  trace = {id, id};
+  span.set_context(trace);
+  return true;
+}
+
+bool Server::serve_locked(std::size_t rank, core::Point& out,
+                          std::uint64_t entered) {
   throw_if_failed_locked();
   RankState& rs = ranks_[rank];
+  // A rank may only fetch for the round it is in; it advances its round on
+  // report.  The server's round counter trails the slowest expected rank.
   const std::uint64_t cur = round_.load(std::memory_order_relaxed);
   if (rs.round == cur && engine_.expected(rank)) {
     if (rs.fetched) {
@@ -419,15 +418,11 @@ bool Server::try_fetch_into(std::size_t rank, core::Point& out,
     rs.fetched = true;
     out = engine_.assignment_for(rank);
     obs_fetch_ns_.record(elapsed_ns(entered));
-    const std::uint64_t id = round_trace_id(cur);
-    trace = {id, id};
-    span.set_context(trace);
     return true;
   }
   if (rs.round <= cur) {
     // Dropped, or overtaken because its round was deadline-closed beneath
-    // it: re-enter the session at the next round; the caller retries after
-    // the next publish.
+    // it: re-enter the session at the next round.
     rs.fetched = false;
     flight_.record("rank/reenter", options_.session,
                    static_cast<std::uint32_t>(rank), cur + 1);
@@ -441,30 +436,7 @@ bool Server::try_fetch_into(std::size_t rank, core::Point& out,
 void Server::fetch_slow(std::size_t rank, core::Point& out,
                         std::uint64_t entered) {
   std::unique_lock lock(mutex_);
-  RankState& rs = ranks_[rank];
-  // A rank may only fetch for the round it is in; it advances its round on
-  // report.  The server's round counter trails the slowest expected rank.
-  for (;;) {
-    throw_if_failed_locked();
-    const std::uint64_t cur = round_.load(std::memory_order_relaxed);
-    if (rs.round == cur && engine_.expected(rank)) {
-      if (rs.fetched) {
-        note_protocol_error("error/double-fetch", rank);
-        throw ProtocolError("fetch: rank " + std::to_string(rank) +
-                            " fetched twice without reporting");
-      }
-      break;
-    }
-    if (rs.round <= cur) {
-      // Dropped, or overtaken because its round was deadline-closed
-      // beneath it: re-enter the session at the next round.
-      rs.fetched = false;
-      flight_.record("rank/reenter", options_.session,
-                     static_cast<std::uint32_t>(rank), cur + 1);
-      engine_.reactivate(rank);
-      stat_active_.store(engine_.active_count(), std::memory_order_relaxed);
-      rs.round = cur + 1;
-    }
+  while (!serve_locked(rank, out, entered)) {
     if (deadline_enabled()) {
       if (round_ready_.wait_until(lock, deadline_locked()) ==
           std::cv_status::timeout) {
@@ -474,9 +446,6 @@ void Server::fetch_slow(std::size_t rank, core::Point& out,
       round_ready_.wait(lock);
     }
   }
-  rs.fetched = true;
-  out = engine_.assignment_for(rank);
-  obs_fetch_ns_.record(elapsed_ns(entered));
 }
 
 void Server::report(std::size_t rank, double time) {

@@ -144,12 +144,9 @@ class Server {
   /// it would in fetch(): the first call reactivates it and returns false,
   /// a retry after the next publish succeeds.  Protocol violations throw
   /// ProtocolError just like fetch(); unlike fetch() this never sleeps, so
-  /// a deadline must be enforced externally via tick().
-  bool try_fetch_into(std::size_t rank, core::Point& out);
-
-  /// try_fetch_into that additionally reports the served round's trace
-  /// context (DESIGN.md §15), so a wire transport can hand the client the
-  /// ids its own spans must join.  `trace` is filled only on success.
+  /// a deadline must be enforced externally via tick().  On success `trace`
+  /// receives the served round's trace context (DESIGN.md §15), so a wire
+  /// transport can hand the client the ids its own spans must join.
   bool try_fetch_into(std::size_t rank, core::Point& out,
                       obs::TraceContext& trace);
 
@@ -284,7 +281,13 @@ class Server {
   /// gate; false when the caller must take the slow (mutex) path.
   /// `entered` is the obs::LatencyClock stamp taken at fetch entry.
   bool fetch_fast(std::size_t rank, core::Point& out, std::uint64_t entered);
-  /// Slow fetch path: blocked waiters, rank re-entry, failure reporting.
+  /// The locked fetch step shared by fetch_slow and try_fetch_into: serves
+  /// the rank's open round (true), or returns false when the rank must wait
+  /// for a later round, first re-entering it at the next round if it was
+  /// dropped or overtaken.  Throws on a poisoned session or a double fetch.
+  bool serve_locked(std::size_t rank, core::Point& out, std::uint64_t entered);
+  /// Blocking slow path: serve_locked until it serves, waiting on
+  /// round_ready_ (or enforcing the deadline) between tries.
   void fetch_slow(std::size_t rank, core::Point& out, std::uint64_t entered);
   void check_fetch_rank(std::size_t rank) const;
   void refresh_stats_cache_locked(double last_cost);

@@ -385,9 +385,10 @@ int NetServer::entry_index_for(std::string_view name) {
   }
   SessionEntry& e = sessions_[i];
   if (e.server != server) {
-    // A new entry, or its session was removed and re-created under the
-    // same name.  remove() required a zero attach count, so no connection
-    // still uses the old server; rebinding drops the loop's pin on it.
+    // A new entry, a released one, or its session was removed and
+    // re-created under the same name.  remove() required a zero attach
+    // count, so no connection still uses the old server; rebinding drops
+    // the loop's pin on it.
     e.server = std::move(server);
     e.last_rounds = e.server->rounds_completed();
     e.last_advance = std::chrono::steady_clock::now();
@@ -547,7 +548,9 @@ void NetServer::handle_http(Connection* c) {
   }
   if (path == "/healthz") {
     bool stalled = false;
-    for (const SessionEntry& e : sessions_) stalled = stalled || e.stalled;
+    for (const SessionEntry& e : sessions_) {
+      stalled = stalled || (e.server && e.stalled);
+    }
     if (stalled) {
       http_respond(c, 503, "Service Unavailable", "text/plain", "stalled\n");
     } else {
@@ -645,6 +648,15 @@ void NetServer::retry_parked(SessionEntry& e) {
 void NetServer::sweep_sessions(bool tick_due) {
   const auto now = std::chrono::steady_clock::now();
   for (SessionEntry& e : sessions_) {
+    if (!e.server) continue;  // released; the next attach rebinds it
+    if (tick_due && e.attached_conns == 0 && e.parked.empty() &&
+        manager_.find(e.name) != e.server) {
+      // Removed (or replaced) with nobody attached: drop the loop's pin so
+      // the server is freed.  The slot stays because Connection::entry
+      // indexes sessions_.
+      e.server.reset();
+      continue;
+    }
     if (tick_due) {
       try {
         e.server->tick();

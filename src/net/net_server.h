@@ -155,6 +155,8 @@ class NetServer {
   // list and the round counter watermark that triggers its retry sweep.
   struct SessionEntry {
     std::string name;
+    /// Null once the session was removed with nobody attached (released at
+    /// the next due tick); the next attach under `name` rebinds it.
     std::shared_ptr<harmony::Server> server;
     obs::Histogram* fetch_wire_ns = nullptr;
     obs::Histogram* report_wire_ns = nullptr;

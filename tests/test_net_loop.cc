@@ -323,6 +323,33 @@ TEST(NetLoop, RecreatedSessionIsServedByTheNewServer) {
   EXPECT_EQ(first.use_count(), 1) << "the loop still pins the removed server";
 }
 
+TEST(NetLoop, RemovedSessionIsReleasedByTheLoop) {
+  LoopFixture fx;
+  std::weak_ptr<harmony::Server> gone;
+  {
+    std::shared_ptr<harmony::Server> hosted = fx.host("transient", 1);
+    gone = hosted;
+    net::HarmonyClient client(fx.client_options());
+    client.attach("transient", 0);
+    Point cfg;
+    client.fetch_into(0, cfg);
+    client.report(0, 1.0);
+    client.detach(0);
+  }
+  while (fx.manager.stats("transient").attached != 0) {
+    std::this_thread::yield();
+  }
+  ASSERT_TRUE(fx.manager.remove("transient"));
+  // Only the loop can still hold the server now; it must let go on its own
+  // (at a due tick) without the name ever being attached again.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!gone.expired() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  EXPECT_TRUE(gone.expired()) << "the loop still pins the removed server";
+}
+
 const obs::InstrumentSnapshot* find_with_client_label(
     const obs::RegistrySnapshot& snap, std::string_view name,
     std::string_view client) {

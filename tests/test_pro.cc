@@ -67,7 +67,7 @@ TEST(Pro, TotalTimeDecreasesVersusFixedCenterStart) {
    public:
     explicit CenterStrategy(Point c) : c_(std::move(c)) {}
     void start(std::size_t) override {}
-    StepProposal propose() override { return {.configs = {c_}}; }
+    void propose_into(std::vector<Point>& out) override { out.assign(1, c_); }
     void observe(std::span<const double>) override {}
     const Point& best_point() const override { return c_; }
     double best_estimate() const override { return 0.0; }

@@ -31,7 +31,7 @@ class SpyStrategy final : public core::TuningStrategy {
       : proposal_(std::move(proposal)), best_(proposal_.front()) {}
 
   void start(std::size_t) override {}
-  core::StepProposal propose() override { return {.configs = proposal_}; }
+  void propose_into(std::vector<Point>& out) override { out = proposal_; }
   void observe(std::span<const double> times) override {
     observed.emplace_back(times.begin(), times.end());
   }

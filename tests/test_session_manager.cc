@@ -285,6 +285,39 @@ TEST(Server, DroppedRankReentersAtTheNextRound) {
   EXPECT_DOUBLE_EQ(server.step_costs()[2], 4.0);
 }
 
+TEST(Server, TryFetchReentersAndRejectsDoubleFetchLikeFetch) {
+  // The event-loop fetch takes the same locked step as fetch(): a dropped
+  // rank is readmitted without blocking, served once the round it joined
+  // opens, and a second fetch without a report is a ProtocolError.
+  Server server(fixed(1.0), 4,
+                deadline_options(0.005, StragglerPolicy::kShrink));
+  for (std::size_t r = 0; r < 4; ++r) (void)server.fetch(r);
+  for (std::size_t r = 0; r < 3; ++r) server.report(r, 1.0);
+  while (!server.tick()) std::this_thread::yield();  // rank 3 dropped
+  ASSERT_EQ(server.active_ranks(), 3u);
+
+  Point cfg;
+  obs::TraceContext trace;
+  EXPECT_FALSE(server.try_fetch_into(3, cfg, trace));  // re-enters round 2
+  EXPECT_EQ(server.active_ranks(), 4u);
+  EXPECT_FALSE(server.try_fetch_into(3, cfg, trace));  // round 1 still open
+  EXPECT_EQ(server.active_ranks(), 4u);
+
+  // The survivors close round 1, which opens round 2 with rank 3 in it.
+  for (std::size_t r = 0; r < 3; ++r) (void)server.fetch(r);
+  for (std::size_t r = 0; r < 3; ++r) server.report(r, 1.0);
+  ASSERT_EQ(server.rounds_completed(), 2u);
+  ASSERT_TRUE(server.try_fetch_into(3, cfg, trace));
+  EXPECT_EQ(cfg, Point{1.0});
+  EXPECT_EQ(trace.trace_id, server.round_trace_id(2));
+  EXPECT_THROW((void)server.try_fetch_into(3, cfg, trace), ProtocolError);
+
+  for (std::size_t r = 0; r < 3; ++r) (void)server.fetch(r);
+  for (std::size_t r = 0; r < 4; ++r) server.report(r, 2.0);
+  EXPECT_EQ(server.rounds_completed(), 3u);
+  EXPECT_DOUBLE_EQ(server.step_costs()[2], 2.0);
+}
+
 TEST(Server, FailPolicyPoisonsTheSession) {
   Server server(fixed(1.0), 2,
                 deadline_options(0.05, StragglerPolicy::kFail));

@@ -355,12 +355,11 @@ TEST(CleanTimeCache, ReplaysRepeatedBatches) {
 }
 
 TEST(Strategy, ProposeIntoOverridesAreAllocationFree) {
-  // The TuningStrategy base class's propose_into default materialises a
-  // fresh StepProposal (and its Points) on every call — an allocation trap
-  // for any engine recycling its buffers.  Annealing, genetic, compass,
-  // PRO, SRO, Nelder-Mead and random search override it to copy into the
-  // caller's storage; once the buffer and its points are warm, the call
-  // must be heap-silent in every phase.
+  // propose_into is the one proposal entry point, and the engine recycles
+  // its buffer every round.  Annealing, genetic, compass, PRO, SRO,
+  // Nelder-Mead and random search copy-assign into the caller's storage;
+  // once the buffer and its points are warm, the call must be heap-silent
+  // in every phase.
   const core::ParameterSpace space({
       core::Parameter::integer("i", 0, 15),
       core::Parameter::continuous("c", -1.0, 1.0),
@@ -493,9 +492,9 @@ std::size_t optimizer_iterations(const core::TuningStrategy& s) {
   return 0;
 }
 
-TEST(Strategy, ProposeIntoMatchesProposeOverWholeSessions) {
-  // Two identically seeded instances, one driven through propose() and one
-  // through propose_into() with a deliberately hostile recycled buffer:
+TEST(Strategy, RecycledBufferMatchesFreshBufferOverWholeSessions) {
+  // Two identically seeded instances, one writing into a fresh empty vector
+  // every round and one into a deliberately hostile recycled buffer:
   // oversized, with extra entries and Points of the wrong dimension.  The
   // assignments must agree every round and the sessions must end in the
   // same state.  racing and parallel_replicas produce slot maps shorter
@@ -521,7 +520,8 @@ TEST(Strategy, ProposeIntoMatchesProposeOverWholeSessions) {
         recycled.resize(ranks + 3, Point(7, -1.0));
         recycled.front().assign(1, 42.0);
         recycled.back().clear();
-        const std::vector<Point> configs = a->propose().configs;
+        std::vector<Point> configs;
+        a->propose_into(configs);
         b->propose_into(recycled);
         ASSERT_EQ(configs, recycled) << "round " << round;
         const std::vector<double> times = machine.run_step(configs);
@@ -536,18 +536,20 @@ TEST(Strategy, ProposeIntoMatchesProposeOverWholeSessions) {
   }
 }
 
-TEST(Strategy, ProposeIntoMatchesPropose) {
+TEST(Strategy, FixedProposeIntoOverwritesRecycledBuffer) {
   FixedStrategy a(Point{1.0, 2.0}), b(Point{1.0, 2.0});
   a.start(5);
   b.start(5);
-  const std::vector<Point> via_propose = a.propose().configs;
-  std::vector<Point> via_into;
-  b.propose_into(via_into);
-  EXPECT_EQ(via_propose, via_into);
+  std::vector<Point> fresh;
+  a.propose_into(fresh);
+  EXPECT_EQ(fresh, std::vector<Point>(5, Point{1.0, 2.0}));
   // Recycled buffers are overwritten completely, never appended to.
-  via_into.push_back(Point{9.0});
-  b.propose_into(via_into);
-  EXPECT_EQ(via_propose, via_into);
+  std::vector<Point> recycled(7, Point{9.0});
+  b.propose_into(recycled);
+  EXPECT_EQ(fresh, recycled);
+  recycled.push_back(Point{9.0});
+  b.propose_into(recycled);
+  EXPECT_EQ(fresh, recycled);
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Digests of the artefacts that pin the reproduction's behaviour: the 16
-# figure/ablation harness outputs and `harmony_distributed --selfcheck` at
-# 8 and 64 clients.  A change that claims to keep behaviour byte-identical
+# figure/ablation harness outputs, `harmony_distributed --selfcheck` at
+# 8 and 64 clients, and one `tuning_shootout --smoke` run over all 11
+# registered strategies (the harnesses never run grid, SPSA or
+# ranking-selection).  A change that claims to keep behaviour byte-identical
 # (a refactor, a deletion, a performance change) must leave every digest
 # unchanged.
 #
@@ -25,6 +27,7 @@ readonly HARNESSES=(
   ablation_expansion_check ablation_probe_policy ablation_queue_model
   ablation_sampling_modes extension_adaptive_k extension_racing
 )
+readonly SHOOTOUT_STRATEGIES='pro;sro;nm:iters=150;compass;anneal;genetic;random;grid;spsa;rs:m=10,n0=3;fixed'
 readonly VOLATILE='wall|elapsed|threads?[[:space:]]*[=:][[:space:]]*[0-9]'
 
 usage() {
@@ -62,6 +65,9 @@ digests() {
       "$dir/examples/harmony_distributed" --selfcheck --clients "$clients" ||
       rc=1
   done
+  digest "tuning_shootout --smoke (11 strategies)" \
+    "$dir/examples/tuning_shootout" --smoke \
+    "--strategies=$SHOOTOUT_STRATEGIES" || rc=1
   return "$rc"
 }
 
