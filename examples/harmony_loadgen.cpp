@@ -5,8 +5,8 @@
 // numbers interactively:
 //
 //   harmony_loadgen --sessions 8 --ranks 64 --rounds 200 --workers 4
-//   harmony_loadgen --sessions 4 --ranks 16 --monitor --tick-hz 1000 \
-//       --timeout-ms 50
+//   harmony_loadgen --sessions 4 --ranks 16 --monitor --tick-hz 1000
+//       --timeout-ms 50                 # one command line
 //
 // All results come from the obs:: histograms the servers publish anyway
 // (aggregated across session labels), so what this prints is exactly what

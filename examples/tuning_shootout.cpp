@@ -5,9 +5,10 @@
 //   tuning_shootout --smoke             # CI-sized matrix (~1 s)
 //   tuning_shootout --json=OUT.json     # also write a JSON summary
 //   tuning_shootout --list              # print every registered spec family
-//   tuning_shootout --strategies=pro,spsa --landscapes=quad:dims=2 \
-//       --noises=none --steps=60        # custom cells (';'-separated specs
-//                                       # when a spec itself contains ',')
+//   tuning_shootout --strategies=pro,spsa --landscapes=quad:dims=2
+//       --noises=none --steps=60        # custom cells, one command line
+//                                       # (';'-separated specs when a spec
+//                                       # itself contains ',')
 #include <fstream>
 #include <iostream>
 #include <string>

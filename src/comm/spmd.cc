@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <numeric>
 #include <thread>
 
 namespace protuner::comm {
@@ -21,50 +20,13 @@ Communicator::Communicator(World& world, std::size_t rank)
 
 std::size_t Communicator::size() const { return world_.size(); }
 
-void Communicator::barrier() { world_.sync(); }
-
-// All collectives share the pattern: write own slot, barrier (everyone
-// wrote), read/combine, barrier (safe to reuse the slots).
-
+// Write own slot, barrier (everyone wrote), combine, barrier (safe to
+// reuse the slots).
 double Communicator::allreduce_max(double v) {
   world_.slots_[rank_] = v;
   world_.sync();
   const double r =
       *std::max_element(world_.slots_.begin(), world_.slots_.end());
-  world_.sync();
-  return r;
-}
-
-double Communicator::allreduce_min(double v) {
-  world_.slots_[rank_] = v;
-  world_.sync();
-  const double r =
-      *std::min_element(world_.slots_.begin(), world_.slots_.end());
-  world_.sync();
-  return r;
-}
-
-double Communicator::allreduce_sum(double v) {
-  world_.slots_[rank_] = v;
-  world_.sync();
-  const double r =
-      std::accumulate(world_.slots_.begin(), world_.slots_.end(), 0.0);
-  world_.sync();
-  return r;
-}
-
-std::vector<double> Communicator::allgather(double v) {
-  world_.slots_[rank_] = v;
-  world_.sync();
-  std::vector<double> out = world_.slots_;
-  world_.sync();
-  return out;
-}
-
-double Communicator::broadcast(double v, std::size_t root) {
-  if (rank_ == root) world_.slots_[root] = v;
-  world_.sync();
-  const double r = world_.slots_[root];
   world_.sync();
   return r;
 }

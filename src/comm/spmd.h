@@ -4,8 +4,8 @@
 // the discrete-event cluster simulator.
 //
 // Model: spmd_run(P, fn) launches P ranks; each receives a Communicator
-// with rank/size, barrier, allreduce(min/max/sum), allgather and broadcast.
-// Collectives must be called by every rank in the same order (as in MPI).
+// with rank/size and one collective, allreduce_max.  A collective must be
+// called by every rank in the same order (as in MPI).
 #pragma once
 
 #include <barrier>
@@ -25,20 +25,8 @@ class Communicator {
   std::size_t rank() const { return rank_; }
   std::size_t size() const;
 
-  /// Blocks until every rank arrives.
-  void barrier();
-
-  /// Collective reductions over one double per rank.
+  /// Collective reduction: every rank returns the maximum of all ranks' v.
   double allreduce_max(double v);
-  double allreduce_min(double v);
-  double allreduce_sum(double v);
-
-  /// Every rank receives the vector of all ranks' contributions, ordered by
-  /// rank.
-  std::vector<double> allgather(double v);
-
-  /// Every rank returns root's value.
-  double broadcast(double v, std::size_t root);
 
  private:
   World& world_;

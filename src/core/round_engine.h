@@ -1,7 +1,7 @@
 // The tuning round lifecycle, extracted into one engine (paper §2).
 //
 // Every driver in the system — the synchronous run_session loop, the
-// Harmony client/server front end, the message-passing server rank and the
+// Harmony client/server front end (in-process and over the wire) and the
 // bench harnesses — advances an application through the same
 // bulk-synchronous round:
 //
@@ -64,7 +64,8 @@ struct RoundEngineOptions {
   bool pad_assignment = false;
   /// Keep the per-step T_k / cumulative series (off to save memory).
   bool record_series = true;
-  /// Optional telemetry hook, invoked from close_round().
+  /// Optional caller callback (CSV logging, a convergence watch), invoked
+  /// from close_round().  The engine's own instruments below need none.
   SessionObserver* observer = nullptr;
   /// A straggler's imputed time is (max time observed this round) × this
   /// factor; must be >= 1 so imputation never under-states the step cost.

@@ -33,8 +33,9 @@ struct SessionResult {
 };
 
 /// Hook into the tuning loop: invoked synchronously by run_session.
-/// Implement to stream per-step telemetry (see CsvSessionLogger) or to
-/// watch for convergence.
+/// Implement to log each step (see CsvSessionLogger) or to watch for
+/// convergence.  Round counts and T_k are already recorded by RoundEngine's
+/// own instruments.
 class SessionObserver {
  public:
   virtual ~SessionObserver() = default;
@@ -59,7 +60,7 @@ class SessionObserver {
 struct SessionOptions {
   std::size_t steps = 100;      ///< K: application time steps to run
   bool record_series = true;    ///< keep per-step series (off to save memory)
-  SessionObserver* observer = nullptr;  ///< optional telemetry hook
+  SessionObserver* observer = nullptr;  ///< optional caller callback
 };
 
 /// Drives `strategy` against `machine` for the configured number of steps.

@@ -2,42 +2,25 @@
 
 #include <algorithm>
 #include <ostream>
+#include <vector>
 
 namespace protuner::core {
 
-CsvSessionLogger::CsvSessionLogger(std::ostream& out, SessionObserver* next)
-    : csv_(out), next_(next) {
+CsvSessionLogger::CsvSessionLogger(std::ostream& out) : csv_(out) {
   csv_.header({"step", "cost", "cumulative", "distinct_configs"});
 }
 
 void CsvSessionLogger::on_step(std::size_t step, std::span<const Point> configs,
-                               std::span<const double> times, double cost) {
+                               std::span<const double>, double cost) {
   cumulative_ += cost;
   std::vector<Point> uniq(configs.begin(), configs.end());
   std::sort(uniq.begin(), uniq.end());
   uniq.erase(std::unique(uniq.begin(), uniq.end()), uniq.end());
   csv_.row(step, cost, cumulative_, uniq.size());
-  if (next_ != nullptr) next_->on_step(step, configs, times, cost);
 }
 
-void CsvSessionLogger::on_converged(std::size_t step, const Point& best) {
+void CsvSessionLogger::on_converged(std::size_t step, const Point&) {
   converged_at_ = step;
-  if (next_ != nullptr) next_->on_converged(step, best);
-}
-
-ConfigChangeTracker::ConfigChangeTracker(SessionObserver* next) : next_(next) {}
-
-void ConfigChangeTracker::on_step(std::size_t step,
-                                  std::span<const Point> configs,
-                                  std::span<const double> times, double cost) {
-  if (history_.empty() || history_.back().second != configs.front()) {
-    history_.emplace_back(step, configs.front());
-  }
-  if (next_ != nullptr) next_->on_step(step, configs, times, cost);
-}
-
-void ConfigChangeTracker::on_converged(std::size_t step, const Point& best) {
-  if (next_ != nullptr) next_->on_converged(step, best);
 }
 
 }  // namespace protuner::core

@@ -97,8 +97,9 @@ struct ServerOptions {
   /// A straggler's imputed time is max-of-observed × this factor (>= 1).
   double impute_penalty = 1.5;
   StragglerPolicy straggler_policy = StragglerPolicy::kShrink;
-  /// Per-step telemetry hook, invoked under the server lock when a round
-  /// closes — the same fan-out run_session-driven sessions get.
+  /// Per-step caller callback (e.g. CSV logging), invoked under the server
+  /// lock when a round closes — the same fan-out run_session-driven
+  /// sessions get.
   core::SessionObserver* observer = nullptr;
   /// Keep the per-step T_k series (step_costs()); off to save memory on
   /// very long sessions.

@@ -18,14 +18,4 @@ inline long env_long(const char* name, long fallback) {
   return (end != nullptr && *end == '\0') ? parsed : fallback;
 }
 
-/// Reads a double environment variable, returning `fallback` when unset or
-/// unparsable.
-inline double env_double(const char* name, double fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  char* end = nullptr;
-  const double parsed = std::strtod(v, &end);
-  return (end != nullptr && *end == '\0') ? parsed : fallback;
-}
-
 }  // namespace protuner::util

@@ -42,7 +42,9 @@ TEST(FlightRecorder, RingWrapKeepsTheNewestEvents) {
     EXPECT_EQ(events[i].rank, n);
     EXPECT_STREQ(events[i].kind, kKinds[n % 3]);
     EXPECT_DOUBLE_EQ(events[i].value, static_cast<double>(n));
-    if (i > 0) EXPECT_GE(events[i].ts_ns, events[i - 1].ts_ns);
+    if (i > 0) {
+      EXPECT_GE(events[i].ts_ns, events[i - 1].ts_ns);
+    }
   }
   rec.clear();
   EXPECT_TRUE(rec.snapshot().empty());
@@ -115,7 +117,8 @@ TEST(FlightRecorder, ConcurrentRecordAndSnapshotStayConsistent) {
   std::thread writer([&rec, &stop] {
     std::uint32_t i = 0;
     while (!stop.load(std::memory_order_relaxed)) {
-      rec.record("round/open", "hammer", i++, i);
+      const std::uint32_t n = i++;
+      rec.record("round/open", "hammer", n, n);
     }
   });
   for (int i = 0; i < 200; ++i) {

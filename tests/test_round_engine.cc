@@ -1,6 +1,5 @@
 // Tests for core::RoundEngine: the extracted round lifecycle state machine
-// every driver (run_session, harmony::Server, message server, benches)
-// advances through.
+// every driver (run_session, harmony::Server, benches) advances through.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -12,6 +11,7 @@
 #include "core/pro.h"
 #include "core/round_engine.h"
 #include "core/session.h"
+#include "obs/metrics.h"
 #include "varmodel/noise_model.h"
 
 namespace protuner {
@@ -191,6 +191,34 @@ TEST(RoundEngine, ImputeMissingUsesMaxObservedTimesPenalty) {
   EXPECT_EQ(imputed, (std::vector<std::size_t>{3}));
   ASSERT_TRUE(engine.complete());
   EXPECT_DOUBLE_EQ(engine.close_round(), 4.5);  // 3.0 × 1.5 penalty
+}
+
+TEST(RoundEngine, InstrumentsRecordRoundCostAndImputedSlots) {
+  // The engine's own instruments are the one per-step telemetry source:
+  // one round, its T_k, and how many slots imputation filled.
+  obs::Registry registry;
+  RoundEngineOptions options = padded(4);
+  options.metrics = &registry;
+  options.session = "probe";
+  core::FixedStrategy fixed(Point{1.0});
+  RoundEngine engine(fixed, options);
+  engine.open_round();
+  engine.submit(0, 1.0);
+  engine.submit(2, 2.0);
+  const std::vector<std::size_t> imputed = engine.impute_missing();
+  ASSERT_EQ(imputed.size(), 2u);
+  const double cost = engine.close_round();
+  EXPECT_DOUBLE_EQ(cost, 3.0);  // 2.0 × 1.5 penalty
+
+  const obs::Labels labels{{"session", "probe"}};
+  EXPECT_EQ(registry.counter("protuner_rounds_total", {}, labels).value(), 1u);
+  const obs::HistogramSnapshot round_cost =
+      registry.histogram("protuner_round_cost", {}, labels).snapshot();
+  EXPECT_EQ(round_cost.count, 1u);
+  EXPECT_DOUBLE_EQ(round_cost.max, cost);
+  EXPECT_EQ(
+      registry.counter("protuner_imputed_slots_total", {}, labels).value(),
+      imputed.size());
 }
 
 TEST(RoundEngine, ImputeFallsBackToPreviousRoundCost) {

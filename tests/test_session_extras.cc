@@ -101,21 +101,6 @@ TEST(CsvSessionLogger, ProducesHeaderAndRows) {
   EXPECT_NEAR(logger.cumulative(), 7.5, 1e-9);
 }
 
-TEST(ConfigChangeTracker, RecordsChangesOnly) {
-  core::ConfigChangeTracker tracker;
-  auto land = flat(1.0);
-  cluster::SimulatedCluster machine(land,
-                                    std::make_shared<varmodel::NoNoise>(),
-                                    {.ranks = 2, .seed = 4});
-  core::FixedStrategy fx(core::Point{7.0});
-  core::SessionOptions so;
-  so.steps = 20;
-  so.observer = &tracker;
-  (void)core::run_session(fx, machine, so);
-  ASSERT_EQ(tracker.history().size(), 1u);  // fixed config never changes
-  EXPECT_EQ(tracker.history()[0].second, (core::Point{7.0}));
-}
-
 // -------------------------------------------------------------- TraceCluster
 
 TEST(TraceCluster, TimesAtLeastCleanMinusJitterFloor) {

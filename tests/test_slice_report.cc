@@ -1,5 +1,4 @@
-// Tests for the 2-D slice utilities, AR(1) noise and the tuning report
-// formatter.
+// Tests for the 2-D slice utilities and AR(1) noise.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -8,13 +7,11 @@
 #include "core/landscape.h"
 #include "core/pro.h"
 #include "core/session.h"
-#include "core/tuning_report.h"
 #include "gs2/slice.h"
 #include "gs2/surface.h"
 #include "stats/autocorr.h"
 #include "util/summary.h"
 #include "varmodel/ar1_noise.h"
-#include "varmodel/noise_model.h"
 
 namespace protuner {
 namespace {
@@ -120,56 +117,6 @@ TEST(Ar1Noise, ProStillTunesUnderTemporalCorrelation) {
   core::ProStrategy pro(space, opts);
   const auto r = core::run_session(pro, machine, {.steps = 250});
   EXPECT_LT(r.best_clean, land->clean_time(space.center()));
-}
-
-// -------------------------------------------------------------------- report
-
-TEST(TuningReport, ContainsTheEssentials) {
-  const core::ParameterSpace space({core::Parameter::integer("a", 0, 20),
-                                    core::Parameter::integer("b", 0, 20)});
-  auto land = std::make_shared<core::QuadraticLandscape>(
-      core::Point{6.0, 14.0}, 1.0, 0.2);
-  cluster::SimulatedCluster machine(
-      land, std::make_shared<varmodel::NoNoise>(), {.ranks = 8, .seed = 5});
-  core::ProStrategy pro(space, {});
-  const auto r = core::run_session(pro, machine, {.steps = 200});
-
-  const std::string report = core::format_tuning_report(space, *land, r);
-  EXPECT_NE(report.find("a=6"), std::string::npos);
-  EXPECT_NE(report.find("b=14"), std::string::npos);
-  EXPECT_NE(report.find("% better"), std::string::npos);
-  EXPECT_NE(report.find("converged (certified)"), std::string::npos);
-  EXPECT_NE(report.find("sensitivity"), std::string::npos);
-  EXPECT_NE(report.find("locally optimal"), std::string::npos);
-}
-
-TEST(TuningReport, ReportsNonConvergence) {
-  const core::ParameterSpace space({core::Parameter::integer("a", 0, 20),
-                                    core::Parameter::integer("b", 0, 20)});
-  auto land = std::make_shared<core::QuadraticLandscape>(
-      core::Point{6.0, 14.0}, 1.0, 0.2);
-  cluster::SimulatedCluster machine(
-      land, std::make_shared<varmodel::NoNoise>(), {.ranks = 8, .seed = 6});
-  core::ProStrategy pro(space, {});
-  const auto r = core::run_session(pro, machine, {.steps = 3});  // too short
-  const std::string report = core::format_tuning_report(space, *land, r);
-  EXPECT_NE(report.find("did not certify"), std::string::npos);
-}
-
-TEST(TuningReport, SensitivityCanBeDisabled) {
-  const core::ParameterSpace space({core::Parameter::integer("a", 0, 20),
-                                    core::Parameter::integer("b", 0, 20)});
-  auto land = std::make_shared<core::QuadraticLandscape>(
-      core::Point{5.0, 5.0}, 1.0, 0.2);
-  cluster::SimulatedCluster machine(
-      land, std::make_shared<varmodel::NoNoise>(), {.ranks = 8, .seed = 7});
-  core::ProStrategy pro(space, {});
-  const auto r = core::run_session(pro, machine, {.steps = 100});
-  core::TuningReportOptions opt;
-  opt.include_sensitivity = false;
-  const std::string report =
-      core::format_tuning_report(space, *land, r, opt);
-  EXPECT_EQ(report.find("sensitivity"), std::string::npos);
 }
 
 }  // namespace

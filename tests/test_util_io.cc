@@ -104,13 +104,5 @@ TEST(Env, LongParsesAndFallsBack) {
   EXPECT_EQ(env_long("PROTUNER_TEST_LONG", 7), 7);
 }
 
-TEST(Env, DoubleParsesAndFallsBack) {
-  ::setenv("PROTUNER_TEST_DBL", "2.5", 1);
-  EXPECT_DOUBLE_EQ(env_double("PROTUNER_TEST_DBL", 1.0), 2.5);
-  ::setenv("PROTUNER_TEST_DBL", "2.5x", 1);
-  EXPECT_DOUBLE_EQ(env_double("PROTUNER_TEST_DBL", 1.0), 1.0);
-  ::unsetenv("PROTUNER_TEST_DBL");
-}
-
 }  // namespace
 }  // namespace protuner::util
