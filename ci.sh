@@ -9,8 +9,15 @@
 #   ubsan    UndefinedBehaviorSanitizer build (a report aborts the
 #            test), full ctest suite
 #
+# Every leg builds and tests in parallel: CMAKE_BUILD_PARALLEL_LEVEL and
+# CTEST_PARALLEL_LEVEL default to the core count when unset (the presets
+# set no `jobs`, so CMake would otherwise build and test serially).
+#
 # Usage: ./ci.sh            (from the repository root)
 set -e
+: "${CMAKE_BUILD_PARALLEL_LEVEL:=$(nproc)}"
+: "${CTEST_PARALLEL_LEVEL:=$(nproc)}"
+export CMAKE_BUILD_PARALLEL_LEVEL CTEST_PARALLEL_LEVEL
 for wf in ci ci-tsan ci-asan ci-ubsan; do
   echo "==== cmake --workflow --preset ${wf} ===="
   cmake --workflow --preset "${wf}"

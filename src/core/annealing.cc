@@ -1,9 +1,8 @@
 #include "core/annealing.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
-
-#include "core/projection.h"
 
 namespace protuner::core {
 
@@ -38,26 +37,28 @@ void AnnealingStrategy::propose_into(std::vector<Point>& out) {
   for (std::size_t r = 0; r < proposals_.size(); ++r) out[r] = proposals_[r];
 }
 
-Point AnnealingStrategy::neighbor(const Point& x, util::Rng& rng) const {
-  Point p = x;
+void AnnealingStrategy::neighbor_into(const Point& x, util::Rng& rng,
+                                      Point& out) const {
+  out = x;
   // Move probability / step size shrink with step_scale_ so late proposals
   // hug the incumbent and the tail iteration cost settles.
   const double move_prob = 0.45 * step_scale_;
-  for (std::size_t i = 0; i < p.size(); ++i) {
+  for (std::size_t i = 0; i < out.size(); ++i) {
     const Parameter& par = space_.param(i);
     if (par.is_discrete_kind()) {
       const double u = rng.uniform();
       if (u < move_prob) {
-        p[i] = par.neighbor_above(p[i]);
+        out[i] = par.neighbor_above(out[i]);
       } else if (u < 2.0 * move_prob) {
-        p[i] = par.neighbor_below(p[i]);
+        out[i] = par.neighbor_below(out[i]);
       }
     } else {
-      p[i] +=
-          rng.normal(0.0, opts_.step_fraction * step_scale_ * par.range());
+      out[i] = std::clamp(
+          out[i] +
+              rng.normal(0.0, opts_.step_fraction * step_scale_ * par.range()),
+          par.lower(), par.upper());
     }
   }
-  return project(space_, x, p);
 }
 
 void AnnealingStrategy::observe(std::span<const double> times) {
@@ -99,7 +100,7 @@ void AnnealingStrategy::observe(std::span<const double> times) {
     }
   }
   for (std::size_t r = 0; r < current_.size(); ++r) {
-    proposals_[r] = neighbor(current_[r], rngs_[r]);
+    neighbor_into(current_[r], rngs_[r], proposals_[r]);
   }
 }
 

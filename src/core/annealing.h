@@ -40,7 +40,11 @@ class AnnealingStrategy final : public TuningStrategy {
   std::string name() const override { return "SimulatedAnnealing"; }
 
  private:
-  Point neighbor(const Point& x, util::Rng& rng) const;
+  /// Writes a neighbour of the admissible point x into `out` (not x),
+  /// reusing its storage.  Discrete moves step between admissible values
+  /// and continuous moves are clamped, so the result is admissible with no
+  /// projection.
+  void neighbor_into(const Point& x, util::Rng& rng, Point& out) const;
 
   ParameterSpace space_;
   AnnealingOptions opts_;

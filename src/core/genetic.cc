@@ -4,8 +4,6 @@
 #include <cassert>
 #include <numeric>
 
-#include "core/projection.h"
-
 namespace protuner::core {
 
 GeneticStrategy::GeneticStrategy(ParameterSpace space, GeneticOptions opts)
@@ -46,7 +44,7 @@ std::size_t GeneticStrategy::select_parent(std::span<const double> fitness) {
   return winner;
 }
 
-Point GeneticStrategy::mutate(Point x) {
+void GeneticStrategy::mutate(Point& x) {
   for (std::size_t i = 0; i < x.size(); ++i) {
     if (!rng_.bernoulli(opts_.mutation_rate)) continue;
     const Parameter& par = space_.param(i);
@@ -54,10 +52,10 @@ Point GeneticStrategy::mutate(Point x) {
       x[i] = rng_.bernoulli(0.5) ? par.neighbor_above(x[i])
                                  : par.neighbor_below(x[i]);
     } else {
-      x[i] += rng_.normal(0.0, 0.1 * par.range());
+      x[i] = std::clamp(x[i] + rng_.normal(0.0, 0.1 * par.range()),
+                        par.lower(), par.upper());
     }
   }
-  return project(space_, x, x);
 }
 
 void GeneticStrategy::observe(std::span<const double> times) {
@@ -73,29 +71,30 @@ void GeneticStrategy::observe(std::span<const double> times) {
   }
 
   // Next generation: elites survive, the rest are crossover + mutation.
-  std::vector<std::size_t> order(population_.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(),
+  const std::size_t n = population_.size();
+  order_.resize(n);
+  std::iota(order_.begin(), order_.end(), 0);
+  std::sort(order_.begin(), order_.end(),
             [&](std::size_t a, std::size_t b) { return times[a] < times[b]; });
 
-  std::vector<Point> next;
-  next.reserve(population_.size());
-  for (std::size_t e = 0; e < std::min(opts_.elites, population_.size());
-       ++e) {
-    next.push_back(population_[order[e]]);
+  next_.resize(n);
+  const std::size_t elites = std::min(opts_.elites, n);
+  for (std::size_t e = 0; e < elites; ++e) {
+    next_[e] = population_[order_[e]];
   }
-  while (next.size() < population_.size()) {
+  for (std::size_t k = elites; k < n; ++k) {
     const Point& a = population_[select_parent(times)];
     const Point& b = population_[select_parent(times)];
-    Point child = a;
+    Point& child = next_[k];
+    child = a;
     if (rng_.bernoulli(opts_.crossover_rate)) {
       for (std::size_t i = 0; i < child.size(); ++i) {
         if (rng_.bernoulli(0.5)) child[i] = b[i];
       }
     }
-    next.push_back(mutate(std::move(child)));
+    mutate(child);
   }
-  population_ = std::move(next);
+  population_.swap(next_);
 }
 
 }  // namespace protuner::core

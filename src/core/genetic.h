@@ -33,12 +33,19 @@ class GeneticStrategy final : public TuningStrategy {
 
  private:
   std::size_t select_parent(std::span<const double> fitness);
-  Point mutate(Point x);
+  /// Mutates the admissible point x in place.  Discrete moves step between
+  /// admissible values and continuous moves are clamped, so x stays
+  /// admissible with no projection.
+  void mutate(Point& x);
 
   ParameterSpace space_;
   GeneticOptions opts_;
 
   std::vector<Point> population_;
+  // Recycled per-generation storage: the next population (swapped with
+  // population_) and the fitness order.
+  std::vector<Point> next_;
+  std::vector<std::size_t> order_;
   util::Rng rng_{1};
   Point best_point_;
   double best_value_ = 0.0;

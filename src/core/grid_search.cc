@@ -1,5 +1,6 @@
 #include "core/grid_search.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace protuner::core {
@@ -39,13 +40,12 @@ std::size_t GridSearchStrategy::sweep_size() const {
   return n;
 }
 
-Point GridSearchStrategy::point_at(std::size_t flat_index) const {
-  Point p(space_.size());
+void GridSearchStrategy::point_into(std::size_t flat_index, Point& out) const {
+  out.resize(space_.size());
   for (std::size_t i = 0; i < space_.size(); ++i) {
-    p[i] = axes_[i][flat_index % axes_[i].size()];
+    out[i] = axes_[i][flat_index % axes_[i].size()];
     flat_index /= axes_[i].size();
   }
-  return p;
 }
 
 void GridSearchStrategy::start(std::size_t ranks) {
@@ -54,19 +54,20 @@ void GridSearchStrategy::start(std::size_t ranks) {
   cursor_ = 0;
   have_best_ = false;
   done_ = false;
-  best_point_ = point_at(0);
+  point_into(0, best_point_);
 }
 
 void GridSearchStrategy::propose_into(std::vector<Point>& out) {
-  pending_.clear();
   out.resize(ranks_);
   if (done_) {
+    pending_.clear();
     for (Point& slot : out) slot = best_point_;
     return;
   }
-  const std::size_t total = sweep_size();
-  for (std::size_t r = 0; r < ranks_ && cursor_ + r < total; ++r) {
-    pending_.push_back(point_at(cursor_ + r));
+  // Not done, so cursor_ < sweep_size(): at least one point is pending.
+  pending_.resize(std::min(ranks_, sweep_size() - cursor_));
+  for (std::size_t r = 0; r < pending_.size(); ++r) {
+    point_into(cursor_ + r, pending_[r]);
   }
   // Pad the final partial wave with the incumbent so all ranks stay busy.
   const Point& pad = have_best_ ? best_point_ : pending_.front();

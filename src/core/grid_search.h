@@ -31,7 +31,9 @@ class GridSearchStrategy final : public TuningStrategy {
   std::size_t sweep_size() const;
 
  private:
-  Point point_at(std::size_t flat_index) const;
+  /// Writes the sweep's point at `flat_index` into `out`, reusing its
+  /// storage.
+  void point_into(std::size_t flat_index, Point& out) const;
 
   ParameterSpace space_;
   GridSearchOptions opts_;

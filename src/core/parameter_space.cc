@@ -47,7 +47,9 @@ bool Parameter::admissible(double x) const {
     case ParamKind::kInteger:
       return x == std::floor(x);
     case ParamKind::kDiscrete:
-      return std::binary_search(values_.begin(), values_.end(), x);
+      // lower_index puts values_[i] >= x, so this is equality.  A NaN x
+      // orders against no value and passes, as under std::binary_search.
+      return !(x < values_[lower_index(x)]);
   }
   return false;
 }
@@ -61,10 +63,11 @@ double Parameter::floor_value(double x) const {
     case ParamKind::kInteger:
       return std::floor(x);
     case ParamKind::kDiscrete: {
-      // Largest value <= x.
-      const auto it = std::upper_bound(values_.begin(), values_.end(), x);
-      assert(it != values_.begin());
-      return *(it - 1);
+      // Largest value <= x.  lo_ < x < hi_ puts i in [1, size - 1]; only a
+      // NaN x reaches i == 0, and it takes hi_ as under std::upper_bound.
+      const std::size_t i = lower_index(x);
+      if (i == 0) return hi_;
+      return values_[values_[i] == x ? i : i - 1];
     }
   }
   return x;
@@ -78,40 +81,42 @@ double Parameter::ceil_value(double x) const {
       return x;
     case ParamKind::kInteger:
       return std::ceil(x);
-    case ParamKind::kDiscrete: {
-      const auto it = std::lower_bound(values_.begin(), values_.end(), x);
-      assert(it != values_.end());
-      return *it;
-    }
+    case ParamKind::kDiscrete:
+      return values_[lower_index(x)];
   }
   return x;
 }
 
 double Parameter::neighbor_above(double x) const {
-  assert(admissible(x));
   switch (kind_) {
     case ParamKind::kContinuous:
+      assert(admissible(x));
       return std::min(hi_, x + 1e-6 * range());
     case ParamKind::kInteger:
+      assert(admissible(x));
       return std::min(hi_, x + 1.0);
     case ParamKind::kDiscrete: {
-      const auto it = std::upper_bound(values_.begin(), values_.end(), x);
-      return it == values_.end() ? x : *it;
+      // The admissibility check and the lookup share one search.
+      const std::size_t i = lower_index(x);
+      assert(i < values_.size() && values_[i] == x);
+      return i + 1 < values_.size() ? values_[i + 1] : x;
     }
   }
   return x;
 }
 
 double Parameter::neighbor_below(double x) const {
-  assert(admissible(x));
   switch (kind_) {
     case ParamKind::kContinuous:
+      assert(admissible(x));
       return std::max(lo_, x - 1e-6 * range());
     case ParamKind::kInteger:
+      assert(admissible(x));
       return std::max(lo_, x - 1.0);
     case ParamKind::kDiscrete: {
-      const auto it = std::lower_bound(values_.begin(), values_.end(), x);
-      return it == values_.begin() ? x : *(it - 1);
+      const std::size_t i = lower_index(x);
+      assert(i < values_.size() && values_[i] == x);
+      return i == 0 ? x : values_[i - 1];
     }
   }
   return x;

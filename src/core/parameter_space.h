@@ -9,6 +9,8 @@
 //                 discontinuity constraints, e.g. powers of two)
 #pragma once
 
+#include <cassert>
+#include <cstddef>
 #include <span>
 #include <string>
 #include <vector>
@@ -42,6 +44,20 @@ class Parameter {
 
   /// The admissible set for discrete parameters (empty for others).
   const std::vector<double>& values() const { return values_; }
+
+  /// Index of the first value in values() not less than x, i.e.
+  /// std::lower_bound (values().size() when every value is below x).
+  /// kDiscrete only.  Every discrete-value lookup goes through this one
+  /// search.  It is branch-free: queries land on random values, so a
+  /// compare-and-select loop beats a mispredicted binary search.
+  std::size_t lower_index(double x) const {
+    assert(kind_ == ParamKind::kDiscrete);
+    std::size_t i = 0;
+    for (std::size_t len = values_.size(); len > 1; len -= len / 2) {
+      i += values_[i + len / 2] < x ? len / 2 : 0;
+    }
+    return i + (values_[i] < x ? 1 : 0);
+  }
 
   /// True when x is an admissible value for this parameter.
   bool admissible(double x) const;

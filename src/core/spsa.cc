@@ -29,6 +29,8 @@ void SpsaStrategy::start(std::size_t ranks) {
     z_[i] = p.range() > 0.0 ? (c[i] - p.lower()) / p.range() : 0.5;
   }
   delta_.assign(n, 1.0);
+  zp_.assign(n, 0.0);
+  zm_.assign(n, 0.0);
   anchor_ = c;
   best_point_ = c;
   best_value_ = 0.0;
@@ -41,27 +43,29 @@ void SpsaStrategy::start(std::size_t ranks) {
   prepare_probes();
 }
 
-Point SpsaStrategy::project_z(const std::vector<double>& z) const {
-  Point p(z.size());
+void SpsaStrategy::project_z(const std::vector<double>& z, Point& out) const {
+  out.resize(z.size());
   for (std::size_t i = 0; i < z.size(); ++i) {
     const Parameter& par = space_.param(i);
-    p[i] = par.lower() + z[i] * par.range();
+    out[i] = par.lower() + z[i] * par.range();
   }
-  return project(space_, anchor_, p);
+  project(space_, anchor_, out, out);
 }
 
 void SpsaStrategy::prepare_probes() {
   const std::size_t k = iterations_ + 1;  // 1-based schedule index
   ck_ = opts_.c / std::pow(static_cast<double>(k), opts_.gamma);
-  anchor_ = project_z(z_);
-  std::vector<double> zp = z_, zm = z_;
+  // Π(θ) is anchored at the previous anchor, so it is built in plus_ (about
+  // to be rebuilt anyway) and swapped in.
+  project_z(z_, plus_);
+  anchor_.swap(plus_);
   for (std::size_t i = 0; i < z_.size(); ++i) {
     delta_[i] = rng_.bernoulli(0.5) ? 1.0 : -1.0;
-    zp[i] = std::clamp(z_[i] + ck_ * delta_[i], 0.0, 1.0);
-    zm[i] = std::clamp(z_[i] - ck_ * delta_[i], 0.0, 1.0);
+    zp_[i] = std::clamp(z_[i] + ck_ * delta_[i], 0.0, 1.0);
+    zm_[i] = std::clamp(z_[i] - ck_ * delta_[i], 0.0, 1.0);
   }
-  plus_ = project_z(zp);
-  minus_ = project_z(zm);
+  project_z(zp_, plus_);
+  project_z(zm_, minus_);
 }
 
 void SpsaStrategy::propose_into(std::vector<Point>& out) {

@@ -55,8 +55,8 @@ class SpsaStrategy final : public TuningStrategy {
   /// Builds the two probes for iteration k into plus_/minus_.
   void prepare_probes();
   /// Maps normalised z into an admissible point via Π anchored at the
-  /// incumbent projection.
-  Point project_z(const std::vector<double>& z) const;
+  /// incumbent projection, written into `out` (not anchor_).
+  void project_z(const std::vector<double>& z, Point& out) const;
   void track_best(const Point& p, double y);
 
   ParameterSpace space_;
@@ -66,6 +66,8 @@ class SpsaStrategy final : public TuningStrategy {
 
   std::vector<double> z_;      ///< iterate, normalised to [0,1] per axis
   std::vector<double> delta_;  ///< current Rademacher direction
+  std::vector<double> zp_;     ///< normalised probe z + c_k Δ (recycled)
+  std::vector<double> zm_;     ///< normalised probe z − c_k Δ (recycled)
   Point plus_, minus_;         ///< admissible probe points
   Point anchor_;               ///< Π(θ): admissible image of the iterate
   double ck_ = 0.0;            ///< current perturbation size

@@ -203,14 +203,8 @@ struct Database::Index {
         slot = slot * static_cast<std::size_t>(p.range() + 1.0) +
                static_cast<std::size_t>(c - p.lower());
       } else {
-        // Branch-free lower_bound: queries land on random values, so a
-        // compare-and-select loop beats a mispredicted binary search.
         const std::vector<double>& v = p.values();
-        std::size_t i = 0;
-        for (std::size_t len = v.size(); len > 1; len -= len / 2) {
-          i += v[i + len / 2] < c ? len / 2 : 0;
-        }
-        i += v[i] < c ? 1 : 0;
+        const std::size_t i = p.lower_index(c);
         if (i == v.size() || v[i] != c) return kNoSlot;
         slot = slot * v.size() + i;
       }

@@ -89,6 +89,50 @@ TEST(Genetic, ChildrenAlwaysAdmissible) {
   }
 }
 
+TEST(Baselines, AnnealAndGeneticProposalsAdmissibleOnMixedSpace) {
+  // Annealing and genetic moves carry no projection: discrete axes step
+  // between admissible values and continuous axes are clamped.  Over whole
+  // seeded sessions on a mixed space, with the optimum on the continuous
+  // upper bound so the clamp fires, every proposal must stay admissible.
+  const ParameterSpace space({
+      Parameter::integer("i", 0, 15),
+      Parameter::continuous("c", -1.0, 1.0),
+      Parameter::discrete("d", {1.0, 2.0, 4.0, 8.0, 16.0}),
+  });
+  const QuadraticLandscape land(Point{14.0, 1.0, 16.0}, 1.0, 0.3);
+  std::size_t on_bound = 0;
+  const auto drive = [&](TuningStrategy& s, std::size_t ranks,
+                         std::uint64_t seed) {
+    util::Rng noise(seed);
+    s.start(ranks);
+    std::vector<Point> configs;
+    std::vector<double> times;
+    for (int step = 0; step < 150; ++step) {
+      s.propose_into(configs);
+      ASSERT_EQ(configs.size(), ranks);
+      times.clear();
+      for (const Point& c : configs) {
+        ASSERT_TRUE(space.admissible(c))
+            << s.name() << " seed " << seed << " step " << step;
+        on_bound += c[1] == space.param(1).upper();
+        times.push_back(land.clean_time(c) * (1.0 + 0.3 * noise.uniform()));
+      }
+      s.observe(times);
+    }
+  };
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    for (const std::size_t ranks : {std::size_t{1}, std::size_t{7},
+                                    std::size_t{32}}) {
+      AnnealingStrategy sa(space, {.migrate_every = seed % 2 == 0 ? 10u : 0u,
+                                   .seed = seed});
+      drive(sa, ranks, seed);
+      GeneticStrategy ga(space, {.elites = seed % 3, .seed = seed});
+      drive(ga, ranks, seed);
+    }
+  }
+  EXPECT_GT(on_bound, 0u) << "no proposal was clamped onto the bound";
+}
+
 TEST(RandomSearch, BestValueMonotone) {
   const auto space = int_box();
   auto land = std::make_shared<QuadraticLandscape>(Point{2.0, 18.0}, 1.0, 0.4);

@@ -1,6 +1,11 @@
 // Tests for parameter declarations and the admissible region.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "core/parameter_space.h"
@@ -64,6 +69,69 @@ TEST(Parameter, NeighborsOnDiscreteSet) {
   EXPECT_DOUBLE_EQ(p.neighbor_above(10.0), 100.0);
   EXPECT_DOUBLE_EQ(p.neighbor_below(10.0), 1.0);
   EXPECT_DOUBLE_EQ(p.neighbor_above(100.0), 100.0);
+}
+
+std::uint64_t bits(double x) {
+  std::uint64_t b;
+  std::memcpy(&b, &x, sizeof b);
+  return b;
+}
+
+TEST(Parameter, OneSearchMatchesStdSearchesBitForBit) {
+  // Every discrete-value lookup goes through Parameter::lower_index.  Check
+  // it, and each lookup built on it, against the std:: searches they
+  // replaced, bit for bit: a -0.0 query against a stored +0.0 must still
+  // return the stored element, and NaN must behave as it did.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<std::vector<double>> sets = {
+      {1.0, 2.0, 4.0, 8.0, 16.0}, {0.0},      {-1.0, 0.0, 1.0},
+      {0.0, 10.0},                {-3.0, 0.0}, {0.0, 0.5, 0.75, 2.0}};
+  util::Rng rng(29);
+  for (int k = 0; k < 60; ++k) {
+    std::vector<double> v(1 + k % 37);
+    for (double& x : v) {
+      x = k % 2 == 0 ? std::round(rng.uniform(-20.0, 20.0))
+                     : rng.uniform(-1e3, 1e3);
+    }
+    sets.push_back(v);
+  }
+  for (const std::vector<double>& raw : sets) {
+    const Parameter p = Parameter::discrete("d", raw);
+    const std::vector<double>& v = p.values();
+    const double lo = p.lower(), hi = p.upper();
+    const double span = std::max(1.0, hi - lo);
+    std::vector<double> queries = {nan,      -nan,      -0.0, 0.0,
+                                   lo - 1.0, hi + 1.0, -inf, inf};
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      queries.push_back(v[i]);
+      if (i + 1 < v.size()) queries.push_back(0.5 * (v[i] + v[i + 1]));
+    }
+    for (int q = 0; q < 200; ++q) {
+      queries.push_back(rng.uniform(lo - 0.25 * span, hi + 0.25 * span));
+    }
+    for (const double x : queries) {
+      SCOPED_TRACE(testing::Message() << "x = " << x << " over "
+                                      << v.size() << " values from " << lo);
+      const auto lb = std::lower_bound(v.begin(), v.end(), x);
+      const auto ub = std::upper_bound(v.begin(), v.end(), x);
+      EXPECT_EQ(p.lower_index(x), static_cast<std::size_t>(lb - v.begin()));
+
+      const bool admissible =
+          !(x < lo || x > hi) && std::binary_search(v.begin(), v.end(), x);
+      EXPECT_EQ(p.admissible(x), admissible);
+      const double floor_ref = x <= lo ? lo : x >= hi ? hi : *(ub - 1);
+      const double ceil_ref = x <= lo ? lo : x >= hi ? hi : *lb;
+      EXPECT_EQ(bits(p.floor_value(x)), bits(floor_ref));
+      EXPECT_EQ(bits(p.ceil_value(x)), bits(ceil_ref));
+      if (admissible && !std::isnan(x)) {
+        const double above_ref = ub == v.end() ? x : *ub;
+        const double below_ref = lb == v.begin() ? x : *(lb - 1);
+        EXPECT_EQ(bits(p.neighbor_above(x)), bits(above_ref));
+        EXPECT_EQ(bits(p.neighbor_below(x)), bits(below_ref));
+      }
+    }
+  }
 }
 
 TEST(Parameter, NearestPicksCloserSide) {

@@ -27,11 +27,13 @@
 #include "core/compass.h"
 #include "core/fixed.h"
 #include "core/genetic.h"
+#include "core/grid_search.h"
 #include "core/landscape.h"
 #include "core/nelder_mead.h"
 #include "core/pro.h"
 #include "core/random_search.h"
 #include "core/round_engine.h"
+#include "core/spsa.h"
 #include "core/sro.h"
 #include "core/strategy_spec.h"
 #include "gs2/database.h"
@@ -406,6 +408,53 @@ TEST(Strategy, ProposeIntoOverridesAreAllocationFree) {
   drive(nm, "nelder-mead");
   core::RandomSearchStrategy random(space, 3);
   drive(random, "random");
+}
+
+TEST(StepAllocation, RandomizedStrategyRoundsAreAllocationFree) {
+  // The comparators run forever at full width (repro_wide), so their whole
+  // round must run in recycled storage: annealing's neighbour moves and
+  // genetic's next generation are built in member buffers, SPSA's probes
+  // and grid's pending points reuse theirs.  Mixed space: integer,
+  // continuous and a non-uniform discrete axis.  Grid's 720-point sweep
+  // finishes inside the measured window, so the done transition is
+  // measured too.
+  const core::ParameterSpace space({
+      core::Parameter::integer("i", 0, 15),
+      core::Parameter::continuous("c", -1.0, 1.0),
+      core::Parameter::discrete("d", {1.0, 2.0, 4.0, 8.0, 16.0}),
+  });
+  const QuadraticLandscape land(Point{7.0, 0.9, 8.0}, 1.0, 0.1);
+
+  const auto drive = [&](core::TuningStrategy& s, const char* label) {
+    s.start(8);
+    std::vector<Point> buf;
+    std::vector<double> times;
+    const auto round = [&] {
+      s.propose_into(buf);
+      times.resize(buf.size());
+      for (std::size_t i = 0; i < buf.size(); ++i) {
+        times[i] = land.clean_time(buf[i]);
+      }
+      s.observe(times);
+    };
+    for (int warm = 0; warm < 12; ++warm) round();
+    const std::size_t before = allocation_count();
+    for (int step = 0; step < 150; ++step) round();
+    EXPECT_EQ(allocation_count(), before)
+        << label << " propose_into + observe touched the heap";
+  };
+
+  core::AnnealingStrategy annealing(space, {.migrate_every = 25});
+  drive(annealing, "annealing");
+  core::GeneticStrategy genetic(space, {});
+  drive(genetic, "genetic");
+  core::RandomSearchStrategy random(space, 3);
+  drive(random, "random");
+  core::SpsaStrategy spsa(space, {});
+  drive(spsa, "spsa");
+  core::GridSearchStrategy grid(space, {});
+  drive(grid, "grid");
+  EXPECT_TRUE(grid.converged()) << "the grid sweep did not finish";
 }
 
 TEST(StepAllocation, ProRoundsAreAllocationFreeOnceWarm) {
