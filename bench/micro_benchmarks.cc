@@ -63,7 +63,7 @@ void BM_SurfaceEval(benchmark::State& state) {
 }
 BENCHMARK(BM_SurfaceEval);
 
-// A stored point: the first lookup is an exact-table hit that fills the
+// A stored point: the first lookup is an exact grid-row hit that fills the
 // point's memo slot, so every iteration after it is a memo hit.
 void BM_DatabaseExactLookup(benchmark::State& state) {
   const auto space = gs2::gs2_space();
@@ -88,11 +88,11 @@ void BM_DatabaseInterpolatedLookupCached(benchmark::State& state) {
 }
 BENCHMARK(BM_DatabaseInterpolatedLookupCached);
 
-// --- Interpolation-miss cost: indexed k-d-tree path vs the brute-force
-// reference, on the real GS2 database (stride 2, ~2k entries at stride 1)
-// and on a large 4-D grid (~28k entries).  Both variants bypass the memo
-// cache, so these measure the pure per-miss interpolation work that every
-// cold lookup pays.  The two must return bit-identical values
+// --- Interpolation-miss cost: the grid walk vs the brute-force
+// reference, on the real GS2 database (stride 2, 14 297 entries) and on a
+// large 4-D grid (~28k entries).  Both variants bypass the memo and the
+// exact row, so these measure the pure per-miss interpolation work that
+// every cold lookup pays.  The two must return bit-identical values
 // (test_database_index); the indexed path must be >= 10x faster at
 // database scale (EXPERIMENTS.md records the measured ratio).
 

@@ -23,28 +23,30 @@ void CompassStrategy::start(std::size_t ranks) {
   for (std::size_t i = 0; i < space_.size(); ++i) {
     step_[i] = opts_.initial_step_fraction * space_.param(i).range();
   }
-  pending_ = {incumbent_};
-  pending_samples_.assign(1, {});
+  pending_.resize(2 * space_.size());
+  pending_[0] = incumbent_;
+  n_pending_ = 1;
+  est_.reserve(pending_.size());
   samples_done_ = 0;
 }
 
-std::vector<Point> CompassStrategy::poll_points() const {
-  std::vector<Point> pts;
+void CompassStrategy::fill_poll() {
+  n_pending_ = 0;
   for (std::size_t i = 0; i < space_.size(); ++i) {
     for (const double sign : {+1.0, -1.0}) {
-      Point p = incumbent_;
+      Point& p = pending_[n_pending_];
+      p = incumbent_;
       p[i] += sign * step_[i];
-      p = project(space_, incumbent_, p);
+      project(space_, incumbent_, p, p);
       if (p[i] == incumbent_[i]) {
         // Step too small for the grid or at a boundary: poll the immediate
         // admissible neighbour instead so the direction is still covered.
         p[i] = sign > 0.0 ? space_.param(i).neighbor_above(incumbent_[i])
                           : space_.param(i).neighbor_below(incumbent_[i]);
       }
-      if (p != incumbent_) pts.push_back(std::move(p));
+      if (p != incumbent_) ++n_pending_;
     }
   }
-  return pts;
 }
 
 void CompassStrategy::shrink_step() {
@@ -68,51 +70,50 @@ void CompassStrategy::propose_into(std::vector<Point>& out) {
     active_slots_ = 0;
     return;
   }
-  const std::size_t n = std::max(pending_.size(), ranks_);
+  const std::size_t n = std::max(n_pending_, ranks_);
   out.resize(n);
-  for (std::size_t i = 0; i < pending_.size(); ++i) out[i] = pending_[i];
-  for (std::size_t i = pending_.size(); i < n; ++i) out[i] = incumbent_;
-  active_slots_ = pending_.size();
+  for (std::size_t i = 0; i < n_pending_; ++i) out[i] = pending_[i];
+  for (std::size_t i = n_pending_; i < n; ++i) out[i] = incumbent_;
+  active_slots_ = n_pending_;
 }
 
 void CompassStrategy::observe(std::span<const double> raw_times) {
   if (converged_ || active_slots_ == 0) return;
   const std::span<const double> times = raw_times.first(active_slots_);
-  assert(times.size() == pending_.size());
-  for (std::size_t i = 0; i < times.size(); ++i) {
-    pending_samples_[i].push_back(times[i]);
+  assert(times.size() == n_pending_);
+  // The running min keeps the first of equal samples and a leading NaN, as
+  // std::min_element over all of them would.
+  if (samples_done_ == 0) {
+    est_.assign(times.begin(), times.end());
+  } else {
+    for (std::size_t i = 0; i < times.size(); ++i) {
+      if (times[i] < est_[i]) est_[i] = times[i];
+    }
   }
   ++samples_done_;
   if (samples_done_ < opts_.samples) return;  // keep sampling the same poll
 
-  std::vector<double> est(pending_.size());
-  for (std::size_t i = 0; i < pending_.size(); ++i) {
-    est[i] = *std::min_element(pending_samples_[i].begin(),
-                               pending_samples_[i].end());
-  }
-
   if (measuring_incumbent_) {
-    incumbent_value_ = est.front();
+    incumbent_value_ = est_.front();
     incumbent_known_ = true;
     measuring_incumbent_ = false;
   } else {
     const auto l = static_cast<std::size_t>(
-        std::min_element(est.begin(), est.end()) - est.begin());
-    if (est[l] < incumbent_value_) {
+        std::min_element(est_.begin(), est_.end()) - est_.begin());
+    if (est_[l] < incumbent_value_) {
       incumbent_ = pending_[l];
-      incumbent_value_ = est[l];
+      incumbent_value_ = est_[l];
     } else {
       shrink_step();
       if (converged_) return;
     }
   }
 
-  pending_ = poll_points();
-  if (pending_.empty()) {
+  fill_poll();
+  if (n_pending_ == 0) {
     converged_ = true;
     return;
   }
-  pending_samples_.assign(pending_.size(), {});
   samples_done_ = 0;
 }
 

@@ -32,7 +32,8 @@ class CompassStrategy final : public TuningStrategy {
   std::string name() const override { return "CompassSearch"; }
 
  private:
-  std::vector<Point> poll_points() const;
+  /// Fills pending_[0, n_pending_) with the poll around the incumbent.
+  void fill_poll();
   void shrink_step();
 
   ParameterSpace space_;
@@ -44,8 +45,12 @@ class CompassStrategy final : public TuningStrategy {
   double incumbent_value_ = 0.0;
   bool incumbent_known_ = false;
   std::vector<double> step_;  ///< per-axis absolute step
+  // Recycled round storage: pending_ holds 2N points (the largest poll) of
+  // which the first n_pending_ are live, and est_[i] is the running min of
+  // pending point i's samples, so rounds allocate nothing.
   std::vector<Point> pending_;
-  std::vector<std::vector<double>> pending_samples_;
+  std::size_t n_pending_ = 0;
+  std::vector<double> est_;
   int samples_done_ = 0;
   bool measuring_incumbent_ = true;
   bool converged_ = false;

@@ -40,15 +40,14 @@ Parameter Parameter::discrete(std::string name, std::vector<double> values) {
 }
 
 bool Parameter::admissible(double x) const {
-  if (x < lo_ || x > hi_) return false;
+  if (!(x >= lo_ && x <= hi_)) return false;  // a NaN x fails both tests
   switch (kind_) {
     case ParamKind::kContinuous:
       return true;
     case ParamKind::kInteger:
       return x == std::floor(x);
     case ParamKind::kDiscrete:
-      // lower_index puts values_[i] >= x, so this is equality.  A NaN x
-      // orders against no value and passes, as under std::binary_search.
+      // lower_index puts values_[i] >= x, so this is equality.
       return !(x < values_[lower_index(x)]);
   }
   return false;

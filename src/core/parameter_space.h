@@ -22,6 +22,21 @@ namespace protuner::core {
 
 enum class ParamKind { kContinuous, kInteger, kDiscrete };
 
+/// Index of the first element of the sorted, non-empty `v` not less than x,
+/// i.e. std::lower_bound (v.size() when every element is below x).  This is
+/// the repository's one discrete-value search: Parameter's lookups and the
+/// gs2 database's grid index both go through it.  It is branch-free:
+/// queries land on random values, so a compare-and-select loop beats a
+/// mispredicted binary search.
+inline std::size_t lower_index(std::span<const double> v, double x) {
+  assert(!v.empty());
+  std::size_t i = 0;
+  for (std::size_t len = v.size(); len > 1; len -= len / 2) {
+    i += v[i + len / 2] < x ? len / 2 : 0;
+  }
+  return i + (v[i] < x ? 1 : 0);
+}
+
 /// One tunable parameter.
 class Parameter {
  public:
@@ -45,21 +60,14 @@ class Parameter {
   /// The admissible set for discrete parameters (empty for others).
   const std::vector<double>& values() const { return values_; }
 
-  /// Index of the first value in values() not less than x, i.e.
-  /// std::lower_bound (values().size() when every value is below x).
-  /// kDiscrete only.  Every discrete-value lookup goes through this one
-  /// search.  It is branch-free: queries land on random values, so a
-  /// compare-and-select loop beats a mispredicted binary search.
+  /// core::lower_index over values(): the index of the first value not
+  /// less than x.  kDiscrete only.
   std::size_t lower_index(double x) const {
     assert(kind_ == ParamKind::kDiscrete);
-    std::size_t i = 0;
-    for (std::size_t len = values_.size(); len > 1; len -= len / 2) {
-      i += values_[i + len / 2] < x ? len / 2 : 0;
-    }
-    return i + (values_[i] < x ? 1 : 0);
+    return core::lower_index(values_, x);
   }
 
-  /// True when x is an admissible value for this parameter.
+  /// True when x is an admissible value for this parameter (never for NaN).
   bool admissible(double x) const;
 
   /// Largest admissible value <= x (clamps to lower()).

@@ -5,11 +5,13 @@
 #include <bit>
 #include <cassert>
 #include <cmath>
+#include <cstddef>
 #include <cstdlib>
 #include <istream>
 #include <limits>
 #include <new>
 #include <ostream>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -66,22 +68,6 @@ std::vector<double> axis_values(const core::Parameter& p, std::size_t stride) {
   return Database::decimate_axis(std::move(all), stride);
 }
 
-/// SplitMix64-style avalanche over the raw coordinate bits, the exact
-/// table's key.  It must agree with operator== on doubles: -0.0 is
-/// canonicalised to +0.0 before hashing.  Never returns 0 (reserved as the
-/// empty-slot sentinel).
-std::uint64_t point_hash(const core::Point& x) {
-  std::uint64_t h = 0x9e3779b97f4a7c15ULL ^ x.size();
-  for (const double c : x) {
-    std::uint64_t bits = std::bit_cast<std::uint64_t>(c == 0.0 ? 0.0 : c);
-    bits = (bits ^ (bits >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    bits = (bits ^ (bits >> 27)) * 0x94d049bb133111ebULL;
-    h = (h ^ (bits ^ (bits >> 31))) * 0x9e3779b97f4a7c15ULL;
-  }
-  h ^= h >> 32;
-  return h == 0 ? 1 : h;
-}
-
 /// Largest lattice that gets a memo: 2^22 slots, 32 MiB of address space
 /// of which only the pages a workload probes become resident.
 constexpr std::size_t kMaxMemoSlots = std::size_t{1} << 22;
@@ -102,7 +88,7 @@ std::size_t lattice_size(const core::ParameterSpace& space) {
 }
 
 /// Why (x, time) cannot be stored in a table over `dim` axes, or nullptr
-/// when it can.  The k-d tree's split bounds need finite coordinates, and
+/// when it can.  The grid's sorted axes need finite coordinates, and
 /// interpolation needs finite, positive times.
 const char* entry_error(const core::Point& x, std::size_t dim, double time) {
   if (x.size() != dim) return "arity mismatch";
@@ -117,45 +103,50 @@ struct FreeDeleter {
   void operator()(void* p) const { std::free(p); }
 };
 
+using Neighbor = std::pair<double, double>;  ///< (dist2, time)
+
+/// Keeps the k smallest (dist2, time) pairs offered so far in `best`,
+/// ascending: the reference's selection order.  Pairs that compare equal
+/// are identical in both fields, so which copy is kept cannot change the
+/// result.
+void offer(std::vector<Neighbor>& best, std::size_t k, Neighbor c) {
+  if (best.size() == k) {
+    if (!(c < best.back())) return;
+    best.pop_back();
+  }
+  best.push_back(c);
+  for (std::size_t i = best.size() - 1; i > 0 && c < best[i - 1]; --i) {
+    std::swap(best[i], best[i - 1]);
+  }
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// The index: SoA storage of the table (tree order), a value-split k-d tree
-// over it, an open-addressing exact-hit table and the lattice memo.  Built
-// once, by the Database constructor, and immutable afterwards except for
-// the memo slots, which are only touched through relaxed std::atomic_ref
-// operations, so concurrent lookups need no locking.
+// The index: the table as a product grid — each axis's sorted distinct
+// values and the times in row-major order, which is std::map order — plus
+// the lattice memo.  Built once, by the Database constructor, and immutable
+// afterwards except for the memo slots, which are only touched through
+// relaxed std::atomic_ref operations, so concurrent lookups need no locking.
 //
-// Exactness contract: the k-NN selection and the per-neighbour distances
-// must reproduce the brute-force reference bit-for-bit.  Distances are
-// therefore computed with the reference's exact expression
-// ((x[d] - p[d]) / range[d], squared and summed left-to-right), neighbours
-// are ranked by the reference's (dist2, value) pair order (partial_sort on
-// pairs), and subtree pruning is strict (>) so equal-distance candidates
-// with smaller values are never skipped.  Any tree shape whose split bounds
-// are true bounds satisfies it.
+// Exactness contract: the walk must select the brute-force reference's k
+// nearest rows, in its (dist2, time) order, with bit-identical distances.
+// A row's dist2 is therefore the left-to-right sum, from 0.0, of its
+// per-axis terms ((x[d] - value) / range[d])², each computed with the
+// reference's expression, and the walk stops only when every unscanned
+// row's dist2 is provably larger than the k-th best (see nearest()).
 struct Database::Index {
   Index(const core::ParameterSpace& space,
         const std::map<core::Point, double>& table);
 
+  static constexpr std::size_t kNoRow =
+      std::numeric_limits<std::size_t>::max();
+
   std::size_t dim = 0;
-  std::size_t n = 0;
-  std::vector<double> pts;    ///< row-major coordinates, tree order
-  std::vector<double> vals;   ///< measured times, tree order
-  std::vector<double> range;  ///< per-axis range for normalisation
-
-  struct Node {
-    std::uint32_t begin = 0, end = 0;  ///< row range (leaf scan)
-    std::uint32_t left = 0, right = 0;
-    std::int32_t axis = -1;  ///< -1 marks a leaf
-    double lo_split = 0.0;   ///< max coordinate of the left subtree on axis
-    double hi_split = 0.0;   ///< min coordinate of the right subtree on axis
-  };
-  std::vector<Node> nodes;
-
-  // Exact-hit table: hash -> tree-order row, linear probing, hash 0 empty.
-  std::vector<std::uint64_t> slot_hash;
-  std::vector<std::uint32_t> slot_row;
+  std::vector<double> values;      ///< each axis's sorted values, in turn
+  std::vector<std::size_t> begin;  ///< axis d is values[begin[d], begin[d+1])
+  std::vector<double> range;       ///< per-axis range for normalisation
+  std::vector<double> times;       ///< measured times, row-major
 
   // Lattice memo: slot s holds the bits of the clean time (stored or
   // interpolated) of the admissible point at mixed-radix lattice position
@@ -170,22 +161,141 @@ struct Database::Index {
   static constexpr std::size_t kNoSlot =
       std::numeric_limits<std::size_t>::max();
 
-  bool row_equals(std::uint32_t r, const core::Point& x) const {
-    const double* p = &pts[static_cast<std::size_t>(r) * dim];
-    for (std::size_t d = 0; d < dim; ++d) {
-      if (p[d] != x[d]) return false;
+  /// Per-thread walk scratch, sized by scratch() for this index: it only
+  /// grows, so a warm thread's lookups allocate nothing.
+  struct Walk {
+    std::vector<std::size_t> cell;  ///< per axis: lower_index of x
+    std::vector<std::size_t> lo;    ///< per axis: scanned window, inclusive
+    std::vector<std::size_t> hi;
+    std::vector<double> least;      ///< per axis: smallest term
+    std::vector<double> term;       ///< per value, laid out as `values`
+    std::vector<Neighbor> best;     ///< k nearest so far, ascending
+  };
+
+  Walk& scratch(std::size_t k) const {
+    thread_local Walk w;
+    if (w.cell.size() < dim) {
+      w.cell.resize(dim);
+      w.lo.resize(dim);
+      w.hi.resize(dim);
+      w.least.resize(dim);
     }
-    return true;
+    if (w.term.size() < values.size()) w.term.resize(values.size());
+    w.best.reserve(k);
+    return w;
   }
 
-  const double* exact_find(std::uint64_t h, const core::Point& x) const {
-    if (x.size() != dim) return nullptr;
-    const std::size_t mask = slot_hash.size() - 1;
-    for (std::size_t i = h & mask;; i = (i + 1) & mask) {
-      if (slot_hash[i] == 0) return nullptr;
-      if (slot_hash[i] == h && row_equals(slot_row[i], x)) {
-        return &vals[slot_row[i]];
+  std::span<const double> axis(std::size_t d) const {
+    return {values.data() + begin[d], begin[d + 1] - begin[d]};
+  }
+
+  /// One search per axis: cell[d] = core::lower_index(axis(d), x[d]).
+  /// Returns x's row when every axis holds x's coordinate, else kNoRow.
+  std::size_t locate(const double* x, std::size_t* cell) const {
+    std::size_t row = 0;
+    bool hit = true;
+    for (std::size_t d = 0; d < dim; ++d) {
+      const std::span<const double> v = axis(d);
+      const std::size_t i = core::lower_index(v, x[d]);
+      cell[d] = i;
+      hit = hit && i < v.size() && v[i] == x[d];
+      row = row * v.size() + i;
+    }
+    return hit ? row : kNoRow;
+  }
+
+  /// Computes axis d's term for value j into the walk's scratch.
+  void fill_term(const double* x, std::size_t d, std::size_t j,
+                 Walk& w) const {
+    const double diff = (x[d] - values[begin[d] + j]) / range[d];
+    w.term[begin[d] + j] = diff * diff;
+  }
+
+  /// Offers every row of the window w.lo..w.hi (inclusive on each axis)
+  /// to w.best: axis d's index loops here, the later axes recurse, and
+  /// `partial` and `row` carry the sum and mixed-radix row of axes < d.
+  void scan(Walk& w, std::size_t k, std::size_t d, double partial,
+            std::size_t row) const {
+    const double* t = &w.term[begin[d]];
+    const std::size_t m = begin[d + 1] - begin[d];
+    for (std::size_t j = w.lo[d]; j <= w.hi[d]; ++j) {
+      if (d + 1 == dim) {
+        offer(w.best, k, {partial + t[j], times[row * m + j]});
+      } else {
+        scan(w, k, d + 1, partial + t[j], row * m + j);
       }
+    }
+  }
+
+  /// Leaves the k nearest rows of x, ascending, in w.best; w.cell holds
+  /// locate()'s indices.  The window starts at the row nearest x (on each
+  /// axis the nearer of the two values around x) and grows one value at a
+  /// time, scanning each new slab once, until no unscanned row can rank.
+  ///
+  /// The bound: along each axis the term cannot fall as the index moves
+  /// away from x — subtraction, division by a positive range and squaring
+  /// are each monotone in floating point.  So a row outside the window,
+  /// outside it on axis d, has a term there of at least axis d's nearest
+  /// outside term, and on every other axis e at least least[e].  Rounded
+  /// addition is monotone too, so the left-to-right sum of those terms is
+  /// a lower bound on its dist2 in floating point, not just in exact
+  /// arithmetic.  The walk stops once the k-th best dist2 is strictly
+  /// below the minimum of that bound over the axes; on a tie an unscanned
+  /// row could still win on its time, so it keeps going.  A NaN
+  /// coordinate makes every bound NaN, and the walk scans the whole grid,
+  /// as the reference does.
+  void nearest(const double* x, std::size_t k, Walk& w) const {
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    for (std::size_t d = 0; d < dim; ++d) {
+      const std::size_t m = begin[d + 1] - begin[d];
+      const double* t = &w.term[begin[d]];
+      const std::size_t i = w.cell[d];
+      std::size_t j = std::min(i, m - 1);
+      fill_term(x, d, j, w);
+      if (i > 0 && i < m) {
+        fill_term(x, d, i - 1, w);
+        if (t[i - 1] <= t[i]) j = i - 1;
+      }
+      if (j > 0) fill_term(x, d, j - 1, w);
+      if (j + 1 < m) fill_term(x, d, j + 1, w);
+      w.lo[d] = w.hi[d] = j;
+      w.least[d] = t[j];
+    }
+    w.best.clear();
+    scan(w, k, 0, 0.0, 0);
+    for (;;) {
+      std::size_t grow = dim;
+      double bound = kInf;
+      for (std::size_t d = 0; d < dim; ++d) {
+        const std::size_t m = begin[d + 1] - begin[d];
+        if (w.lo[d] == 0 && w.hi[d] + 1 == m) continue;  // axis exhausted
+        const double* t = &w.term[begin[d]];
+        const double out = std::min(w.lo[d] > 0 ? t[w.lo[d] - 1] : kInf,
+                                    w.hi[d] + 1 < m ? t[w.hi[d] + 1] : kInf);
+        double b = 0.0;
+        for (std::size_t e = 0; e < dim; ++e) b += e == d ? out : w.least[e];
+        if (grow == dim || b < bound) {
+          bound = b;
+          grow = d;
+        }
+      }
+      if (grow == dim) return;  // every row scanned
+      if (w.best.size() == k && w.best.back().first < bound) return;
+      // Grow the axis that bounds the rest on its nearer side.
+      const std::size_t d = grow;
+      const std::size_t m = begin[d + 1] - begin[d];
+      const double* t = &w.term[begin[d]];
+      const bool down =
+          w.lo[d] > 0 && (w.hi[d] + 1 == m || t[w.lo[d] - 1] <= t[w.hi[d] + 1]);
+      const std::size_t j = down ? --w.lo[d] : ++w.hi[d];
+      if (down && j > 0) fill_term(x, d, j - 1, w);
+      if (!down && j + 1 < m) fill_term(x, d, j + 1, w);
+      const std::size_t lo = w.lo[d];
+      const std::size_t hi = w.hi[d];
+      w.lo[d] = w.hi[d] = j;
+      scan(w, k, 0, 0.0, 0);
+      w.lo[d] = lo;
+      w.hi[d] = hi;
     }
   }
 
@@ -227,209 +337,39 @@ struct Database::Index {
     std::atomic_ref<std::uint64_t>(memo[slot]).store(
         std::bit_cast<std::uint64_t>(value), std::memory_order_relaxed);
   }
-
-  double dist2(std::uint32_t r, const double* x) const {
-    const double* p = &pts[static_cast<std::size_t>(r) * dim];
-    double s = 0.0;
-    for (std::size_t d = 0; d < dim; ++d) {
-      const double diff = (x[d] - p[d]) / range[d];
-      s += diff * diff;
-    }
-    return s;
-  }
-
-  /// Heap insert shared by the leaf scans and the reference scan: keeps the
-  /// k smallest (dist2, value) pairs (max-heap under pair ordering — top is
-  /// the current worst neighbour).
-  static void heap_push(std::vector<std::pair<double, double>>& heap,
-                        std::size_t k, std::pair<double, double> cand) {
-    if (heap.size() < k) {
-      heap.push_back(cand);
-      std::push_heap(heap.begin(), heap.end());
-    } else if (cand < heap.front()) {
-      std::pop_heap(heap.begin(), heap.end());
-      heap.back() = cand;
-      std::push_heap(heap.begin(), heap.end());
-    }
-  }
-
-  /// Collects the k nearest rows as (dist2, value) pairs into `heap`
-  /// (a max-heap under pair ordering — top is the current worst neighbour).
-  void knn(const double* x, std::size_t k,
-           std::vector<std::pair<double, double>>& heap) const {
-    heap.clear();
-    search(0, x, k, heap);
-  }
-
-  void search(std::uint32_t id, const double* x, std::size_t k,
-              std::vector<std::pair<double, double>>& heap) const {
-    const Node& nd = nodes[id];
-    if (nd.axis < 0) {
-      for (std::uint32_t r = nd.begin; r < nd.end; ++r) {
-        heap_push(heap, k, {dist2(r, x), vals[r]});
-      }
-      return;
-    }
-    const double xa = x[static_cast<std::size_t>(nd.axis)];
-    const double ra = range[static_cast<std::size_t>(nd.axis)];
-    // Lower bound on the normalised dist2 of any point in each subtree,
-    // computed with the same expression shape as dist2() so the bound is
-    // conservative in floating point as well.
-    double lb = 0.0;
-    if (xa > nd.lo_split) {
-      const double diff = (xa - nd.lo_split) / ra;
-      lb = diff * diff;
-    }
-    double rb = 0.0;
-    if (xa < nd.hi_split) {
-      const double diff = (xa - nd.hi_split) / ra;
-      rb = diff * diff;
-    }
-    const std::uint32_t first = lb <= rb ? nd.left : nd.right;
-    const std::uint32_t second = lb <= rb ? nd.right : nd.left;
-    const double first_bound = lb <= rb ? lb : rb;
-    const double second_bound = lb <= rb ? rb : lb;
-    // Prune only on strict >: an equal-bound subtree can still hold a point
-    // at the same distance with a smaller value (reference tie-break).
-    if (heap.size() < k || first_bound <= heap.front().first) {
-      search(first, x, k, heap);
-    }
-    if (heap.size() < k || second_bound <= heap.front().first) {
-      search(second, x, k, heap);
-    }
-  }
-
-  /// Recursive value-split builder over rows[b, e); returns the node id.
-  static std::uint32_t build_node(Index& idx, std::vector<std::uint32_t>& rows,
-                                  const std::vector<double>& rp,
-                                  std::uint32_t b, std::uint32_t e);
 };
-
-std::uint32_t Database::Index::build_node(Index& idx,
-                                          std::vector<std::uint32_t>& rows,
-                                          const std::vector<double>& rp,
-                                          std::uint32_t b, std::uint32_t e) {
-  constexpr std::uint32_t kLeafSize = 8;
-  const std::uint32_t id = static_cast<std::uint32_t>(idx.nodes.size());
-  idx.nodes.emplace_back();
-  idx.nodes[id].begin = b;
-  idx.nodes[id].end = e;
-  if (e - b <= kLeafSize) return id;  // leaf (axis stays -1)
-
-  // Split on the axis with the widest normalised spread.
-  const std::size_t dim = idx.dim;
-  std::size_t axis = 0;
-  double best_spread = -1.0;
-  for (std::size_t d = 0; d < dim; ++d) {
-    double lo = std::numeric_limits<double>::infinity();
-    double hi = -std::numeric_limits<double>::infinity();
-    for (std::uint32_t i = b; i < e; ++i) {
-      const double c = rp[static_cast<std::size_t>(rows[i]) * dim + d];
-      lo = std::min(lo, c);
-      hi = std::max(hi, c);
-    }
-    const double spread = (hi - lo) / idx.range[d];
-    if (spread > best_spread) {
-      best_spread = spread;
-      axis = d;
-    }
-  }
-  if (best_spread <= 0.0) return id;  // all points coincide: keep as leaf
-
-  // Split by value at the median coordinate m, with every row equal to m on
-  // one side, so lo_split < hi_split.  A split by index can leave copies of
-  // m on both sides; a query at m then bounds both children by 0 and
-  // prunes neither, which on a decimated grid (every coordinate value
-  // shared by hundreds of rows) is most queries.
-  const auto coord = [&](std::uint32_t r) {
-    return rp[static_cast<std::size_t>(r) * dim + axis];
-  };
-  const std::uint32_t mid = b + (e - b) / 2;
-  std::nth_element(
-      rows.begin() + b, rows.begin() + mid, rows.begin() + e,
-      [&](std::uint32_t r, std::uint32_t q) { return coord(r) < coord(q); });
-  const double m = coord(rows[mid]);
-  // nth_element leaves rows[b, mid) <= m <= rows(mid, e): count the rows
-  // strictly below m on the left and strictly above it on the right.
-  std::uint32_t below = 0;
-  double below_max = -std::numeric_limits<double>::infinity();
-  for (std::uint32_t i = b; i < mid; ++i) {
-    const double c = coord(rows[i]);
-    below += c < m ? 1 : 0;
-    below_max = c < m ? std::max(below_max, c) : below_max;
-  }
-  std::uint32_t above = 0;
-  double above_min = std::numeric_limits<double>::infinity();
-  for (std::uint32_t i = mid + 1; i < e; ++i) {
-    const double c = coord(rows[i]);
-    above += c > m ? 1 : 0;
-    above_min = c > m ? std::min(above_min, c) : above_min;
-  }
-  // The ties join whichever side leaves the split closer to even, never
-  // emptying a side, and only that side's half of the rows is reordered.
-  const std::uint32_t half = mid - b;
-  const std::uint32_t ties = e - b - below - above;
-  const bool ties_left =
-      below == 0 || (above > 0 && below + ties - half < half - below);
-  if (ties_left) {
-    std::partition(rows.begin() + mid + 1, rows.begin() + e,
-                   [&](std::uint32_t r) { return coord(r) == m; });
-  } else {
-    std::partition(rows.begin() + b, rows.begin() + mid,
-                   [&](std::uint32_t r) { return coord(r) < m; });
-  }
-  const std::uint32_t cut = ties_left ? e - above : b + below;
-  idx.nodes[id].axis = static_cast<std::int32_t>(axis);
-  idx.nodes[id].lo_split = ties_left ? m : below_max;
-  idx.nodes[id].hi_split = ties_left ? above_min : m;
-  const std::uint32_t left = build_node(idx, rows, rp, b, cut);
-  const std::uint32_t right = build_node(idx, rows, rp, cut, e);
-  idx.nodes[id].left = left;
-  idx.nodes[id].right = right;
-  return id;
-}
 
 Database::Index::Index(const core::ParameterSpace& space,
                        const std::map<core::Point, double>& table)
-    : dim(space.size()), n(table.size()) {
-  range.reserve(dim);
-  for (std::size_t d = 0; d < dim; ++d) range.push_back(space.param(d).range());
-  // Raw AoS copy in table order, then a row permutation from the recursive
-  // value splits, then the final SoA-per-row fill.
-  std::vector<double> rp(n * dim);
-  std::vector<double> rv(n);
-  std::size_t r = 0;
-  for (const auto& [pt, val] : table) {
-    std::copy(pt.begin(), pt.end(), rp.begin() + r * dim);
-    rv[r] = val;
-    ++r;
+    : dim(space.size()) {
+  // Each axis's distinct values, kept sorted by insertion.  `cells` is the
+  // product of their counts; a full product has exactly one row per cell,
+  // so a table is rejected as soon as its cells outnumber its rows.
+  std::vector<std::vector<double>> axes;
+  for (const double c : table.begin()->first) axes.push_back({c});
+  std::size_t cells = 1;
+  times.reserve(table.size());
+  for (const auto& [pt, time] : table) {
+    for (std::size_t d = 0; d < dim; ++d) {
+      std::vector<double>& v = axes[d];
+      const std::size_t i = core::lower_index(v, pt[d]);
+      if (i < v.size() && v[i] == pt[d]) continue;
+      v.insert(v.begin() + static_cast<std::ptrdiff_t>(i), pt[d]);
+      cells = cells / (v.size() - 1) * v.size();
+      if (cells > table.size()) break;
+    }
+    if (cells > table.size()) break;
+    times.push_back(time);
   }
-  std::vector<std::uint32_t> rows(n);
-  for (std::uint32_t i = 0; i < n; ++i) rows[i] = i;
-  build_node(*this, rows, rp, 0, static_cast<std::uint32_t>(n));
-  pts.resize(n * dim);
-  vals.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t src = rows[i];
-    std::copy(rp.begin() + src * dim, rp.begin() + (src + 1) * dim,
-              pts.begin() + i * dim);
-    vals[i] = rv[src];
+  if (cells != table.size()) {
+    throw std::invalid_argument(
+        "database: table is not a full product grid");
   }
-  // Exact-hit table at load factor <= 0.5.
-  std::size_t cap = 16;
-  while (cap < n * 2) cap *= 2;
-  slot_hash.assign(cap, 0);
-  slot_row.assign(cap, 0);
-  const std::size_t mask = cap - 1;
-  core::Point tmp(dim);
-  for (std::size_t i = 0; i < n; ++i) {
-    std::copy(pts.begin() + i * dim, pts.begin() + (i + 1) * dim,
-              tmp.begin());
-    const std::uint64_t h = point_hash(tmp);
-    std::size_t pos = h & mask;
-    while (slot_hash[pos] != 0) pos = (pos + 1) & mask;
-    slot_hash[pos] = h;
-    slot_row[pos] = static_cast<std::uint32_t>(i);
+  begin.push_back(0);
+  for (std::size_t d = 0; d < dim; ++d) {
+    values.insert(values.end(), axes[d].begin(), axes[d].end());
+    begin.push_back(values.size());
+    range.push_back(space.param(d).range());
   }
   if (const std::size_t slots = lattice_size(space)) {
     memo.reset(
@@ -527,12 +467,19 @@ Database Database::load(std::istream& in, core::ParameterSpace space,
     table[std::move(fields)] = time;
   }
   if (table.empty()) throw std::runtime_error("database load: no entries");
-  return Database(std::move(space), std::move(table), options);
+  try {
+    return Database(std::move(space), std::move(table), options);
+  } catch (const std::invalid_argument& e) {  // not a full product grid
+    throw std::runtime_error(std::string("database load: ") + e.what());
+  }
 }
 
 std::optional<double> Database::exact(const core::Point& x) const {
-  if (const double* v = index_->exact_find(point_hash(x), x)) return *v;
-  return std::nullopt;
+  if (x.size() != index_->dim) return std::nullopt;
+  Index::Walk& w = index_->scratch(0);
+  const std::size_t row = index_->locate(x.data(), w.cell.data());
+  if (row == Index::kNoRow) return std::nullopt;
+  return index_->times[row];
 }
 
 double Database::normalized_distance2(const core::Point& a,
@@ -551,29 +498,29 @@ double Database::interpolate_reference(const core::Point& x) const {
   const std::size_t k =
       std::min(options_.interpolation_neighbors, table_.size());
   assert(k >= 1);
-  // Bounded-heap selection in per-thread scratch.  This keeps the k
-  // smallest (dist2, value) pairs — the same multiset the historical
-  // "materialise all + partial_sort" implementation selected (pairs that
-  // compare equal are identical in both fields, so any representative is
-  // interchangeable) — then sorts them ascending, making the IDW
-  // accumulation below bit-identical to the old code while performing no
-  // steady-state allocation.
-  thread_local std::vector<std::pair<double, double>> nearest;
+  // Selection in per-thread scratch.  This keeps the k smallest
+  // (dist2, value) pairs, ascending — the same multiset, in the same order,
+  // as the historical "materialise all + partial_sort" implementation, so
+  // the IDW accumulation is bit-identical to the old code while performing
+  // no steady-state allocation.
+  thread_local std::vector<Neighbor> nearest;
   nearest.clear();
   for (const auto& [pt, val] : table_) {
-    Index::heap_push(nearest, k, {normalized_distance2(x, pt), val});
+    offer(nearest, k, {normalized_distance2(x, pt), val});
   }
-  std::sort(nearest.begin(), nearest.end());
+  return weighted_average(nearest);
+}
 
+double Database::weighted_average(std::span<const Neighbor> nearest) const {
   // Inverse-distance weighting (paper: "weighted average of its closest
   // neighbors performance values").
   double wsum = 0.0;
   double vsum = 0.0;
-  for (std::size_t i = 0; i < k; ++i) {
-    const double d = std::sqrt(nearest[i].first);
+  for (const auto& [dist2, value] : nearest) {
+    const double d = std::sqrt(dist2);
     const double w = 1.0 / std::pow(d + 1e-12, options_.idw_power);
     wsum += w;
-    vsum += w * nearest[i].second;
+    vsum += w * value;
   }
   return vsum / wsum;
 }
@@ -593,29 +540,12 @@ std::vector<double> Database::decimate_axis(std::vector<double> all,
 }
 
 double Database::interpolate_uncached(const core::Point& x) const {
-  return interpolate_indexed(*index_, x);
-}
-
-double Database::interpolate_indexed(const Index& idx,
-                                     const core::Point& x) const {
-  const std::size_t k = std::min(options_.interpolation_neighbors, idx.n);
-  assert(k >= 1);
-  // Per-thread scratch: the neighbour heap is reused across lookups so the
-  // steady-state interpolation path performs no allocation.
-  thread_local std::vector<std::pair<double, double>> heap;
-  idx.knn(x.data(), k, heap);
-  // Ascending (dist2, value) order — the exact order the reference's
-  // partial_sort produces — so the IDW accumulation is bit-identical.
-  std::sort(heap.begin(), heap.end());
-  double wsum = 0.0;
-  double vsum = 0.0;
-  for (std::size_t i = 0; i < k; ++i) {
-    const double d = std::sqrt(heap[i].first);
-    const double w = 1.0 / std::pow(d + 1e-12, options_.idw_power);
-    wsum += w;
-    vsum += w * heap[i].second;
-  }
-  return vsum / wsum;
+  assert(x.size() == space_.size());
+  const std::size_t k = std::min(options_.interpolation_neighbors, entries());
+  Index::Walk& w = index_->scratch(k);
+  index_->locate(x.data(), w.cell.data());
+  index_->nearest(x.data(), k, w);
+  return weighted_average(w.best);
 }
 
 double Database::clean_time(const core::Point& x) const {
@@ -626,13 +556,19 @@ double Database::clean_time(const core::Point& x) const {
     tiers.memo.add();
     return *v;
   }
+  // One search per axis finds the exact row or, failing that, the cell the
+  // walk starts from.
+  const std::size_t k = std::min(options_.interpolation_neighbors, entries());
+  Index::Walk& w = index_->scratch(k);
+  const std::size_t row = index_->locate(x.data(), w.cell.data());
   double value;
-  if (const double* v = index_->exact_find(point_hash(x), x)) {
+  if (row != Index::kNoRow) {
     tiers.exact.add();
-    value = *v;
+    value = index_->times[row];
   } else {
     tiers.kdtree.add();
-    value = interpolate_indexed(*index_, x);
+    index_->nearest(x.data(), k, w);
+    value = weighted_average(w.best);
   }
   index_->memo_put(slot, value);
   return value;

@@ -10,20 +10,29 @@
 // noise baked in — exactly the role the authors' measured database played.
 //
 // The database is immutable: it is constructed from its complete table,
+// which must be a full product grid (every combination of each axis's
+// stored values — what measure() and load() of save()'s output produce),
 // and the constructor builds the index once.  Every lookup goes through
 // clean_time(), which tries three tiers in order and memoises the answer:
 //   1. lattice memo  — one 64-bit slot per admissible point of an all-
 //                      integer/discrete space, read with one relaxed load
 //                      and filled with one relaxed store, so hits and
 //                      racing misses write nothing shared;
-//   2. exact table   — open-addressing hash over the stored points;
-//   3. k-d tree      — k-NN + inverse-distance weighting over a value-split
-//                      tree, bit-identical to the brute-force reference.
-// A stored lattice point therefore costs one hash probe and is a memo hit
-// after that.  Points off the lattice (and every point of a space with a
-// continuous axis) have no memo slot and take the exact table or the k-d
-// tree every time: the strategies only propose admissible points, so no
-// workload repeats an off-lattice query.
+//   2. exact grid row — one branch-free search per axis over that axis's
+//                      stored values; when every axis holds x's
+//                      coordinate, the mixed-radix row is the answer;
+//   3. grid walk     — otherwise the same per-axis indices locate x's
+//                      cell, and a window grown from the cell's nearest
+//                      corner finds the k nearest rows for inverse-distance
+//                      weighting, bit-identical to the brute-force
+//                      reference.
+// A stored lattice point therefore costs one search per axis and is a memo
+// hit after that.  Points off the lattice (and every point of a space with
+// a continuous axis) have no memo slot and take the exact row or the walk
+// every time: the strategies only propose admissible points, so no
+// workload repeats an off-lattice query.  The walk still counts as
+// tier=kdtree in protuner_db_lookups_total: the label names the
+// interpolation tier, and dashboards and benchmark gates read it.
 #pragma once
 
 #include <cstddef>
@@ -32,6 +41,8 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "core/landscape.h"
@@ -59,8 +70,9 @@ struct DatabaseOptions {
 class Database final : public core::Landscape {
  public:
   /// Builds the index over `table`.  Throws std::invalid_argument on an
-  /// empty table, an arity mismatch, a non-finite coordinate or a
-  /// non-finite or non-positive time.
+  /// empty table, an arity mismatch, a non-finite coordinate, a non-finite
+  /// or non-positive time, or a table that is not a full product grid
+  /// (its size differs from the product of its distinct values per axis).
   Database(core::ParameterSpace space, std::map<core::Point, double> table,
            DatabaseOptions options = {});
   Database(Database&&) noexcept;
@@ -83,9 +95,10 @@ class Database final : public core::Landscape {
   void save(std::ostream& out) const;
 
   /// Reads entries previously written by save() into a new database over
-  /// `space`.  Throws std::runtime_error on input with no entries, and
-  /// naming the line on malformed input, arity mismatch, a non-finite
-  /// coordinate or a non-finite or non-positive time.
+  /// `space`.  Throws std::runtime_error on input with no entries or whose
+  /// entries are not a full product grid, and naming the line on malformed
+  /// input, arity mismatch, a non-finite coordinate or a non-finite or
+  /// non-positive time.
   static Database load(std::istream& in, core::ParameterSpace space,
                        DatabaseOptions options = {});
 
@@ -97,8 +110,9 @@ class Database final : public core::Landscape {
 
   /// Landscape interface: exact hit, else inverse-distance-weighted average
   /// of the closest entries (distances in range-normalised coordinates).
-  /// Memo first, then the exact table, then the k-d tree; each lookup adds
-  /// one to exactly one protuner_db_lookups_total{tier=memo|exact|kdtree}.
+  /// Memo first, then the exact grid row, then the grid walk; each lookup
+  /// adds one to exactly one protuner_db_lookups_total{tier=memo|exact|
+  /// kdtree} (kdtree counts the walk).
   double clean_time(const core::Point& x) const override;
 
   std::string name() const override { return "GS2Database"; }
@@ -106,12 +120,13 @@ class Database final : public core::Landscape {
   /// Brute-force O(N) interpolation (the pre-index implementation), kept as
   /// the behavioural reference: the indexed path must reproduce it
   /// bit-for-bit.  Bypasses the memo and the exact-hit fast path.
-  /// Selection runs through a bounded heap in per-thread scratch (no
-  /// steady-state allocation, same result as the historical partial_sort).
+  /// Selection keeps the k smallest (dist2, time) pairs in per-thread
+  /// scratch (no steady-state allocation, same result as the historical
+  /// partial_sort).
   double interpolate_reference(const core::Point& x) const;
 
-  /// Interpolation through the k-d tree, bypassing the memo and the exact
-  /// table — the steady-state cost of a memo miss.  For equivalence tests
+  /// Interpolation through the grid walk, bypassing the memo and the exact
+  /// row — the steady-state cost of a memo miss.  For equivalence tests
   /// and benchmarks; clean_time() is the production path.
   double interpolate_uncached(const core::Point& x) const;
 
@@ -123,14 +138,15 @@ class Database final : public core::Landscape {
                                            std::size_t stride);
 
  private:
-  struct Index;  // exact table + lattice memo + k-d tree (database.cc)
+  struct Index;  // grid axes + times + lattice memo (database.cc)
 
   double normalized_distance2(const core::Point& a,
                               const core::Point& b) const;
 
-  /// Interpolates a memo miss through the k-d tree (k-NN + IDW),
-  /// bit-identical to interpolate_reference.
-  double interpolate_indexed(const Index& idx, const core::Point& x) const;
+  /// Inverse-distance-weighted average of the k nearest entries, given as
+  /// ascending (dist2, time) pairs.
+  double weighted_average(
+      std::span<const std::pair<double, double>> nearest) const;
 
   core::ParameterSpace space_;
   DatabaseOptions options_;

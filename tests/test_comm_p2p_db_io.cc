@@ -72,8 +72,9 @@ TEST(DatabaseIo, LoadRejectsEmptyInput) {
 }
 
 TEST(DatabaseIo, LoadRejectsNonFiniteValuesAndNonPositiveTimes) {
-  // Checked in every build: the k-d tree bounds need finite coordinates and
-  // interpolation needs finite positive times.  The error names the line.
+  // Checked in every build: the grid's sorted axes need finite coordinates
+  // and interpolation needs finite positive times.  The error names the
+  // line.
   const core::ParameterSpace space({core::Parameter::integer("x", 0, 9)});
   for (const char* row :
        {"nan,1.0", "inf,1.0", "-inf,1.0", "1,nan", "1,inf", "1,0", "1,-2.5"}) {

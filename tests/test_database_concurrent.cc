@@ -1,10 +1,11 @@
 // Concurrency hammer for the database's read path: REPRO_THREADS (min 4)
 // threads issue overlapping scalar and batch lookups against one shared
 // Database, on admissible lattice points (memoised) and off-lattice points
-// (always the k-d tree), including simultaneous miss-recompute of the same
+// (always the grid walk), including simultaneous miss-recompute of the same
 // point.  Run under -DPROTUNER_SANITIZE=thread this covers the lattice
 // memo's relaxed load / racing relaxed store, the one shared write left on
-// the otherwise immutable database.
+// the otherwise immutable database, and each thread's private walk
+// scratch.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -41,7 +42,7 @@ std::vector<core::Point> off_grid_points(const core::ParameterSpace& space,
 }
 
 /// `n` admissible points not stored in `db`: each one's first lookup is a
-/// k-d tree miss that fills its memo slot.
+/// grid-walk miss that fills its memo slot.
 std::vector<core::Point> lattice_points(const Database& db,
                                         std::uint64_t seed, int n) {
   util::Rng rng(seed);
@@ -114,7 +115,7 @@ TEST(DatabaseConcurrent, SimultaneousMissRecomputeOfSamePoint) {
   // Fresh database per round so the probed point is a genuine miss for
   // every thread; a barrier lines the threads up on the same point so they
   // race through miss -> interpolate -> memo store together on the lattice
-  // points, and through two k-d tree walks on the off-lattice ones.
+  // points, and through two grid walks on the off-lattice ones.
   const std::vector<core::Point> pts =
       mixed_points(Database::measure(space, surface, {}), 42, 32);
   for (int round = 0; round < 4; ++round) {

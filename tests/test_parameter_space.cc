@@ -81,7 +81,8 @@ TEST(Parameter, OneSearchMatchesStdSearchesBitForBit) {
   // Every discrete-value lookup goes through Parameter::lower_index.  Check
   // it, and each lookup built on it, against the std:: searches they
   // replaced, bit for bit: a -0.0 query against a stored +0.0 must still
-  // return the stored element, and NaN must behave as it did.
+  // return the stored element, and NaN must behave as it did, except that
+  // admissible() rejects it (std::binary_search accepts it).
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
   std::vector<std::vector<double>> sets = {
@@ -117,8 +118,8 @@ TEST(Parameter, OneSearchMatchesStdSearchesBitForBit) {
       const auto ub = std::upper_bound(v.begin(), v.end(), x);
       EXPECT_EQ(p.lower_index(x), static_cast<std::size_t>(lb - v.begin()));
 
-      const bool admissible =
-          !(x < lo || x > hi) && std::binary_search(v.begin(), v.end(), x);
+      const bool admissible = !std::isnan(x) && !(x < lo || x > hi) &&
+                              std::binary_search(v.begin(), v.end(), x);
       EXPECT_EQ(p.admissible(x), admissible);
       const double floor_ref = x <= lo ? lo : x >= hi ? hi : *(ub - 1);
       const double ceil_ref = x <= lo ? lo : x >= hi ? hi : *lb;
@@ -131,6 +132,29 @@ TEST(Parameter, OneSearchMatchesStdSearchesBitForBit) {
         EXPECT_EQ(bits(p.neighbor_below(x)), bits(below_ref));
       }
     }
+  }
+}
+
+TEST(Parameter, AdmissibleRejectsNanOnEveryKind) {
+  // A NaN orders against nothing, so a bounds test written as two
+  // rejections (x < lo, x > hi) lets it through; admissible() must not.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const Parameter kinds[] = {Parameter::continuous("c", -1.0, 1.0),
+                             Parameter::integer("i", 0, 9),
+                             Parameter::discrete("d", {1.0, 2.0, 4.0})};
+  for (const Parameter& p : kinds) {
+    SCOPED_TRACE(p.name());
+    EXPECT_FALSE(p.admissible(nan));
+    EXPECT_FALSE(p.admissible(-nan));
+    EXPECT_TRUE(p.admissible(p.lower()));
+    EXPECT_TRUE(p.admissible(p.upper()));
+  }
+  const ParameterSpace space({kinds[0], kinds[1], kinds[2]});
+  EXPECT_TRUE(space.admissible(Point{0.5, 3.0, 2.0}));
+  for (std::size_t d = 0; d < space.size(); ++d) {
+    Point x{0.5, 3.0, 2.0};
+    x[d] = nan;
+    EXPECT_FALSE(space.admissible(x)) << "NaN on axis " << d;
   }
 }
 

@@ -249,9 +249,11 @@ TEST(StepAllocation, WarmedReferenceInterpolationIsAllocationFree) {
 
 TEST(StepAllocation, WarmedDatabaseLatticeMissIsAllocationFree) {
   // The lattice memo is one slot array sized when the index is built, so
-  // after one warm-up miss per thread (the k-NN heap is per-thread scratch)
-  // neither a cold lattice miss — k-d tree walk plus one slot store — nor a
-  // memo hit may touch the heap, through clean_time or clean_times.
+  // after one warm-up miss per thread (the grid walk's window, distance
+  // terms and k nearest are per-thread scratch) neither a cold lattice
+  // miss — per-axis search, grid walk plus one slot store — nor a memo hit
+  // may touch the heap, through clean_time or clean_times.  The scratch
+  // grows to the largest k a thread has used, up to the spec's 64.
   const gs2::Gs2Surface surface;
   const auto space = gs2::gs2_space();
   const gs2::Database db = gs2::Database::measure(space, surface, {});
@@ -278,6 +280,15 @@ TEST(StepAllocation, WarmedDatabaseLatticeMissIsAllocationFree) {
   EXPECT_EQ(allocation_count(), before)
       << "warmed lattice misses or memo hits allocated on the heap";
   EXPECT_GT(acc + out[0], 0.0);
+
+  const gs2::Database wide =
+      gs2::Database::measure(space, surface, {.interpolation_neighbors = 64});
+  acc = wide.clean_time(fresh[0]);  // grows this thread's scratch to k = 64
+  const std::size_t wide_before = allocation_count();
+  for (const Point& x : scalar) acc += wide.clean_time(x);
+  EXPECT_EQ(allocation_count(), wide_before)
+      << "warmed k = 64 lattice misses allocated on the heap";
+  EXPECT_GT(acc, 0.0);
 }
 
 TEST(StepAllocation, RunStepWrapperMatchesRunStepInto) {
@@ -414,7 +425,9 @@ TEST(StepAllocation, RandomizedStrategyRoundsAreAllocationFree) {
   // The comparators run forever at full width (repro_wide), so their whole
   // round must run in recycled storage: annealing's neighbour moves and
   // genetic's next generation are built in member buffers, SPSA's probes
-  // and grid's pending points reuse theirs.  Mixed space: integer,
+  // and grid's pending points reuse theirs, and compass projects its poll
+  // into recycled points and keeps a running min per poll point (two
+  // samples, so the sampling rounds are measured too).  Mixed space: integer,
   // continuous and a non-uniform discrete axis.  Grid's 720-point sweep
   // finishes inside the measured window, so the done transition is
   // measured too.
@@ -455,6 +468,12 @@ TEST(StepAllocation, RandomizedStrategyRoundsAreAllocationFree) {
   core::GridSearchStrategy grid(space, {});
   drive(grid, "grid");
   EXPECT_TRUE(grid.converged()) << "the grid sweep did not finish";
+  // No step floor: compass polls every measured round instead of idling
+  // in its converged tail.
+  core::CompassStrategy compass(space, {.min_step_fraction = 0.0,
+                                        .samples = 2});
+  drive(compass, "compass");
+  EXPECT_FALSE(compass.converged()) << "compass converged before the window";
 }
 
 TEST(StepAllocation, ProRoundsAreAllocationFreeOnceWarm) {
