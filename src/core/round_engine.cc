@@ -1,6 +1,8 @@
 #include "core/round_engine.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <string>
 
 #include "core/evaluator.h"
@@ -11,6 +13,22 @@ namespace protuner::core {
 namespace {
 
 [[noreturn]] void misuse(const std::string& what) { throw EngineError(what); }
+
+[[noreturn]] void bad_time(const char* who, double time) {
+  misuse(std::string(who) + ": time " + std::to_string(time) +
+         " is not finite and non-negative");
+}
+
+/// A NaN, infinite or negative time would corrupt T_k = max_p t_p and
+/// Total_Time; harmony::Server::report refuses the same times.  This runs
+/// per slot per step, so the test is one comparison pair (a NaN fails
+/// both) and the message is built out of line.
+void check_time(const char* who, double time) {
+  if (!(time >= 0.0 && time <= std::numeric_limits<double>::max()))
+      [[unlikely]] {
+    bad_time(who, time);
+  }
+}
 
 obs::Labels engine_labels(const RoundEngineOptions& options) {
   if (options.session.empty()) return {};
@@ -41,8 +59,9 @@ RoundEngine::RoundEngine(TuningStrategy& strategy,
           "Step cost T_k = max per-rank time (simulated seconds)",
           engine_labels(options_))) {
   if (width_ == 0) misuse("RoundEngine: width must be >= 1");
-  if (options_.impute_penalty < 1.0) {
-    misuse("RoundEngine: impute_penalty must be >= 1");
+  if (!(options_.impute_penalty >= 1.0 &&
+        std::isfinite(options_.impute_penalty))) {
+    misuse("RoundEngine: impute_penalty must be finite and >= 1");
   }
   active_.assign(width_, true);
   strategy_.start(width_);
@@ -135,6 +154,7 @@ void RoundEngine::submit(std::size_t slot, double time) {
   if (slot >= assignment_.size()) misuse("submit: slot out of range");
   if (!expected_[slot]) misuse("submit: slot is not part of this round");
   if (submitted_[slot]) misuse("submit: slot already reported this round");
+  check_time("submit", time);
   times_[slot] = time;
   submitted_[slot] = true;
   ++collected_;
@@ -147,6 +167,7 @@ void RoundEngine::submit_all(std::span<const double> times) {
   if (times.size() != assignment_.size()) {
     misuse("submit_all: one time per assigned slot required");
   }
+  for (const double t : times) check_time("submit_all", t);
   for (std::size_t s = 0; s < times.size(); ++s) submit(s, times[s]);
 }
 

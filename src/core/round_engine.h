@@ -68,7 +68,8 @@ struct RoundEngineOptions {
   /// from close_round().  The engine's own instruments below need none.
   SessionObserver* observer = nullptr;
   /// A straggler's imputed time is (max time observed this round) × this
-  /// factor; must be >= 1 so imputation never under-states the step cost.
+  /// factor; must be finite and >= 1 so imputation never under-states the
+  /// step cost (nor makes it infinite).
   double impute_penalty = 1.5;
   /// Registry the engine's telemetry (rounds/imputations counters, round
   /// cost histogram) is registered in; null means obs::Registry::global().
@@ -96,9 +97,11 @@ class RoundEngine {
   std::span<const Point> assignment() const;
   const Point& assignment_for(std::size_t slot) const;
 
-  /// Records one slot's observed iteration time.
+  /// Records one slot's observed iteration time.  Throws EngineError, and
+  /// changes nothing, on a NaN, infinite or negative time.
   void submit(std::size_t slot, double time);
-  /// Records every slot's time at once (the synchronous-driver path).
+  /// Records every slot's time at once (the synchronous-driver path); any
+  /// invalid time throws before the first slot is recorded.
   void submit_all(std::span<const double> times);
 
   /// True once every expected slot has reported.

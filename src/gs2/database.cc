@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdlib>
+#include <functional>
 #include <istream>
 #include <limits>
 #include <new>
@@ -125,9 +126,10 @@ void offer(std::vector<Neighbor>& best, std::size_t k, Neighbor c) {
 // ---------------------------------------------------------------------------
 // The index: the table as a product grid — each axis's sorted distinct
 // values and the times in row-major order, which is std::map order — plus
-// the lattice memo.  Built once, by the Database constructor, and immutable
-// afterwards except for the memo slots, which are only touched through
-// relaxed std::atomic_ref operations, so concurrent lookups need no locking.
+// the lattice memo.  It is the database's only copy of the table.  Built
+// once, by measure() or the table constructor, and immutable afterwards
+// except for the memo slots, which are only touched through relaxed
+// std::atomic_ref operations, so concurrent lookups need no locking.
 //
 // Exactness contract: the walk must select the brute-force reference's k
 // nearest rows, in its (dist2, time) order, with bit-identical distances.
@@ -136,8 +138,11 @@ void offer(std::vector<Neighbor>& best, std::size_t k, Neighbor c) {
 // reference's expression, and the walk stops only when every unscanned
 // row's dist2 is provably larger than the k-th best (see nearest()).
 struct Database::Index {
+  /// `axes` holds each axis's values, strictly increasing; `times` holds
+  /// one time per combination, row-major (axis 0 most significant).
   Index(const core::ParameterSpace& space,
-        const std::map<core::Point, double>& table);
+        const std::vector<std::vector<double>>& axes,
+        std::vector<double> times);
 
   static constexpr std::size_t kNoRow =
       std::numeric_limits<std::size_t>::max();
@@ -299,6 +304,27 @@ struct Database::Index {
     }
   }
 
+  /// Calls f(x, time) for every row in row-major order, with the row's
+  /// point rebuilt into `x` from the axis values; `idx` is the odometer.
+  /// Allocates nothing once `x` and `idx` have held `dim` entries.
+  template <typename F>
+  void for_each_row(core::Point& x, std::vector<std::size_t>& idx,
+                    F f) const {
+    x.resize(dim);
+    idx.assign(dim, 0);
+    for (std::size_t d = 0; d < dim; ++d) x[d] = values[begin[d]];
+    for (const double time : times) {
+      f(x, time);
+      // Odometer increment, last axis fastest.
+      for (std::size_t d = dim; d-- > 0;) {
+        const bool wrap = ++idx[d] == begin[d + 1] - begin[d];
+        if (wrap) idx[d] = 0;
+        x[d] = values[begin[d] + idx[d]];
+        if (!wrap) break;
+      }
+    }
+  }
+
   /// Memo slot of `x`, or kNoSlot when there is no memo or x is not an
   /// admissible point of `space`.
   std::size_t memo_slot(const core::ParameterSpace& space,
@@ -340,14 +366,54 @@ struct Database::Index {
 };
 
 Database::Index::Index(const core::ParameterSpace& space,
-                       const std::map<core::Point, double>& table)
-    : dim(space.size()) {
+                       const std::vector<std::vector<double>>& axes,
+                       std::vector<double> grid_times)
+    : dim(space.size()), times(std::move(grid_times)) {
+  begin.push_back(0);
+  for (std::size_t d = 0; d < dim; ++d) {
+    const std::vector<double>& v = axes[d];
+    if (std::adjacent_find(v.begin(), v.end(), std::greater_equal<>()) !=
+        v.end()) {
+      throw std::invalid_argument(
+          "database: axis values are not strictly increasing");
+    }
+    values.insert(values.end(), v.begin(), v.end());
+    begin.push_back(values.size());
+    range.push_back(space.param(d).range());
+  }
+  if (const std::size_t slots = lattice_size(space)) {
+    memo.reset(
+        static_cast<std::uint64_t*>(std::calloc(slots, sizeof(std::uint64_t))));
+    if (!memo) throw std::bad_alloc();
+  }
+}
+
+Database::Database(core::ParameterSpace space, DatabaseOptions options,
+                   std::unique_ptr<const Index> index)
+    : space_(std::move(space)), options_(options), index_(std::move(index)) {
+  assert(options_.interpolation_neighbors >= 1);
+  assert(options_.idw_power > 0.0);
+}
+
+Database::Database(core::ParameterSpace space,
+                   const std::map<core::Point, double>& table,
+                   DatabaseOptions options)
+    : Database(std::move(space), options, nullptr) {
+  if (table.empty()) throw std::invalid_argument("database: empty table");
+  const std::size_t dim = space_.size();
+  for (const auto& [x, time] : table) {
+    if (const char* why = entry_error(x, dim, time)) {
+      throw std::invalid_argument(std::string("database: ") + why);
+    }
+  }
   // Each axis's distinct values, kept sorted by insertion.  `cells` is the
   // product of their counts; a full product has exactly one row per cell,
-  // so a table is rejected as soon as its cells outnumber its rows.
+  // so a table is rejected as soon as its cells outnumber its rows.  The
+  // rows of a full product, in map order, are in row-major order.
   std::vector<std::vector<double>> axes;
   for (const double c : table.begin()->first) axes.push_back({c});
   std::size_t cells = 1;
+  std::vector<double> times;
   times.reserve(table.size());
   for (const auto& [pt, time] : table) {
     for (std::size_t d = 0; d < dim; ++d) {
@@ -365,32 +431,7 @@ Database::Index::Index(const core::ParameterSpace& space,
     throw std::invalid_argument(
         "database: table is not a full product grid");
   }
-  begin.push_back(0);
-  for (std::size_t d = 0; d < dim; ++d) {
-    values.insert(values.end(), axes[d].begin(), axes[d].end());
-    begin.push_back(values.size());
-    range.push_back(space.param(d).range());
-  }
-  if (const std::size_t slots = lattice_size(space)) {
-    memo.reset(
-        static_cast<std::uint64_t*>(std::calloc(slots, sizeof(std::uint64_t))));
-    if (!memo) throw std::bad_alloc();
-  }
-}
-
-Database::Database(core::ParameterSpace space,
-                   std::map<core::Point, double> table,
-                   DatabaseOptions options)
-    : space_(std::move(space)), options_(options), table_(std::move(table)) {
-  assert(options_.interpolation_neighbors >= 1);
-  assert(options_.idw_power > 0.0);
-  if (table_.empty()) throw std::invalid_argument("database: empty table");
-  for (const auto& [x, time] : table_) {
-    if (const char* why = entry_error(x, space_.size(), time)) {
-      throw std::invalid_argument(std::string("database: ") + why);
-    }
-  }
-  index_ = std::make_unique<const Index>(space_, table_);
+  index_ = std::make_unique<const Index>(space_, axes, std::move(times));
 }
 
 Database::Database(Database&&) noexcept = default;
@@ -402,40 +443,56 @@ Database Database::measure(const core::ParameterSpace& space,
                            const DatabaseOptions& options,
                            const varmodel::NoiseModel* noise,
                            std::uint64_t seed) {
-  std::map<core::Point, double> table;
   util::Rng rng(seed);
+  const std::size_t dim = space.size();
 
   std::vector<std::vector<double>> axes;
-  axes.reserve(space.size());
-  for (std::size_t i = 0; i < space.size(); ++i) {
+  axes.reserve(dim);
+  std::size_t rows = 1;
+  for (std::size_t i = 0; i < dim; ++i) {
     axes.push_back(axis_values(space.param(i), options.stride));
+    rows *= axes.back().size();
   }
+  if (rows == 0) throw std::invalid_argument("database: empty table");
 
-  // Cartesian product over the decimated axes.
-  core::Point x(space.size());
-  std::vector<std::size_t> idx(space.size(), 0);
+  // Cartesian product over the decimated axes.  The odometer turns axis 0
+  // fastest, the order the noise is drawn in; each time lands in its
+  // row-major row (axis 0 most significant, std::map order).
+  std::vector<double> times(rows);
+  core::Point x(dim);
+  std::vector<std::size_t> idx(dim, 0);
   for (;;) {
-    for (std::size_t i = 0; i < space.size(); ++i) x[i] = axes[i][idx[i]];
+    std::size_t row = 0;
+    for (std::size_t i = 0; i < dim; ++i) {
+      x[i] = axes[i][idx[i]];
+      row = row * axes[i].size() + idx[i];
+    }
     double t = source.clean_time(x);
     if (noise != nullptr) t += noise->sample(t, rng);
-    table[x] = t;
+    if (const char* why = entry_error(x, dim, t)) {
+      throw std::invalid_argument(std::string("database: ") + why);
+    }
+    times[row] = t;
     // Odometer increment.
     std::size_t axis = 0;
-    while (axis < space.size() && ++idx[axis] == axes[axis].size()) {
+    while (axis < dim && ++idx[axis] == axes[axis].size()) {
       idx[axis] = 0;
       ++axis;
     }
-    if (axis == space.size()) break;
+    if (axis == dim) break;
   }
-  return Database(space, std::move(table), options);
+  return Database(space, options,
+                  std::make_unique<const Index>(space, axes, std::move(times)));
 }
 
 void Database::save(std::ostream& out) const {
   out.precision(std::numeric_limits<double>::max_digits10);
-  for (const auto& [pt, val] : table_) {
-    for (double c : pt) out << c << ',';
-    out << val << '\n';
-  }
+  core::Point pt;
+  std::vector<std::size_t> idx;
+  index_->for_each_row(pt, idx, [&](const core::Point& x, double time) {
+    for (const double c : x) out << c << ',';
+    out << time << '\n';
+  });
 }
 
 Database Database::load(std::istream& in, core::ParameterSpace space,
@@ -468,11 +525,13 @@ Database Database::load(std::istream& in, core::ParameterSpace space,
   }
   if (table.empty()) throw std::runtime_error("database load: no entries");
   try {
-    return Database(std::move(space), std::move(table), options);
+    return Database(std::move(space), table, options);
   } catch (const std::invalid_argument& e) {  // not a full product grid
     throw std::runtime_error(std::string("database load: ") + e.what());
   }
 }
+
+std::size_t Database::entries() const { return index_->times.size(); }
 
 std::optional<double> Database::exact(const core::Point& x) const {
   if (x.size() != index_->dim) return std::nullopt;
@@ -495,19 +554,21 @@ double Database::normalized_distance2(const core::Point& a,
 double Database::interpolate_reference(const core::Point& x) const {
   assert(x.size() == space_.size());
   // k nearest entries by range-normalised distance: full scan + selection.
-  const std::size_t k =
-      std::min(options_.interpolation_neighbors, table_.size());
+  const std::size_t k = std::min(options_.interpolation_neighbors, entries());
   assert(k >= 1);
   // Selection in per-thread scratch.  This keeps the k smallest
   // (dist2, value) pairs, ascending — the same multiset, in the same order,
   // as the historical "materialise all + partial_sort" implementation, so
   // the IDW accumulation is bit-identical to the old code while performing
-  // no steady-state allocation.
+  // no steady-state allocation.  The row points and the odometer are
+  // per-thread scratch too.
   thread_local std::vector<Neighbor> nearest;
+  thread_local core::Point pt;
+  thread_local std::vector<std::size_t> idx;
   nearest.clear();
-  for (const auto& [pt, val] : table_) {
-    offer(nearest, k, {normalized_distance2(x, pt), val});
-  }
+  index_->for_each_row(pt, idx, [&](const core::Point& row, double time) {
+    offer(nearest, k, {normalized_distance2(x, row), time});
+  });
   return weighted_average(nearest);
 }
 

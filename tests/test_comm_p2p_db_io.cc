@@ -2,7 +2,9 @@
 // and the table constructor.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -10,6 +12,8 @@
 
 #include "gs2/database.h"
 #include "gs2/surface.h"
+#include "util/rng.h"
+#include "varmodel/pareto_noise.h"
 
 namespace protuner {
 namespace {
@@ -29,6 +33,79 @@ TEST(DatabaseIo, SaveLoadRoundTrip) {
   // Interpolated lookups agree too (same entries, same options).
   const core::Point off{16.0, 9.0, 4.0};
   EXPECT_DOUBLE_EQ(loaded.clean_time(off), db.clean_time(off));
+}
+
+std::string saved(const gs2::Database& db) {
+  std::ostringstream out;
+  db.save(out);
+  return out.str();
+}
+
+TEST(DatabaseIo, SaveLoadSaveIsByteIdentical) {
+  const auto space = gs2::gs2_space();
+  const gs2::Gs2Surface surface;
+  const varmodel::ParetoNoise noise(0.3, 1.7);
+  for (const varmodel::NoiseModel* n :
+       {static_cast<const varmodel::NoiseModel*>(nullptr),
+        static_cast<const varmodel::NoiseModel*>(&noise)}) {
+    const std::string first =
+        saved(gs2::Database::measure(space, surface, {}, n, 5));
+    std::istringstream in(first);
+    EXPECT_EQ(saved(gs2::Database::load(in, space)), first);
+  }
+}
+
+TEST(DatabaseIo, LoadOfShuffledRowsWithADuplicateEqualsSortedInput) {
+  // load() keys rows by point, so row order does not matter, and of two
+  // rows with the same point the later one wins.
+  const auto space = gs2::gs2_space();
+  const gs2::Gs2Surface surface;
+  const std::string sorted =
+      saved(gs2::Database::measure(space, surface, {.stride = 6}));
+  std::vector<std::string> rows;
+  std::istringstream lines(sorted);
+  for (std::string line; std::getline(lines, line);) rows.push_back(line);
+  ASSERT_EQ(rows.size(), 11u * 11u * 7u);
+  util::Rng rng(3);
+  for (std::size_t i = rows.size(); i > 1; --i) {
+    std::swap(rows[i - 1], rows[static_cast<std::size_t>(
+                               rng.uniform_int(0, static_cast<long>(i) - 1))]);
+  }
+  // A stale copy of the row now at position 10, with another time, placed
+  // before it: the later row must win.
+  const std::string& kept = rows[10];
+  const std::string stale = kept.substr(0, kept.rfind(',') + 1) + "123.5";
+  rows.insert(rows.begin() + 4, stale);
+  std::string shuffled;
+  for (const std::string& row : rows) shuffled += row + '\n';
+  std::istringstream in(shuffled);
+  const gs2::Database db = gs2::Database::load(in, space);
+  EXPECT_EQ(db.entries(), 11u * 11u * 7u);
+  EXPECT_EQ(saved(db), sorted);
+}
+
+TEST(DatabaseIo, SignedZeroAxisValueIsTheFirstKeyInMapOrder) {
+  // -0.0 == +0.0, so std::map folds keys that differ only in a zero's
+  // sign, and the grid keeps one value per axis position: that of the
+  // first key in map order, which save() then prints on every row.
+  const core::ParameterSpace space({core::Parameter::integer("x", -1, 1),
+                                    core::Parameter::integer("y", 0, 1)});
+  const auto table = [](double first_zero, double second_zero) {
+    return std::map<core::Point, double>{{{-1.0, 0.0}, 3.0},
+                                         {{-1.0, 1.0}, 4.0},
+                                         {{first_zero, 0.0}, 1.0},
+                                         {{second_zero, 1.0}, 2.0}};
+  };
+  const gs2::Database negative(space, table(-0.0, 0.0));
+  EXPECT_EQ(saved(negative), "-1,0,3\n-1,1,4\n-0,0,1\n-0,1,2\n");
+  const gs2::Database positive(space, table(0.0, -0.0));
+  EXPECT_EQ(saved(positive), "-1,0,3\n-1,1,4\n0,0,1\n0,1,2\n");
+  // load() goes through the same map, and either zero finds the row.
+  std::istringstream in("0,1,2\n-1,0,3\n-0,0,1\n-1,1,4\n");
+  const gs2::Database loaded = gs2::Database::load(in, space);
+  EXPECT_EQ(saved(loaded), "-1,0,3\n-1,1,4\n-0,0,1\n-0,1,2\n");
+  EXPECT_EQ(loaded.exact(core::Point{0.0, 1.0}), 2.0);
+  EXPECT_EQ(loaded.exact(core::Point{-0.0, 0.0}), 1.0);
 }
 
 TEST(DatabaseIo, LoadRejectsArityMismatch) {

@@ -25,6 +25,7 @@
 #include "gs2/surface.h"
 #include "obs/metrics.h"
 #include "util/rng.h"
+#include "varmodel/pareto_noise.h"
 
 namespace protuner::gs2 {
 namespace {
@@ -90,6 +91,42 @@ int lattice_mismatches(const Database& db,
     }
   }
   return bad;
+}
+
+/// The table measure() built before it wrote the grid directly: the same
+/// odometer (axis 0 fastest, so noise is drawn in the same order) over the
+/// decimated axes of an all-integer/discrete space, stored in a std::map.
+std::map<core::Point, double> odometer_table(
+    const core::ParameterSpace& space, const core::Landscape& source,
+    std::size_t stride, const varmodel::NoiseModel* noise,
+    std::uint64_t seed) {
+  std::vector<std::vector<double>> axes;
+  for (const core::Parameter& p : space.params()) {
+    std::vector<double> all = p.values();
+    if (p.kind() == core::ParamKind::kInteger) {
+      for (double c = p.lower(); c <= p.upper(); c += 1.0) all.push_back(c);
+    }
+    axes.push_back(Database::decimate_axis(std::move(all), stride));
+  }
+  util::Rng rng(seed);
+  std::map<core::Point, double> table;
+  core::Point x(axes.size());
+  std::vector<std::size_t> idx(axes.size(), 0);
+  for (;;) {
+    for (std::size_t d = 0; d < axes.size(); ++d) x[d] = axes[d][idx[d]];
+    double t = source.clean_time(x);
+    if (noise != nullptr) t += noise->sample(t, rng);
+    table[x] = t;
+    std::size_t d = 0;
+    while (d < axes.size() && ++idx[d] == axes[d].size()) idx[d++] = 0;
+    if (d == axes.size()) return table;
+  }
+}
+
+std::string saved(const Database& db) {
+  std::ostringstream out;
+  db.save(out);
+  return out.str();
 }
 
 /// Process-global lookup count of one tier (protuner_db_lookups_total).
@@ -264,6 +301,15 @@ TEST(DatabaseIndex, RejectsTablesThatAreNotFullProductGrids) {
   }
   holed[core::Point{1.0, 2.0}] = 1.0;
   EXPECT_EQ(Database(space, holed).entries(), 9u);
+  // measure() writes its grid directly, so it refuses sampled levels that
+  // round to one value instead of folding them into one row: 1e16 + 0.25
+  // is 1e16.
+  const core::ParameterSpace narrow(
+      {core::Parameter::continuous("x", 1e16, 1e16 + 2.0)});
+  const core::FunctionLandscape flat("flat",
+                                     [](const core::Point&) { return 1.0; });
+  EXPECT_THROW((void)Database::measure(narrow, flat, {.stride = 1}),
+               std::invalid_argument);
 }
 
 TEST(DatabaseIndex, NonFiniteCoordinateTerminatesAndMatchesReference) {
@@ -437,6 +483,45 @@ TEST(DatabaseIndex, TierCountsMatchPointsAndOnlyLatticePointsAreMemoised) {
     }
     for (const core::Point& x : stored) {
       EXPECT_EQ(db.clean_time(x), *db.exact(x));
+    }
+  }
+}
+
+TEST(DatabaseIndex, MeasureBuildsTheSameDatabaseAsTheTableConstructor) {
+  // measure() writes each time straight into its grid row.  It must build
+  // what the table constructor builds from the same odometer loop: the
+  // same saved bytes, entries and stored times, clean and with noise (which
+  // pins the order the noise is drawn in).
+  const Gs2Surface surface;
+  const auto space = gs2_space();
+  const varmodel::ParetoNoise pareto(0.3, 1.7);
+  for (const std::size_t stride : {1u, 2u, 3u}) {
+    for (const varmodel::NoiseModel* noise :
+         {static_cast<const varmodel::NoiseModel*>(nullptr),
+          static_cast<const varmodel::NoiseModel*>(&pareto)}) {
+      SCOPED_TRACE(testing::Message()
+                   << "stride " << stride << (noise ? " noisy" : " clean"));
+      const std::uint64_t seed = 17 + stride;
+      const Database measured =
+          Database::measure(space, surface, {.stride = stride}, noise, seed);
+      const std::map<core::Point, double> table =
+          odometer_table(space, surface, stride, noise, seed);
+      const Database built(space, table, {.stride = stride});
+      EXPECT_EQ(measured.entries(), table.size());
+      EXPECT_EQ(built.entries(), table.size());
+      EXPECT_EQ(saved(measured), saved(built));
+      int bad = 0;
+      for (const auto& [x, time] : table) {
+        const std::optional<double> m = measured.exact(x);
+        const std::optional<double> b = built.exact(x);
+        if (!m || !b || std::bit_cast<std::uint64_t>(*m) !=
+                            std::bit_cast<std::uint64_t>(time) ||
+            std::bit_cast<std::uint64_t>(*b) !=
+                std::bit_cast<std::uint64_t>(time)) {
+          ++bad;
+        }
+      }
+      EXPECT_EQ(bad, 0);
     }
   }
 }

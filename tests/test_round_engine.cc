@@ -2,6 +2,7 @@
 // every driver (run_session, harmony::Server, benches) advances through.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -113,6 +114,48 @@ TEST(RoundEngine, RejectsZeroWidthAndBadPenalty) {
   RoundEngineOptions o = padded(2);
   o.impute_penalty = 0.5;
   EXPECT_THROW(RoundEngine(fixed, o), EngineError);
+  // An infinite penalty would make every imputed T_k infinite.
+  o.impute_penalty = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(RoundEngine(fixed, o), EngineError);
+  o.impute_penalty = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(RoundEngine(fixed, o), EngineError);
+}
+
+TEST(RoundEngine, SubmitRejectsNonFiniteAndNegativeTimes) {
+  // A NaN, infinite or negative time is refused before any slot state
+  // changes: the round stays open with the same slots pending, and
+  // Total_Time is untouched.
+  core::FixedStrategy fixed(Point{1.0});
+  RoundEngine engine(fixed, padded(2));
+  engine.open_round();
+  engine.submit_all(std::vector<double>{1.0, 2.0});
+  engine.close_round();
+  ASSERT_DOUBLE_EQ(engine.total_time(), 2.0);
+
+  engine.open_round();
+  engine.submit(0, 1.0);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {nan, inf, -inf, -1.0, -1e-300}) {
+    SCOPED_TRACE(testing::Message() << "time " << bad);
+    EXPECT_THROW(engine.submit(1, bad), EngineError);
+    EXPECT_EQ(engine.phase(), RoundPhase::kCollecting);
+    EXPECT_EQ(engine.pending(), 1u);
+    EXPECT_FALSE(engine.submitted(1));
+    EXPECT_DOUBLE_EQ(engine.total_time(), 2.0);
+  }
+  engine.submit(1, 0.0);  // zero is a valid time
+  EXPECT_DOUBLE_EQ(engine.close_round(), 1.0);
+  EXPECT_DOUBLE_EQ(engine.total_time(), 3.0);
+
+  // submit_all checks every time before it records the first one.
+  engine.open_round();
+  EXPECT_THROW(engine.submit_all(std::vector<double>{1.0, nan}), EngineError);
+  EXPECT_EQ(engine.pending(), 2u);
+  EXPECT_FALSE(engine.submitted(0));
+  engine.submit_all(std::vector<double>{1.0, 4.0});
+  EXPECT_DOUBLE_EQ(engine.close_round(), 4.0);
+  EXPECT_DOUBLE_EQ(engine.total_time(), 7.0);
 }
 
 // -------------------------------------------------- parity with sessions
