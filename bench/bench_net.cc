@@ -1,94 +1,43 @@
-// Network serving tier benchmark (DESIGN.md §14): the epoll loop + binary
-// wire protocol measured at two shapes —
+// Network serving tier benchmark (DESIGN.md §14): the two wire-tier claims
+// perfbench's serve_wire workload does not measure, both through
+// apps::run_loadgen's loopback mode (one rank per connection, phase-locked
+// rounds, heavy-tailed think times):
 //
-//   BM_NetFetchReportRoundTrip   one connection, width-1 session: the
-//                                localhost round-trip floor of a fetch +
-//                                report pair (encode → send → epoll →
-//                                decode → serve → reply → decode).
-//   BM_NetManyConnections/C      a C-connection soak (64 / 256 / 1024)
-//                                through apps::run_loadgen's loopback
-//                                mode: one rank per connection, sessions
-//                                of 256 ranks, phase-locked rounds.  The
-//                                p99 counters come from the obs:: wire
+//   BM_NetManyConnections/1024   a 1024-connection soak (4 sessions of 256
+//                                ranks): the C10k-style record.  The p99
+//                                counters come from the obs:: wire
 //                                histograms the server publishes anyway.
-//   BM_NetSoakWithScrapes/Hz     the 256-connection soak with an HTTP
+//   BM_NetSoakWithScrapes/Hz     a 256-connection soak with an HTTP
 //                                /metrics scraper antagonist hitting the
 //                                same epoll loop at Hz (0 = baseline).
 //                                ops_per_sec at /50 vs /0 is the recorded
 //                                cost of serving the exporter in-loop
 //                                (acceptance: <= 3%).
 //
-// BENCH_net.json (bench_smoke_net ctest / bench-smoke target) is the
-// committed trajectory file; its 1024-connection entry is the C10k-style
-// acceptance record for the tier.
+// BENCH_net.json is the committed capture (tools/bench_capture.sh
+// regenerates it); the bench_smoke_net ctest runs both at a short
+// min_time.
 #include <benchmark/benchmark.h>
 
 #include <sys/resource.h>
 
 #include <algorithm>
-#include <chrono>
-#include <memory>
-#include <thread>
 
 #include "apps/harmony_loadgen.h"
-#include "core/fixed.h"
-#include "harmony/session_manager.h"
-#include "net/client.h"
-#include "net/net_server.h"
-#include "obs/metrics.h"
 
 namespace {
 
 using namespace protuner;
 
-void BM_NetFetchReportRoundTrip(benchmark::State& state) {
-  obs::Registry registry;
-  harmony::SessionManager manager;
-  harmony::ServerOptions so;
-  so.metrics = &registry;
-  so.record_series = false;
-  so.session = "bench-rtt";
-  manager.create("bench-rtt",
-                 std::make_unique<core::FixedStrategy>(core::Point{1.0, 2.0}),
-                 1, so);
-  net::NetServerOptions no;
-  no.metrics = &registry;
-  no.poll_interval = std::chrono::milliseconds(1);
-  net::NetServer net(manager, no);
-  std::thread loop([&net] { net.run(); });
-  {
-    net::ClientOptions co;
-    co.port = net.port();
-    net::HarmonyClient client(co);
-    client.attach("bench-rtt", 0);
-    core::Point scratch;
-    for (auto _ : state) {
-      client.fetch_into(0, scratch);
-      client.report(0, 1.0);
-    }
-    client.detach(0);
-  }
-  net.stop();
-  loop.join();
-  state.SetItemsProcessed(state.iterations() * 2);  // fetch + report
-  const obs::RegistrySnapshot snap = registry.snapshot();
-  const obs::HistogramSnapshot wire =
-      apps::aggregate_histogram(snap, "protuner_net_fetch_wire_ns");
-  state.counters["fetch_wire_p50_ns"] = wire.p50();
-  state.counters["fetch_wire_p99_ns"] = wire.p99();
-}
-BENCHMARK(BM_NetFetchReportRoundTrip);
-
 void BM_NetManyConnections(benchmark::State& state) {
-  const std::size_t connections = static_cast<std::size_t>(state.range(0));
   apps::LoadgenOptions options;
   options.mode = apps::LoadgenMode::kLoopback;
-  // One rank per connection; sessions cap at 256 ranks so round width (and
-  // with it round wall time) stays bounded as the connection count grows.
-  options.sessions = std::max<std::size_t>(1, connections / 256);
-  options.workers = connections / options.sessions;
-  options.ranks = options.workers;
-  options.rounds = std::max<std::size_t>(10, 40960 / connections);
+  // One rank per connection, in sessions of 256 ranks so round width (and
+  // with it round wall time) stays that of the 256-connection soak.
+  options.sessions = static_cast<std::size_t>(state.range(0)) / 256;
+  options.workers = 256;
+  options.ranks = 256;
+  options.rounds = 40;
   options.heavy_tail = true;
   apps::LoadgenReport rep;
   for (auto _ : state) {
@@ -105,12 +54,8 @@ void BM_NetManyConnections(benchmark::State& state) {
   state.counters["fetch_wire_p50_ns"] = rep.wire_fetch_p50_ns;
   state.counters["fetch_wire_p99_ns"] = rep.wire_fetch_p99_ns;
   state.counters["fetch_wire_p999_ns"] = rep.wire_fetch_p999_ns;
-  // Serving-core fetch latency (the in-process histogram), for comparing
-  // the wire overhead against the direct-call soak in BENCH_serving.json.
-  state.counters["fetch_p99_ns"] = rep.fetch_p99_ns;
 }
-BENCHMARK(BM_NetManyConnections)->Arg(64)->Arg(256)->Arg(1024)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_NetManyConnections)->Arg(1024)->Unit(benchmark::kMillisecond);
 
 void BM_NetSoakWithScrapes(benchmark::State& state) {
   apps::LoadgenOptions options;

@@ -1,8 +1,9 @@
 // Serving-soak driver for apps::run_loadgen: N concurrent tuning sessions
 // × P ranks of fetch/report traffic with heavy-tailed (Pareto) think
 // times, optional deadline ticker and monitor/exporter antagonists.  Use
-// it to size the serving tier or to reproduce the BENCH_serving.json
-// numbers interactively:
+// it to size the serving tier interactively; perfbench's serve_hot_session
+// workload measures the same in-process hot path end to end (ops_per_s,
+// call_p50_us):
 //
 //   harmony_loadgen --sessions 8 --ranks 64 --rounds 200 --workers 4
 //   harmony_loadgen --sessions 4 --ranks 16 --monitor --tick-hz 1000

@@ -34,6 +34,12 @@
 // protocol against an in-process localhost NetServer, and kServe/kRemote
 // split the soak across real processes/machines — identical traffic shape,
 // think-time model and quantile reporting in every mode.
+//
+// The timing records of this traffic shape are perfbench's
+// serve_hot_session (in-process, 4 threads on one 256-rank session) and
+// serve_wire (over the wire) workloads, end to end, plus bench_net's
+// kLoopback soaks in BENCH_net.json (1024 connections; /metrics scrape
+// cost).
 #pragma once
 
 #include <chrono>
@@ -150,8 +156,8 @@ struct LoadgenReport {
 LoadgenReport run_loadgen(const LoadgenOptions& options);
 
 /// Sums one named histogram across every {"session", ...} label in the
-/// snapshot (bucket-wise; max of maxes).  Exposed for the bench harness
-/// and tests.
+/// snapshot (bucket-wise; max of maxes).  run_loadgen builds its report
+/// with it.
 obs::HistogramSnapshot aggregate_histogram(
     const obs::RegistrySnapshot& snapshot, std::string_view name);
 

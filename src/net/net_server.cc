@@ -11,6 +11,7 @@
 #include <cerrno>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <sstream>
 
 #include "net/stats_codec.h"
@@ -476,9 +477,14 @@ void NetServer::handle_stats(Connection* c, const Frame& f) {
     return;
   }
   SessionEntry& e = sessions_[static_cast<std::size_t>(c->entry)];
-  const std::size_t budget = options_.max_stats_series > c->stats_series
-                                 ? options_.max_stats_series - c->stats_series
-                                 : 0;
+  // max_stats_series × clients, saturating (a huge option means no cap).
+  const std::size_t clients = e.server->clients();
+  const std::size_t cap =
+      options_.max_stats_series > std::numeric_limits<std::size_t>::max() /
+                                      clients
+          ? std::numeric_limits<std::size_t>::max()
+          : options_.max_stats_series * clients;
+  const std::size_t budget = cap > e.stats_series ? cap - e.stats_series : 0;
   obs::Registry::MergeResult merged;
   try {
     merged = registry_.merge_from(
@@ -493,10 +499,10 @@ void NetServer::handle_stats(Connection* c, const Frame& f) {
     error_close(c, ex.what());
     return;
   }
-  c->stats_series += merged.created;
+  e.stats_series += merged.created;
   if (merged.dropped != 0) {
     // Rejected instruments (hostile identifier or value, or series past
-    // this connection's minting cap) are treated like a malformed body.
+    // the session's minting cap) are treated like a malformed body.
     obs_decode_errors_.add();
     decode_errors_.fetch_add(1, std::memory_order_relaxed);
     flight_.record("error/decode", std::string_view(e.name));
@@ -788,7 +794,6 @@ void NetServer::destroy_pending() {
     auto owned = std::move(conns_[static_cast<std::size_t>(c->fd)]);
     c->fd = -1;
     c->entry = -1;
-    c->stats_series = 0;
     c->closed = false;
     c->draining = false;
     c->want_write = false;

@@ -86,12 +86,16 @@ struct NetServerOptions {
   /// Flight recorder the loop's control-plane events land in; null means
   /// obs::FlightRecorder::global() (which SIGUSR1 dumps target).
   obs::FlightRecorder* flight = nullptr;
-  /// Cap on the number of distinct registry series one connection may
-  /// create via Stats pushes — the series-churn counterpart of the frame cap:
-  /// without it a buggy or adversarial client minting unique metric
+  /// Cap on the number of distinct registry series Stats pushes may create,
+  /// per client of a session: a session of width W may mint
+  /// `max_stats_series × W` series in total, across all the connections
+  /// ever attached to it — the series-churn counterpart of the frame cap.
+  /// Without it a buggy or adversarial client minting unique metric
   /// names/label sets grows server memory (and the /metrics page) without
-  /// bound.  Merging into existing series is never limited; a push that
-  /// would exceed the cap is rejected and the connection closed.
+  /// bound, and counting per session rather than per connection keeps a
+  /// client that reconnects from getting a fresh budget each time.
+  /// Merging into existing series is never limited; a push that would
+  /// exceed the cap is rejected and the connection closed.
   std::size_t max_stats_series = 256;
 };
 
@@ -161,6 +165,7 @@ class NetServer {
     obs::Histogram* fetch_wire_ns = nullptr;
     obs::Histogram* report_wire_ns = nullptr;
     std::size_t last_rounds = 0;
+    std::size_t stats_series = 0;  ///< registry series its pushes minted
     std::vector<Connection*> parked;  ///< connections with parked fetches
     // Stall watchdog state (loop thread only).
     std::size_t attached_conns = 0;   ///< live connections bound to this entry
@@ -176,7 +181,6 @@ class NetServer {
     bool in_parked_list = false;
     std::uint8_t mode = kModeUnknown;        ///< frames vs HTTP demux
     int entry = -1;             ///< index into sessions_ once attached
-    std::size_t stats_series = 0;  ///< registry series minted by its pushes
     std::vector<std::uint8_t> in;
     std::size_t in_used = 0;
     std::vector<std::uint8_t> out;

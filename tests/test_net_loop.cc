@@ -499,7 +499,7 @@ TEST(NetLoop, KindMismatchStatsPushClosesTheConnectionNotTheServer) {
 TEST(NetLoop, StatsSeriesChurnPastTheCapClosesTheConnection) {
   // A client minting unique metric names on every push would grow the
   // server registry (and the /metrics page) without bound; past the
-  // per-connection cap the push is rejected and the connection closed.
+  // session's cap the push is rejected and the connection closed.
   net::NetServerOptions no;
   no.max_stats_series = 8;
   LoopFixture fx(no);
@@ -528,6 +528,55 @@ TEST(NetLoop, StatsSeriesChurnPastTheCapClosesTheConnection) {
   // The loop is unharmed: a well-behaved client completes rounds.
   net::HarmonyClient client(fx.client_options());
   client.attach("bounded", 0);
+  Point cfg;
+  for (int k = 0; k < 3; ++k) {
+    client.fetch_into(0, cfg);
+    client.report(0, 1.0);
+  }
+  client.detach(0);
+  EXPECT_EQ(hosted->rounds_completed(), 3u);
+}
+
+TEST(NetLoop, StatsSeriesBudgetIsPerSessionAcrossReconnects) {
+  // The series budget belongs to the session, not to one connection: a
+  // client that reconnects for every push must not get a fresh budget each
+  // time.  Width 1 and a cap of 8: of 1 000 raw reconnects that each
+  // attach and push one never-seen counter, only the first 8 mint a series.
+  net::NetServerOptions no;
+  no.max_stats_series = 8;
+  LoopFixture fx(no);
+  auto hosted = fx.host("reconnecting", 1);
+  const std::size_t before = fx.registry.size();
+
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  for (int i = 0; i < 1000; ++i) {
+    obs::Registry churner;
+    churner.counter("reconnect_" + std::to_string(i) + "_total").add(1);
+    std::vector<std::uint8_t> wire;
+    net::append_simple(wire, net::MsgType::kAttach, 0, "reconnecting");
+    const std::vector<std::uint8_t> push = stats_frame(churner.snapshot());
+    wire.insert(wire.end(), push.begin(), push.end());
+    net::append_simple(wire, net::MsgType::kDetach, 0, {});
+    // An accepted push ends with the detach ack, a rejected one with the
+    // Error frame the server closes on.
+    const net::MsgType last = drive_raw(fx.server->port(), wire);
+    ASSERT_TRUE(last == net::MsgType::kDetach || last == net::MsgType::kError)
+        << "reconnect " << i;
+    (last == net::MsgType::kError ? rejected : accepted) += 1;
+  }
+  EXPECT_EQ(accepted, 8u);
+  EXPECT_EQ(rejected, 992u);
+  // The cap's worth of series (+2 for the session's own wire histograms,
+  // minted by the first attach).
+  EXPECT_LE(fx.registry.size(), before + 2 + 8);
+  const obs::RegistrySnapshot snap = fx.registry.snapshot();
+  EXPECT_NE(find_with_client_label(snap, "reconnect_0_total", "0"), nullptr);
+  EXPECT_EQ(find_with_client_label(snap, "reconnect_8_total", "0"), nullptr);
+
+  // The loop is unharmed: a well-behaved client completes rounds.
+  net::HarmonyClient client(fx.client_options());
+  client.attach("reconnecting", 0);
   Point cfg;
   for (int k = 0; k < 3; ++k) {
     client.fetch_into(0, cfg);

@@ -23,17 +23,11 @@
 #include "cluster/clean_cache.h"
 #include "cluster/simulated_cluster.h"
 #include "cluster/trace_cluster.h"
-#include "core/annealing.h"
-#include "core/compass.h"
 #include "core/fixed.h"
-#include "core/genetic.h"
-#include "core/grid_search.h"
 #include "core/landscape.h"
 #include "core/nelder_mead.h"
 #include "core/pro.h"
-#include "core/random_search.h"
 #include "core/round_engine.h"
-#include "core/spsa.h"
 #include "core/sro.h"
 #include "core/strategy_spec.h"
 #include "gs2/database.h"
@@ -365,115 +359,6 @@ TEST(CleanTimeCache, ReplaysRepeatedBatches) {
   // A different assignment shape also misses.
   const std::vector<Point> other(2, Point{2.0});
   EXPECT_FALSE(cache.refresh(db, {other.data(), other.size()}));
-}
-
-TEST(Strategy, ProposeIntoOverridesAreAllocationFree) {
-  // propose_into is the one proposal entry point, and the engine recycles
-  // its buffer every round.  Annealing, genetic, compass, PRO, SRO,
-  // Nelder-Mead and random search copy-assign into the caller's storage;
-  // once the buffer and its points are warm, the call must be heap-silent
-  // in every phase.
-  const core::ParameterSpace space({
-      core::Parameter::integer("i", 0, 15),
-      core::Parameter::continuous("c", -1.0, 1.0),
-  });
-  const QuadraticLandscape land(Point{7.0, 0.2}, 1.0, 0.1);
-
-  const auto drive = [&](core::TuningStrategy& s, const char* label) {
-    s.start(8);
-    std::vector<Point> buf;
-    std::vector<double> times;
-    for (int warm = 0; warm < 12; ++warm) {  // warm capacity and point dims
-      s.propose_into(buf);
-      times.resize(buf.size());
-      for (std::size_t i = 0; i < buf.size(); ++i) {
-        times[i] = land.clean_time(buf[i]);
-      }
-      s.observe(times);
-    }
-    std::size_t measured = 0;
-    for (int step = 0; step < 60; ++step) {
-      const std::size_t before = allocation_count();
-      s.propose_into(buf);
-      measured += allocation_count() - before;
-      times.resize(buf.size());
-      for (std::size_t i = 0; i < buf.size(); ++i) {
-        times[i] = land.clean_time(buf[i]);
-      }
-      s.observe(times);
-    }
-    EXPECT_EQ(measured, 0u) << label << " propose_into touched the heap";
-  };
-
-  core::AnnealingStrategy annealing(space, {});
-  drive(annealing, "annealing");
-  core::GeneticStrategy genetic(space, {});
-  drive(genetic, "genetic");
-  core::CompassStrategy compass(space, {});
-  drive(compass, "compass");
-  core::ProStrategy pro(space, {.samples = 2});
-  drive(pro, "pro");
-  core::SroStrategy sro(space, {});
-  drive(sro, "sro");
-  core::NelderMeadStrategy nm(space, {});
-  drive(nm, "nelder-mead");
-  core::RandomSearchStrategy random(space, 3);
-  drive(random, "random");
-}
-
-TEST(StepAllocation, RandomizedStrategyRoundsAreAllocationFree) {
-  // The comparators run forever at full width (repro_wide), so their whole
-  // round must run in recycled storage: annealing's neighbour moves and
-  // genetic's next generation are built in member buffers, SPSA's probes
-  // and grid's pending points reuse theirs, and compass projects its poll
-  // into recycled points and keeps a running min per poll point (two
-  // samples, so the sampling rounds are measured too).  Mixed space: integer,
-  // continuous and a non-uniform discrete axis.  Grid's 720-point sweep
-  // finishes inside the measured window, so the done transition is
-  // measured too.
-  const core::ParameterSpace space({
-      core::Parameter::integer("i", 0, 15),
-      core::Parameter::continuous("c", -1.0, 1.0),
-      core::Parameter::discrete("d", {1.0, 2.0, 4.0, 8.0, 16.0}),
-  });
-  const QuadraticLandscape land(Point{7.0, 0.9, 8.0}, 1.0, 0.1);
-
-  const auto drive = [&](core::TuningStrategy& s, const char* label) {
-    s.start(8);
-    std::vector<Point> buf;
-    std::vector<double> times;
-    const auto round = [&] {
-      s.propose_into(buf);
-      times.resize(buf.size());
-      for (std::size_t i = 0; i < buf.size(); ++i) {
-        times[i] = land.clean_time(buf[i]);
-      }
-      s.observe(times);
-    };
-    for (int warm = 0; warm < 12; ++warm) round();
-    const std::size_t before = allocation_count();
-    for (int step = 0; step < 150; ++step) round();
-    EXPECT_EQ(allocation_count(), before)
-        << label << " propose_into + observe touched the heap";
-  };
-
-  core::AnnealingStrategy annealing(space, {.migrate_every = 25});
-  drive(annealing, "annealing");
-  core::GeneticStrategy genetic(space, {});
-  drive(genetic, "genetic");
-  core::RandomSearchStrategy random(space, 3);
-  drive(random, "random");
-  core::SpsaStrategy spsa(space, {});
-  drive(spsa, "spsa");
-  core::GridSearchStrategy grid(space, {});
-  drive(grid, "grid");
-  EXPECT_TRUE(grid.converged()) << "the grid sweep did not finish";
-  // No step floor: compass polls every measured round instead of idling
-  // in its converged tail.
-  core::CompassStrategy compass(space, {.min_step_fraction = 0.0,
-                                        .samples = 2});
-  drive(compass, "compass");
-  EXPECT_FALSE(compass.converged()) << "compass converged before the window";
 }
 
 TEST(StepAllocation, ProRoundsAreAllocationFreeOnceWarm) {

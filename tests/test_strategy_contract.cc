@@ -1,6 +1,8 @@
 // Contract property tests, parameterized over EVERY tuning strategy in the
 // library: admissibility of all proposals, full-width assignments,
-// determinism, convergence freezing, and session accounting.
+// determinism, convergence freezing, session accounting and
+// allocation-free warm rounds.  This TU replaces the global allocator
+// (counting_allocator.h), so it must not be linked into anything else.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -27,6 +29,8 @@
 #include "spec/spec.h"
 #include "varmodel/pareto_noise.h"
 
+#include "counting_allocator.h"
+
 namespace protuner::core {
 namespace {
 
@@ -40,10 +44,23 @@ ParameterSpace mixed_space() {
 
 using Factory = std::function<TuningStrategyPtr(const ParameterSpace&)>;
 
+/// The rounds of a warm session a strategy may allocate in: (ranks, round
+/// index since start(), converged before the round).  Each use names its
+/// reason; a case without one must not allocate in any round.
+using AllocationException = bool (*)(std::size_t ranks, int round,
+                                     bool converged);
+
 struct StrategyCase {
   const char* label;
   Factory make;
+  AllocationException may_allocate = nullptr;
 };
+
+// Ranking-and-selection sizes a fresh per-candidate count vector in every
+// searching round's propose_into.
+bool rs_searching_rounds(std::size_t, int, bool converged) {
+  return !converged;
+}
 
 LandscapePtr test_landscape() {
   return std::make_shared<FunctionLandscape>("contract", [](const Point& x) {
@@ -223,6 +240,51 @@ TEST_P(StrategyContract, ImprovesOrMatchesCenterNoiseFree) {
       << GetParam().label;
 }
 
+// The engine recycles one proposal buffer, so once a strategy has run a
+// whole session at a width (every batch shape at its high-water mark) and
+// start() has rewound it, no propose_into + observe round of a second
+// session may touch the heap: searching, sampling, probing, converged, and
+// grid's finished sweep (192 points, so it ends inside the session even at
+// 1 rank).  The only rounds excused are the case's named exception.
+TEST_P(StrategyContract, WarmRoundsAreAllocationFree) {
+  const auto space = mixed_space();
+  const auto land = test_landscape();
+  constexpr int kRounds = 240;
+  for (const std::size_t ranks : {std::size_t{1}, std::size_t{6},
+                                  std::size_t{64}}) {
+    auto strategy = GetParam().make(space);
+    std::vector<Point> buf;
+    std::vector<double> times;
+    std::size_t unexcused = 0;
+    int first_unexcused = -1;
+    const auto session = [&] {
+      strategy->start(ranks);
+      for (int r = 0; r < kRounds; ++r) {
+        const bool converged = strategy->converged();
+        const std::size_t before = allocation_count();
+        strategy->propose_into(buf);
+        times.resize(buf.size());
+        for (std::size_t i = 0; i < buf.size(); ++i) {
+          times[i] = land->clean_time(buf[i]);
+        }
+        strategy->observe(times);
+        const std::size_t n = allocation_count() - before;
+        const AllocationException excused = GetParam().may_allocate;
+        if (n != 0 && !(excused && excused(ranks, r, converged))) {
+          unexcused += n;
+          if (first_unexcused < 0) first_unexcused = r;
+        }
+      }
+    };
+    session();  // warm-up
+    unexcused = 0;
+    first_unexcused = -1;
+    session();
+    EXPECT_EQ(unexcused, 0u) << GetParam().label << " at " << ranks
+                             << " ranks, first in round " << first_unexcused;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllStrategies, StrategyContract,
     ::testing::Values(
@@ -266,14 +328,39 @@ INSTANTIATE_TEST_SUITE_P(
                        o.max_iterations = 120;
                        return std::make_unique<NelderMeadStrategy>(s, o);
                      }},
+        // Below 2N ranks (6 here) a session's first round proposes only
+        // the incumbent, which shrinks the caller's buffer, and the first
+        // poll grows it back.
         StrategyCase{"compass",
                      [](const ParameterSpace& s) -> TuningStrategyPtr {
                        return std::make_unique<CompassStrategy>(
                            s, CompassOptions{});
+                     },
+                     [](std::size_t ranks, int round, bool) {
+                       return ranks < 6 && round == 1;
+                     }},
+        // Two samples per poll and no step floor: compass polls every
+        // round of a session instead of idling in a converged tail.
+        StrategyCase{"compass_k2",
+                     [](const ParameterSpace& s) -> TuningStrategyPtr {
+                       CompassOptions o;
+                       o.min_step_fraction = 0.0;
+                       o.samples = 2;
+                       return std::make_unique<CompassStrategy>(s, o);
+                     },
+                     [](std::size_t ranks, int round, bool) {
+                       return ranks < 6 && round == 2;  // as compass
                      }},
         StrategyCase{"annealing",
                      [](const ParameterSpace& s) -> TuningStrategyPtr {
                        AnnealingOptions o;
+                       o.seed = 123;
+                       return std::make_unique<AnnealingStrategy>(s, o);
+                     }},
+        StrategyCase{"annealing_migrate",
+                     [](const ParameterSpace& s) -> TuningStrategyPtr {
+                       AnnealingOptions o;
+                       o.migrate_every = 25;
                        o.seed = 123;
                        return std::make_unique<AnnealingStrategy>(s, o);
                      }},
@@ -287,12 +374,15 @@ INSTANTIATE_TEST_SUITE_P(
                      [](const ParameterSpace& s) -> TuningStrategyPtr {
                        return std::make_unique<RandomSearchStrategy>(s, 123);
                      }},
+        // A finished sweep clears its pending points, so the restarted
+        // sweep's first round allocates them again.
         StrategyCase{"grid",
                      [](const ParameterSpace& s) -> TuningStrategyPtr {
                        GridSearchOptions o;
                        o.continuous_levels = 3;
                        return std::make_unique<GridSearchStrategy>(s, o);
-                     }},
+                     },
+                     [](std::size_t, int round, bool) { return round == 0; }},
         StrategyCase{"fixed",
                      [](const ParameterSpace& s) -> TuningStrategyPtr {
                        return std::make_unique<FixedStrategy>(s.center());
@@ -309,7 +399,8 @@ INSTANTIATE_TEST_SUITE_P(
                        o.seed = 123;
                        return std::make_unique<RankingSelectionStrategy>(s,
                                                                          o);
-                     }},
+                     },
+                     rs_searching_rounds},
         StrategyCase{"rs_mean",
                      [](const ParameterSpace& s) -> TuningStrategyPtr {
                        RankingSelectionOptions o;
@@ -317,7 +408,8 @@ INSTANTIATE_TEST_SUITE_P(
                        o.seed = 123;
                        return std::make_unique<RankingSelectionStrategy>(s,
                                                                          o);
-                     }},
+                     },
+                     rs_searching_rounds},
         // Spec-constructed twins: the factory path must satisfy the same
         // contracts as direct construction.
         StrategyCase{"spec_spsa",
@@ -327,7 +419,8 @@ INSTANTIATE_TEST_SUITE_P(
         StrategyCase{"spec_rs",
                      [](const ParameterSpace& s) -> TuningStrategyPtr {
                        return make_strategy("rs:m=12,n0=3", s, 123);
-                     }}),
+                     },
+                     rs_searching_rounds}),
     [](const ::testing::TestParamInfo<StrategyCase>& info) {
       return info.param.label;
     });

@@ -104,5 +104,19 @@ TEST(Env, LongParsesAndFallsBack) {
   EXPECT_EQ(env_long("PROTUNER_TEST_LONG", 7), 7);
 }
 
+// strtol clamps an out-of-range value to LONG_MAX/LONG_MIN and reports
+// ERANGE; a clamped value is not the number asked for, so it falls back
+// like any other unparsable input (REPRO_REPS=99999999999999999999 must
+// not ask a harness for LONG_MAX repetitions).
+TEST(Env, LongOutOfRangeFallsBack) {
+  ::setenv("PROTUNER_TEST_LONG", "99999999999999999999", 1);
+  EXPECT_EQ(env_long("PROTUNER_TEST_LONG", 7), 7);
+  ::setenv("PROTUNER_TEST_LONG", "-99999999999999999999", 1);
+  EXPECT_EQ(env_long("PROTUNER_TEST_LONG", 7), 7);
+  ::setenv("PROTUNER_TEST_LONG", "-42", 1);
+  EXPECT_EQ(env_long("PROTUNER_TEST_LONG", 7), -42);
+  ::unsetenv("PROTUNER_TEST_LONG");
+}
+
 }  // namespace
 }  // namespace protuner::util
