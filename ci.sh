@@ -9,6 +9,9 @@
 #   ubsan    UndefinedBehaviorSanitizer build (a report aborts the
 #            test), full ctest suite
 #
+# The three sanitizer legs are RelWithDebInfo builds with
+# PROTUNER_WERROR=ON: a compiler warning fails them.
+#
 # Every leg builds and tests in parallel: CMAKE_BUILD_PARALLEL_LEVEL and
 # CTEST_PARALLEL_LEVEL default to the core count when unset (the presets
 # set no `jobs`, so CMake would otherwise build and test serially).

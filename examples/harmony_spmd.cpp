@@ -125,7 +125,7 @@ int main(int argc, char** argv) {
       std::cerr << "cannot write " << metrics_out << "\n";
       return 1;
     }
-    obs::render_prometheus(out, manager.metrics_snapshot());
+    obs::render_prometheus(out, obs::Registry::global().snapshot());
     std::cout << "metrics written to " << metrics_out << "\n";
   }
   if (!trace_out.empty()) {

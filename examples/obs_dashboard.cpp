@@ -3,7 +3,7 @@
 // Hosts two concurrent tuning sessions (PRO and Nelder-Mead over the GS2
 // surface, both under Pareto noise) in one harmony::SessionManager, drives
 // them step by step, and every few rounds redraws an ASCII dashboard from
-// metrics_snapshot(): per-session round-cost percentiles (p50/p90/p99/
+// one Registry::snapshot(): per-session round-cost percentiles (p50/p90/p99/
 // p99.9/max — no mean, by design), database-tier hit counters, and a
 // log-bucketed histogram of the round costs rendered with
 // util::ascii_plot.  Everything shown is read from the same registry a
@@ -39,9 +39,8 @@ void drive_round(harmony::Server& server, const gs2::Database& db,
   }
 }
 
-void print_session(const harmony::Server& server) {
-  const obs::RegistrySnapshot snap = server.metrics_snapshot();
-  const std::string& name = server.session_name();
+void print_session(const obs::RegistrySnapshot& snap,
+                   const std::string& name) {
   const obs::InstrumentSnapshot* cost = snap.find("protuner_round_cost", name);
   const obs::InstrumentSnapshot* rounds =
       snap.find("protuner_rounds_total", name);
@@ -54,10 +53,9 @@ void print_session(const harmony::Server& server) {
 
 /// ASCII histogram of one session's round costs: only the occupied bucket
 /// range is drawn, each bin labelled by its power-of-two lower edge.
-void print_cost_histogram(const harmony::Server& server) {
-  const obs::RegistrySnapshot snap = server.metrics_snapshot();
-  const obs::InstrumentSnapshot* cost =
-      snap.find("protuner_round_cost", server.session_name());
+void print_cost_histogram(const obs::RegistrySnapshot& snap,
+                          const std::string& name) {
+  const obs::InstrumentSnapshot* cost = snap.find("protuner_round_cost", name);
   if (cost == nullptr || cost->hist.count == 0) return;
   const auto& counts = cost->hist.counts;
   std::size_t lo = counts.size();
@@ -79,7 +77,7 @@ void print_cost_histogram(const harmony::Server& server) {
                       ? cost->hist.max
                       : obs::Histogram::bucket_upper(hi));
   util::PlotOptions popts;
-  popts.title = "round cost T_k [" + server.session_name() + "]";
+  popts.title = "round cost T_k [" + name + "]";
   popts.height = static_cast<int>(bars.size());
   std::cout << util::histogram_plot(edges, bars, popts);
 }
@@ -111,9 +109,9 @@ int main(int argc, char** argv) {
     drive_round(*nm, db, noise, rng_nm);
     if (step % kRedrawEvery == 0 || step == kSteps) {
       std::printf("\n== obs dashboard · step %d/%d ==\n", step, kSteps);
-      print_session(*pro);
-      print_session(*nm);
       const obs::RegistrySnapshot all = obs::Registry::global().snapshot();
+      print_session(all, "pro");
+      print_session(all, "nm");
       std::printf("  db lookups:");
       for (const char* tier : {"exact", "memo", "kdtree"}) {
         for (const auto& inst : all.instruments) {
@@ -130,8 +128,9 @@ int main(int argc, char** argv) {
   }
 
   std::cout << "\n";
-  print_cost_histogram(*pro);
-  print_cost_histogram(*nm);
+  const obs::RegistrySnapshot final_snap = obs::Registry::global().snapshot();
+  print_cost_histogram(final_snap, "pro");
+  print_cost_histogram(final_snap, "nm");
 
   manager.remove("pro");
   manager.remove("nm");

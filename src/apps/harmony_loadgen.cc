@@ -21,6 +21,7 @@
 #include "harmony/session_manager.h"
 #include "net/client.h"
 #include "net/net_server.h"
+#include "obs/metrics.h"
 #include "util/rng.h"
 #include "varmodel/noise_model.h"
 #include "varmodel/pareto_noise.h"
@@ -77,8 +78,8 @@ void spin_for(std::chrono::duration<double> d) {
   }
 }
 
-}  // namespace
-
+// Sums one named histogram across every {"session", ...} label in the
+// snapshot (bucket-wise; max of maxes).
 obs::HistogramSnapshot aggregate_histogram(
     const obs::RegistrySnapshot& snapshot, std::string_view name) {
   obs::HistogramSnapshot out;
@@ -99,6 +100,7 @@ obs::HistogramSnapshot aggregate_histogram(
   return out;
 }
 
+// Sums one named counter across every session label.
 std::uint64_t aggregate_counter(const obs::RegistrySnapshot& snapshot,
                                 std::string_view name) {
   std::uint64_t total = 0;
@@ -109,6 +111,8 @@ std::uint64_t aggregate_counter(const obs::RegistrySnapshot& snapshot,
   }
   return total;
 }
+
+}  // namespace
 
 LoadgenReport run_loadgen(const LoadgenOptions& options) {
   const std::size_t sessions = std::max<std::size_t>(1, options.sessions);
@@ -278,10 +282,10 @@ LoadgenReport run_loadgen(const LoadgenOptions& options) {
       std::uint64_t last_in = 0;
       std::uint64_t last_out = 0;
       while (!stop.load(std::memory_order_relaxed)) {
-        // The production exporter loop: a full stats sweep plus a merged
-        // metrics snapshot, as fast as it can go.
+        // The production exporter loop: a full stats sweep plus a registry
+        // snapshot, as fast as it can go.
         (void)manager.stats_all();
-        (void)manager.metrics_snapshot();
+        const obs::RegistrySnapshot snap = registry.snapshot();
         monitor_sweeps.fetch_add(1, std::memory_order_relaxed);
         const auto now = std::chrono::steady_clock::now();
         if (now - last_line < std::chrono::seconds(1)) continue;
@@ -292,7 +296,6 @@ LoadgenReport run_loadgen(const LoadgenOptions& options) {
         const std::uint64_t ops =
             fetch_ops.load(std::memory_order_relaxed) +
             report_ops.load(std::memory_order_relaxed);
-        const obs::RegistrySnapshot snap = registry.snapshot();
         const std::uint64_t in =
             aggregate_counter(snap, "protuner_net_bytes_in_total");
         const std::uint64_t out =

@@ -20,9 +20,9 @@
 // contention work in DESIGN.md §12 targets:
 //   * a ticker calling Server::tick() at `tick_hz` (deadline enforcement
 //     must not perturb the fast path), and
-//   * a monitor sweeping SessionManager::stats_all() +
-//     metrics_snapshot() in a tight loop (exporters must not stall
-//     traffic).
+//   * a monitor sweeping SessionManager::stats_all() plus a snapshot of
+//     the registry the sessions record into, in a tight loop (exporters
+//     must not stall traffic).
 //
 // Results come from the PR-5 obs:: instruments, aggregated across the
 // per-session labels by summing histogram buckets — not from a second
@@ -46,8 +46,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-
-#include "obs/metrics.h"
 
 namespace protuner::apps {
 
@@ -96,7 +94,7 @@ struct LoadgenOptions {
   std::chrono::duration<double> report_timeout{0.0};
   /// Ticker thread frequency for Server::tick() (0 = no ticker).
   double tick_hz = 0.0;
-  /// Run a monitor thread sweeping stats_all()/metrics_snapshot().  It
+  /// Run a monitor thread sweeping stats_all() and Registry::snapshot().  It
   /// also prints a ~1 Hz live line to stderr: ops rate, wire bytes in/out
   /// rates, decode errors and flight-recorder stall dumps.
   bool monitor = false;
@@ -154,15 +152,5 @@ struct LoadgenReport {
 /// private obs::Registry, so repeated runs in one process do not pollute
 /// each other (or the global registry).
 LoadgenReport run_loadgen(const LoadgenOptions& options);
-
-/// Sums one named histogram across every {"session", ...} label in the
-/// snapshot (bucket-wise; max of maxes).  run_loadgen builds its report
-/// with it.
-obs::HistogramSnapshot aggregate_histogram(
-    const obs::RegistrySnapshot& snapshot, std::string_view name);
-
-/// Sums one named counter across every session label.
-std::uint64_t aggregate_counter(const obs::RegistrySnapshot& snapshot,
-                                std::string_view name);
 
 }  // namespace protuner::apps

@@ -52,6 +52,7 @@ void GridSearchStrategy::start(std::size_t ranks) {
   assert(ranks >= 1);
   ranks_ = ranks;
   cursor_ = 0;
+  wave_ = 0;
   have_best_ = false;
   done_ = false;
   point_into(0, best_point_);
@@ -60,33 +61,35 @@ void GridSearchStrategy::start(std::size_t ranks) {
 void GridSearchStrategy::propose_into(std::vector<Point>& out) {
   out.resize(ranks_);
   if (done_) {
-    pending_.clear();
     for (Point& slot : out) slot = best_point_;
     return;
   }
   // Not done, so cursor_ < sweep_size(): at least one point is pending.
-  pending_.resize(std::min(ranks_, sweep_size() - cursor_));
-  for (std::size_t r = 0; r < pending_.size(); ++r) {
+  // pending_ never shrinks, so a short final wave keeps its Points for the
+  // next start().
+  wave_ = std::min(ranks_, sweep_size() - cursor_);
+  if (pending_.size() < wave_) pending_.resize(wave_);
+  for (std::size_t r = 0; r < wave_; ++r) {
     point_into(cursor_ + r, pending_[r]);
   }
   // Pad the final partial wave with the incumbent so all ranks stay busy.
   const Point& pad = have_best_ ? best_point_ : pending_.front();
   for (std::size_t r = 0; r < ranks_; ++r) {
-    out[r] = r < pending_.size() ? pending_[r] : pad;
+    out[r] = r < wave_ ? pending_[r] : pad;
   }
 }
 
 void GridSearchStrategy::observe(std::span<const double> times) {
-  if (done_ || pending_.empty()) return;
-  assert(times.size() >= pending_.size());
-  for (std::size_t i = 0; i < pending_.size(); ++i) {
+  if (done_ || wave_ == 0) return;
+  assert(times.size() >= wave_);
+  for (std::size_t i = 0; i < wave_; ++i) {
     if (!have_best_ || times[i] < best_value_) {
       best_value_ = times[i];
       best_point_ = pending_[i];
       have_best_ = true;
     }
   }
-  cursor_ += pending_.size();
+  cursor_ += wave_;
   if (cursor_ >= sweep_size()) done_ = true;
 }
 

@@ -41,7 +41,8 @@ class GridSearchStrategy final : public TuningStrategy {
 
   std::vector<std::vector<double>> axes_;
   std::size_t cursor_ = 0;       ///< next flat index to evaluate
-  std::vector<Point> pending_;
+  std::vector<Point> pending_;   ///< the open wave's points, first wave_
+  std::size_t wave_ = 0;         ///< points proposed in the open wave
   Point best_point_;
   double best_value_ = 0.0;
   bool have_best_ = false;

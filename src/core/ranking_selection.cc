@@ -85,19 +85,19 @@ void RankingSelectionStrategy::propose_into(std::vector<Point>& out) {
   // survivors (ties by index, so the schedule is deterministic).  `virtual
   // counts` include this step's slots so one round spreads evenly.
   pending_.clear();
-  std::vector<std::size_t> virtual_n(candidates_.size(), 0);
+  virtual_n_.assign(candidates_.size(), 0);
   for (std::size_t slot = 0; slot < ranks_; ++slot) {
     std::size_t pick = candidates_.size();
     for (std::size_t i = 0; i < candidates_.size(); ++i) {
       if (!candidates_[i].alive) continue;
       if (pick == candidates_.size() ||
-          candidates_[i].n + virtual_n[i] <
-              candidates_[pick].n + virtual_n[pick]) {
+          candidates_[i].n + virtual_n_[i] <
+              candidates_[pick].n + virtual_n_[pick]) {
         pick = i;
       }
     }
     assert(pick < candidates_.size());
-    ++virtual_n[pick];
+    ++virtual_n_[pick];
     pending_.push_back(pick);
   }
   out.resize(pending_.size());

@@ -86,6 +86,7 @@ class RankingSelectionStrategy final : public TuningStrategy {
 
   std::vector<Candidate> candidates_;
   std::vector<std::size_t> pending_;  ///< candidate index per proposal slot
+  std::vector<std::size_t> virtual_n_;  ///< propose_into's per-candidate slots
   double h_ = 0.0;                    ///< Welch screening quantile
   long winner_ = -1;                  ///< index once selected
   std::size_t observations_ = 0;

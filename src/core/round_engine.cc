@@ -1,7 +1,6 @@
 #include "core/round_engine.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <string>
 
@@ -59,10 +58,6 @@ RoundEngine::RoundEngine(TuningStrategy& strategy,
           "Step cost T_k = max per-rank time (simulated seconds)",
           engine_labels(options_))) {
   if (width_ == 0) misuse("RoundEngine: width must be >= 1");
-  if (!(options_.impute_penalty >= 1.0 &&
-        std::isfinite(options_.impute_penalty))) {
-    misuse("RoundEngine: impute_penalty must be finite and >= 1");
-  }
   active_.assign(width_, true);
   strategy_.start(width_);
 }
@@ -208,7 +203,7 @@ std::vector<std::size_t> RoundEngine::impute_missing() {
   }
   std::vector<std::size_t> imputed;
   if (collected_ == expected_count_) return imputed;
-  const double value = impute_base() * options_.impute_penalty;
+  const double value = impute_base() * kImputePenalty;
   for (std::size_t s = 0; s < times_.size(); ++s) {
     if (expected_[s] && !submitted_[s]) {
       times_[s] = value;
@@ -292,7 +287,7 @@ double RoundEngine::close_round() {
         observe_scratch_[j] = times_[slot];
       } else {
         if (!have_unassigned) {
-          unassigned = impute_base() * options_.impute_penalty;
+          unassigned = impute_base() * kImputePenalty;
           have_unassigned = true;
         }
         observe_scratch_[j] = unassigned;

@@ -53,6 +53,10 @@ enum class RoundPhase {
   kAdvancing,   ///< transient, observable from observer callbacks only
 };
 
+/// A straggler's imputed time is (max time observed this round) × this
+/// factor: >= 1, so imputation never under-states the step cost.
+inline constexpr double kImputePenalty = 1.5;
+
 struct RoundEngineOptions {
   /// Parallel width: the rank count the strategy is started with.
   std::size_t width = 1;
@@ -67,10 +71,6 @@ struct RoundEngineOptions {
   /// Optional caller callback (CSV logging, a convergence watch), invoked
   /// from close_round().  The engine's own instruments below need none.
   SessionObserver* observer = nullptr;
-  /// A straggler's imputed time is (max time observed this round) × this
-  /// factor; must be finite and >= 1 so imputation never under-states the
-  /// step cost (nor makes it infinite).
-  double impute_penalty = 1.5;
   /// Registry the engine's telemetry (rounds/imputations counters, round
   /// cost histogram) is registered in; null means obs::Registry::global().
   obs::Registry* metrics = nullptr;
@@ -113,7 +113,7 @@ class RoundEngine {
   bool expected(std::size_t slot) const;
 
   /// Deadline support: fills every missing slot's time with
-  /// max-of-observed × impute_penalty (falling back to the previous round's
+  /// max-of-observed × kImputePenalty (falling back to the previous round's
   /// T_k when nothing was observed this round) and returns the slots that
   /// were imputed.  The round then reads complete().  Throws EngineError
   /// when there is no observation at all to impute from.

@@ -46,7 +46,6 @@ core::RoundEngineOptions engine_options(std::size_t clients,
   eo.pad_assignment = true;
   eo.record_series = false;  // the server keeps its own series (stats cache)
   eo.observer = options.observer;
-  eo.impute_penalty = options.impute_penalty;
   eo.metrics = options.metrics;
   eo.session = options.session;
   return eo;
@@ -564,11 +563,5 @@ std::size_t Server::active_ranks() const {
 }
 
 std::string Server::strategy_name() const { return strategy_name_; }
-
-obs::RegistrySnapshot Server::metrics_snapshot() const {
-  obs::Registry& registry = server_registry(options_);
-  if (options_.session.empty()) return registry.snapshot();
-  return registry.snapshot("session", options_.session);
-}
 
 }  // namespace protuner::harmony

@@ -29,10 +29,10 @@
 //
 // Deadline-aware round closing: with ServerOptions::report_timeout set, a
 // round that stays open past the deadline is force-closed — every missing
-// rank's time is imputed as max-of-observed × impute_penalty (the paper's
-// worst-case metric makes this the natural pessimistic estimate) and the
-// straggler is handled per StragglerPolicy: kShrink drops it from future
-// rounds (it may re-enter by calling fetch again), kFail poisons the
+// rank's time is imputed as max-of-observed × core::kImputePenalty (the
+// paper's worst-case metric makes this the natural pessimistic estimate)
+// and the straggler is handled per StragglerPolicy: kShrink drops it from
+// future rounds (it may re-enter by calling fetch again), kFail poisons the
 // session so every subsequent call throws.  The deadline is enforced by
 // ranks blocked in fetch() waiting for the next round, or externally via
 // tick() for drivers that never block; tick() never blocks in-flight
@@ -94,8 +94,6 @@ struct ServerOptions {
   /// assignment is published.  Zero (the default) disables the deadline:
   /// rounds wait for every rank, however long it takes.
   std::chrono::duration<double> report_timeout{0.0};
-  /// A straggler's imputed time is max-of-observed × this factor (>= 1).
-  double impute_penalty = 1.5;
   StragglerPolicy straggler_policy = StragglerPolicy::kShrink;
   /// Per-step caller callback (e.g. CSV logging), invoked under the server
   /// lock when a round closes — the same fan-out run_session-driven
@@ -194,11 +192,6 @@ class Server {
   std::string strategy_name() const;
   /// The session's telemetry label (ServerOptions::session).
   const std::string& session_name() const { return options_.session; }
-
-  /// Point-in-time copy of this session's instruments: the snapshot is
-  /// filtered to the session label when one is set, the whole registry
-  /// otherwise.  Feed it to obs::render_prometheus for exposition.
-  obs::RegistrySnapshot metrics_snapshot() const;
 
  private:
   // Per-slot completion state of one open round.

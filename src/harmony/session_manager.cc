@@ -1,6 +1,5 @@
 #include "harmony/session_manager.h"
 
-#include <algorithm>
 #include <mutex>
 #include <utility>
 
@@ -141,38 +140,6 @@ std::vector<SessionManager::SessionStats> SessionManager::stats_all() const {
   for (const auto& [name, hosted] : pinned) {
     out.push_back(stats_of(name, *hosted));
   }
-  return out;
-}
-
-obs::RegistrySnapshot SessionManager::metrics_snapshot() const {
-  const auto pinned = pin_all();
-  // Snapshot outside the registry locks; sessions sharing one obs::Registry
-  // may overlap, so duplicate (name, labels) series are dropped.
-  obs::RegistrySnapshot out;
-  const auto merge = [&out](obs::RegistrySnapshot s) {
-    for (auto& inst : s.instruments) {
-      const bool seen = std::any_of(
-          out.instruments.begin(), out.instruments.end(),
-          [&inst](const obs::InstrumentSnapshot& have) {
-            return have.name == inst.name && have.labels == inst.labels;
-          });
-      if (!seen) out.instruments.push_back(std::move(inst));
-    }
-  };
-  for (const auto& [name, hosted] : pinned) {
-    merge(hosted->server->metrics_snapshot());
-  }
-  // Process-wide subsystem telemetry (database tiers, clean-time cache)
-  // carries no session label but belongs on the serving
-  // process's exposition page alongside its sessions.
-  obs::RegistrySnapshot process_wide;
-  for (auto& inst : obs::Registry::global().snapshot().instruments) {
-    const bool session_scoped = std::any_of(
-        inst.labels.begin(), inst.labels.end(),
-        [](const auto& kv) { return kv.first == "session"; });
-    if (!session_scoped) process_wide.instruments.push_back(std::move(inst));
-  }
-  merge(std::move(process_wide));
   return out;
 }
 

@@ -20,11 +20,13 @@
 // atomics on a shared_ptr'd record: attach/detach under the reader lock
 // mutate the count without ever excluding each other or unrelated lookups
 // (remove's writer lock is what makes its attached==0 check race-free).
-// Aggregation (stats, stats_all, metrics_snapshot) copies the handles out
-// under the brief reader lock and does every server call after release, so
-// a slow exporter or a stats sweep over a big session never holds the
-// registry against create/remove (Server's own accessors are wait-free
-// against its traffic in turn).
+// Aggregation (stats, stats_all) copies the handles out under the brief
+// reader lock and does every server call after release, so a slow exporter
+// or a stats sweep over a big session never holds the registry against
+// create/remove (Server's own accessors are wait-free against its traffic
+// in turn).  Telemetry is read from the obs::Registry the sessions record
+// into (ServerOptions::metrics): Registry::snapshot() for the whole page,
+// RegistrySnapshot::find(name, session) for one session's series.
 #pragma once
 
 #include <atomic>
@@ -92,11 +94,6 @@ class SessionManager {
 
   SessionStats stats(const std::string& name) const;
   std::vector<SessionStats> stats_all() const;
-
-  /// Every hosted session's instruments in one snapshot (each session's
-  /// series stay distinguishable by their {"session", ...} label).  Feed to
-  /// obs::render_prometheus for a combined exposition page.
-  obs::RegistrySnapshot metrics_snapshot() const;
 
  private:
   // One hosted session.  shared_ptr'd so aggregators can pin a record

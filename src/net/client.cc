@@ -48,7 +48,7 @@ void HarmonyClient::connect_with_retry() {
     throw NetError("bad host address: " + options_.host);
   }
   const auto give_up =
-      std::chrono::steady_clock::now() + options_.connect_timeout;
+      std::chrono::steady_clock::now() + kConnectTimeout;
   for (;;) {
     const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
     if (fd < 0) throw_errno("socket");
@@ -56,8 +56,8 @@ void HarmonyClient::connect_with_retry() {
                   sizeof(addr)) == 0) {
       int one = 1;
       ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-      set_timeout(fd, SO_RCVTIMEO, options_.io_timeout);
-      set_timeout(fd, SO_SNDTIMEO, options_.io_timeout);
+      set_timeout(fd, SO_RCVTIMEO, kIoTimeout);
+      set_timeout(fd, SO_SNDTIMEO, kIoTimeout);
       fd_ = fd;
       return;
     }
@@ -227,11 +227,6 @@ void HarmonyClient::report(std::uint32_t rank, double time) {
   if (report_ns_ != nullptr) {
     report_ns_->record(
         obs::LatencyClock::to_ns(obs::LatencyClock::now() - entered));
-  }
-  if (options_.stats_every_rounds > 0 &&
-      ++reports_since_push_ >= options_.stats_every_rounds) {
-    reports_since_push_ = 0;
-    push_stats(rank);
   }
 }
 

@@ -6,7 +6,7 @@
 // ports to remote serving by swapping the handle: attach() then
 // fetch_into()/report() per measurement, detach() when done.  fetch_into()
 // blocks until the server opens the round for this rank — exactly like the
-// in-process fetch — bounded by Options::io_timeout.
+// in-process fetch — bounded by kIoTimeout.
 //
 // Error mapping: an Error frame from the server carries a harmony protocol
 // diagnostic and is rethrown as harmony::ProtocolError, so remote clients
@@ -34,32 +34,31 @@
 
 namespace protuner::net {
 
+/// Window during which the constructor's connect retries (the server
+/// process may still be binding when a forked client starts).
+inline constexpr std::chrono::milliseconds kConnectTimeout{5000};
+/// Bound on each blocking send/receive.  fetch_into() waits up to this long
+/// for the server to open the round.
+inline constexpr std::chrono::milliseconds kIoTimeout{60000};
+
 struct ClientOptions {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;
-  /// Window during which connect() retries (the server process may still
-  /// be binding when a forked client starts).
-  std::chrono::milliseconds connect_timeout{5000};
-  /// Bound on each blocking send/receive.  fetch_into() waits up to this
-  /// long for the server to open the round.
-  std::chrono::milliseconds io_timeout{60000};
   /// When set, the client records its end-to-end call latencies as
   /// protuner_net_client_{fetch,report}_ns{session=...} in this registry.
   /// It is also the registry the telemetry push ships from (see
-  /// push_stats): detach — and every stats_every_rounds reports when
-  /// enabled — sends the delta since the last push as a Stats frame, which
-  /// the server merges under {client="<rank>"} labels.  Give the client its
-  /// OWN registry (as a separate client process naturally would), not one a
-  /// co-resident server merges pushes into — pushing a registry you are
-  /// merged into echoes the merged series back on every push.
+  /// push_stats): detach — and any push_stats call — sends the delta since
+  /// the last push as a Stats frame, which the server merges under
+  /// {client="<rank>"} labels.  Give the client its OWN registry (as a
+  /// separate client process naturally would), not one a co-resident
+  /// server merges pushes into — pushing a registry you are merged into
+  /// echoes the merged series back on every push.
   obs::Registry* metrics = nullptr;
-  /// Push metric deltas every N successful reports (0: only on detach).
-  std::size_t stats_every_rounds = 0;
 };
 
 class HarmonyClient {
  public:
-  /// Connects immediately, retrying inside connect_timeout.  Throws
+  /// Connects immediately, retrying inside kConnectTimeout.  Throws
   /// NetError when the server never becomes reachable.
   explicit HarmonyClient(ClientOptions options);
   ~HarmonyClient();
@@ -119,7 +118,6 @@ class HarmonyClient {
   bool has_last_trace_ = false;
   obs::RegistrySnapshot last_pushed_;  ///< baseline for the next stats delta
   std::vector<std::uint8_t> stats_body_;
-  std::size_t reports_since_push_ = 0;
 };
 
 }  // namespace protuner::net

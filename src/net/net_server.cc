@@ -11,7 +11,6 @@
 #include <cerrno>
 #include <cstring>
 #include <iostream>
-#include <limits>
 #include <sstream>
 
 #include "net/stats_codec.h"
@@ -21,6 +20,12 @@
 namespace protuner::net {
 
 namespace {
+
+/// listen(2) backlog of the serving socket.
+constexpr int kBacklog = 1024;
+/// epoll_wait timeout: the cadence of deadline ticks and parked-fetch
+/// sweeps when the loop is otherwise idle.
+constexpr std::chrono::milliseconds kPollInterval{5};
 
 [[noreturn]] void throw_errno(const char* what) {
   throw NetError(std::string(what) + ": " + std::strerror(errno));
@@ -106,7 +111,7 @@ NetServer::NetServer(harmony::SessionManager& manager,
     throw_errno("getsockname");
   }
   port_ = ntohs(addr.sin_port);
-  if (::listen(listen_fd_, options_.backlog) < 0) throw_errno("listen");
+  if (::listen(listen_fd_, kBacklog) < 0) throw_errno("listen");
 
   epoll_event ev{};
   ev.events = EPOLLIN;
@@ -152,10 +157,9 @@ void NetServer::stop() {
 }
 
 void NetServer::loop_iteration() {
-  const int timeout = static_cast<int>(options_.poll_interval.count());
-  const int n =
-      ::epoll_wait(epoll_fd_, events_.data(),
-                   static_cast<int>(events_.size()), timeout);
+  const int n = ::epoll_wait(epoll_fd_, events_.data(),
+                             static_cast<int>(events_.size()),
+                             static_cast<int>(kPollInterval.count()));
   if (n < 0 && errno != EINTR) {
     // epoll itself failing is unrecoverable for the loop; stop cleanly
     // rather than spin on the error.
@@ -182,7 +186,7 @@ void NetServer::loop_iteration() {
     if (!c->closed && (events_[i].events & EPOLLOUT)) handle_writable(c);
   }
   const auto now = std::chrono::steady_clock::now();
-  const bool tick_due = now - last_tick_ >= options_.poll_interval;
+  const bool tick_due = now - last_tick_ >= kPollInterval;
   if (tick_due) last_tick_ = now;
   sweep_sessions(tick_due);
   if (flight_.consume_dump_request()) dump_flight("SIGUSR1");
@@ -477,13 +481,9 @@ void NetServer::handle_stats(Connection* c, const Frame& f) {
     return;
   }
   SessionEntry& e = sessions_[static_cast<std::size_t>(c->entry)];
-  // max_stats_series × clients, saturating (a huge option means no cap).
-  const std::size_t clients = e.server->clients();
-  const std::size_t cap =
-      options_.max_stats_series > std::numeric_limits<std::size_t>::max() /
-                                      clients
-          ? std::numeric_limits<std::size_t>::max()
-          : options_.max_stats_series * clients;
+  // Every client slot costs the server per-rank state, so the product
+  // cannot overflow.
+  const std::size_t cap = kMaxStatsSeries * e.server->clients();
   const std::size_t budget = cap > e.stats_series ? cap - e.stats_series : 0;
   obs::Registry::MergeResult merged;
   try {
@@ -686,13 +686,12 @@ void NetServer::sweep_sessions(bool tick_due) {
 void NetServer::check_stall(SessionEntry& e,
                             std::chrono::steady_clock::time_point now) {
   if (e.attached_conns == 0) return;  // nobody is driving: idle, not stalled
-  std::chrono::duration<double> timeout = options_.stall_timeout;
-  if (timeout <= std::chrono::duration<double>::zero()) {
-    const auto deadline = e.server->report_timeout();
-    if (deadline <= std::chrono::duration<double>::zero()) return;
-    timeout = deadline * kStallFactor;
+  const auto deadline = e.server->report_timeout();
+  if (deadline <= std::chrono::duration<double>::zero()) return;
+  if (std::chrono::duration<double>(now - e.last_advance) <
+      deadline * kStallFactor) {
+    return;
   }
-  if (std::chrono::duration<double>(now - e.last_advance) < timeout) return;
   e.stalled = true;
   flight_.record("stall/dump", e.name,
                  static_cast<std::uint32_t>(e.attached_conns), e.last_rounds);

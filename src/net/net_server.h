@@ -17,7 +17,7 @@
 // loop parks the (connection, rank) pair and answers it when the session's
 // round counter advances (checked once per poll iteration; the counter is
 // a relaxed atomic read).  Deadlines are enforced the same way a tick
-// driver would: the loop calls Server::tick() at poll_interval, and a
+// driver would: the loop calls Server::tick() every 5 ms poll, and a
 // connection that dies mid-round is simply a straggler for the PR-3
 // deadline/imputation machinery — never a server error.
 //
@@ -65,30 +65,28 @@ struct NetServerOptions {
   std::string bind_address = "127.0.0.1";
   /// TCP port; 0 picks an ephemeral port (read it back via port()).
   std::uint16_t port = 0;
-  int backlog = 1024;
-  /// epoll_wait timeout: the cadence of deadline ticks and parked-fetch
-  /// sweeps when the loop is otherwise idle.
-  std::chrono::milliseconds poll_interval{5};
   /// Registry the wire telemetry is registered in; null means
   /// obs::Registry::global().  Use the same registry the hosted sessions
-  /// record into so Server::metrics_snapshot/SessionManager::
-  /// metrics_snapshot see the net tier too — and so the in-loop /metrics
-  /// page serves everything in one exposition.
+  /// record into so one Registry::snapshot() sees the net tier and the
+  /// sessions together — and so the in-loop /metrics page serves
+  /// everything in one exposition.
   obs::Registry* metrics = nullptr;
-  /// Stall watchdog: a session whose round watermark has not advanced for
-  /// this long while connections are attached is declared stalled — the
-  /// flight recorder dumps to stderr once per episode and /healthz answers
-  /// 503 until the watermark moves again.  Zero derives the timeout from
-  /// the session's own report deadline (report_timeout × kStallFactor);
-  /// sessions with neither an explicit stall_timeout nor a deadline are
-  /// never declared stalled.
-  std::chrono::duration<double> stall_timeout{0};
   /// Flight recorder the loop's control-plane events land in; null means
   /// obs::FlightRecorder::global() (which SIGUSR1 dumps target).
   obs::FlightRecorder* flight = nullptr;
+};
+
+class NetServer {
+ public:
+  /// Stall watchdog: a session whose round watermark has not advanced for
+  /// report_timeout × kStallFactor while connections are attached is
+  /// declared stalled — the flight recorder dumps to stderr once per
+  /// episode and /healthz answers 503 until the watermark moves again.
+  /// Sessions without a report deadline are never declared stalled.
+  static constexpr double kStallFactor = 4.0;
   /// Cap on the number of distinct registry series Stats pushes may create,
   /// per client of a session: a session of width W may mint
-  /// `max_stats_series × W` series in total, across all the connections
+  /// `kMaxStatsSeries × W` series in total, across all the connections
   /// ever attached to it — the series-churn counterpart of the frame cap.
   /// Without it a buggy or adversarial client minting unique metric
   /// names/label sets grows server memory (and the /metrics page) without
@@ -96,11 +94,8 @@ struct NetServerOptions {
   /// client that reconnects from getting a fresh budget each time.
   /// Merging into existing series is never limited; a push that would
   /// exceed the cap is rejected and the connection closed.
-  std::size_t max_stats_series = 256;
-};
+  static constexpr std::size_t kMaxStatsSeries = 256;
 
-class NetServer {
- public:
   /// Binds and listens immediately (port() is valid after construction);
   /// the loop itself starts in run().  Sessions are resolved by name in
   /// `manager` at Attach time — create them before clients connect.
@@ -145,8 +140,6 @@ class NetServer {
   static constexpr std::uint8_t kModeHttp = 2;
   /// Cap on a buffered HTTP request (we only serve bare GETs).
   static constexpr std::size_t kMaxHttpRequest = 8192;
-  /// A derived stall timeout is this many report deadlines.
-  static constexpr double kStallFactor = 4.0;
   struct ParkedFetch {
     std::uint32_t rank = 0;
     std::uint64_t entered = 0;  ///< LatencyClock stamp at frame decode
@@ -217,7 +210,7 @@ class NetServer {
   /// Round-advance sweep + deadline ticks, once per poll iteration.
   void sweep_sessions(bool tick_due);
   /// Declares `e` stalled (and dumps the flight recorder) when its round
-  /// watermark has sat still past the watchdog timeout.
+  /// watermark has sat still past report_timeout × kStallFactor.
   void check_stall(SessionEntry& e, std::chrono::steady_clock::time_point now);
   void dump_flight(const char* why);
   void epoll_update(Connection* c, bool want_write);

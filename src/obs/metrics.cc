@@ -252,44 +252,25 @@ InstrumentSnapshot Registry::snapshot_entry(const Entry& e) const {
   return s;
 }
 
-// Both snapshot flavours collect bare Entry pointers under the registry
-// mutex and do all the per-instrument work (histogram bucket reads, string
-// copies, allocation) after releasing it.  Entries are registered once and
-// never erased, and the vector holds them by unique_ptr, so a collected
-// pointer stays valid without the lock — a slow exporter therefore never
-// holds the registry against threads registering new instruments.  Per-
-// value reads are atomic on the instruments themselves, so the aggregate
-// is merely per-instrument (not cross-instrument) consistent — which was
-// already true under the lock, since recording never took it.
-
-std::vector<const Registry::Entry*> Registry::collect_entries() const {
-  const std::scoped_lock lock(mutex_);
-  std::vector<const Entry*> out;
-  out.reserve(entries_.size());
-  for (const auto& e : entries_) out.push_back(e.get());
-  return out;
-}
-
+// snapshot() collects bare Entry pointers under the registry mutex and
+// does all the per-instrument work (histogram bucket reads, string copies,
+// allocation) after releasing it.  Entries are registered once and never
+// erased, and the vector holds them by unique_ptr, so a collected pointer
+// stays valid without the lock — a slow exporter therefore never holds the
+// registry against threads registering new instruments.  Per-value reads
+// are atomic on the instruments themselves, so the aggregate is merely
+// per-instrument (not cross-instrument) consistent — which was already
+// true under the lock, since recording never took it.
 RegistrySnapshot Registry::snapshot() const {
-  const std::vector<const Entry*> entries = collect_entries();
+  std::vector<const Entry*> entries;
+  {
+    const std::scoped_lock lock(mutex_);
+    entries.reserve(entries_.size());
+    for (const auto& e : entries_) entries.push_back(e.get());
+  }
   RegistrySnapshot out;
   out.instruments.reserve(entries.size());
   for (const Entry* e : entries) out.instruments.push_back(snapshot_entry(*e));
-  return out;
-}
-
-RegistrySnapshot Registry::snapshot(std::string_view key,
-                                    std::string_view value) const {
-  const std::vector<const Entry*> entries = collect_entries();
-  RegistrySnapshot out;
-  for (const Entry* e : entries) {
-    for (const auto& [k, v] : e->labels) {
-      if (k == key && v == value) {
-        out.instruments.push_back(snapshot_entry(*e));
-        break;
-      }
-    }
-  }
   return out;
 }
 

@@ -219,7 +219,8 @@ struct RegistrySnapshot {
   std::vector<InstrumentSnapshot> instruments;
 
   /// First instrument with this exact name (and, when given, label value for
-  /// key "session"); nullptr when absent.  Convenience for dashboards/tests.
+  /// key "session"); nullptr when absent.  The per-session read path: take
+  /// one Registry::snapshot() and look each session's series up here.
   const InstrumentSnapshot* find(std::string_view name,
                                  std::string_view session = {}) const;
 };
@@ -256,10 +257,6 @@ class Registry {
   /// list; bucket reads, string copies and allocation happen after
   /// release, so a slow consumer never blocks instrument registration.
   RegistrySnapshot snapshot() const;
-  /// Only the instruments carrying label `key` == `value` (the per-session
-  /// filter harmony::Server::metrics_snapshot uses).
-  RegistrySnapshot snapshot(std::string_view key,
-                            std::string_view value) const;
 
   /// Outcome of one merge_from call: how many instruments folded in, how
   /// many new series the call minted, and how many it refused.
@@ -313,7 +310,6 @@ class Registry {
                         std::string_view help, Labels labels,
                         bool allow_create = true, bool* created = nullptr);
   InstrumentSnapshot snapshot_entry(const Entry& e) const;
-  std::vector<const Entry*> collect_entries() const;
 
   mutable std::mutex mutex_;
   std::vector<std::unique_ptr<Entry>> entries_;  ///< pointer-stable storage

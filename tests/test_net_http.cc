@@ -48,7 +48,6 @@ struct HttpFixture {
   explicit HttpFixture(net::NetServerOptions options = {}) {
     options.metrics = &registry;
     options.flight = &flight;
-    options.poll_interval = std::chrono::milliseconds(1);
     server = std::make_unique<net::NetServer>(manager, options);
     loop = std::thread([this] { server->run(); });
   }
@@ -220,10 +219,12 @@ TEST(NetHttp, HealthzSessionsAndUnknownPaths) {
 }
 
 TEST(NetHttp, HealthzTurns503WhileASessionIsStalled) {
-  net::NetServerOptions no;
-  no.stall_timeout = std::chrono::duration<double>(0.05);
-  HttpFixture fx(no);
-  fx.host("wedged", 2);
+  HttpFixture fx;
+  // The 0.0125 s report deadline gives a stall window of 0.0125 ×
+  // kStallFactor = 0.05 s.
+  harmony::ServerOptions so;
+  so.report_timeout = std::chrono::duration<double>(0.0125);
+  fx.host("wedged", 2, so);
 
   // An attached client fetches and then sits on the round forever.
   net::HarmonyClient client({.port = fx.server->port()});

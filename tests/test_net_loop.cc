@@ -44,9 +44,6 @@ struct LoopFixture {
 
   explicit LoopFixture(net::NetServerOptions options = {}) {
     options.metrics = &registry;
-    // A short poll interval keeps deadline sweeps and parked-fetch checks
-    // responsive at test scale.
-    options.poll_interval = std::chrono::milliseconds(1);
     server = std::make_unique<net::NetServer>(manager, options);
     loop = std::thread([this] { server->run(); });
   }
@@ -372,7 +369,6 @@ TEST(NetLoop, ClientStatsPushMergesUnderTheClientLabel) {
       client_registry.histogram("loadgen_think_ns", "app-side latency");
   net::ClientOptions co = fx.client_options();
   co.metrics = &client_registry;
-  co.stats_every_rounds = 2;  // push after every second report
   net::HarmonyClient client(co);
   client.attach("telemetry", 0);  // rank 0 names the series
 
@@ -383,11 +379,12 @@ TEST(NetLoop, ClientStatsPushMergesUnderTheClientLabel) {
     client.fetch_into(0, cfg);
     client.report(0, 1.0);
   }
-  // The periodic push is synchronous with the second report's ack.
+  // A mid-run push is synchronous with its ack.
+  client.push_stats(0);
   const obs::RegistrySnapshot mid = fx.registry.snapshot();
   const obs::InstrumentSnapshot* merged =
       find_with_client_label(mid, "loadgen_widgets_total", "0");
-  ASSERT_NE(merged, nullptr) << "periodic push did not reach the server";
+  ASSERT_NE(merged, nullptr) << "mid-run push did not reach the server";
   EXPECT_EQ(merged->value, 7.0);
   const obs::InstrumentSnapshot* hist =
       find_with_client_label(mid, "loadgen_think_ns", "0");
@@ -499,15 +496,15 @@ TEST(NetLoop, KindMismatchStatsPushClosesTheConnectionNotTheServer) {
 TEST(NetLoop, StatsSeriesChurnPastTheCapClosesTheConnection) {
   // A client minting unique metric names on every push would grow the
   // server registry (and the /metrics page) without bound; past the
-  // session's cap the push is rejected and the connection closed.
-  net::NetServerOptions no;
-  no.max_stats_series = 8;
-  LoopFixture fx(no);
+  // session's cap (width 1: kMaxStatsSeries = 256 series) the push is
+  // rejected and the connection closed.
+  constexpr std::size_t kCap = net::NetServer::kMaxStatsSeries;
+  LoopFixture fx;
   auto hosted = fx.host("bounded", 1);
   const std::size_t before = fx.registry.size();
 
   obs::Registry churner;
-  for (int i = 0; i < 20; ++i) {
+  for (int i = 0; i < 300; ++i) {
     churner.counter("churn_" + std::to_string(i) + "_total").add(1);
   }
   std::vector<std::uint8_t> wire;
@@ -519,11 +516,11 @@ TEST(NetLoop, StatsSeriesChurnPastTheCapClosesTheConnection) {
   EXPECT_GE(fx.server->decode_errors(), 1u);
   // At most the cap's worth of churn series landed (+2 for the session's
   // own wire histograms, minted by the attach).
-  EXPECT_LE(fx.registry.size(), before + 2 + 8);
+  EXPECT_LE(fx.registry.size(), before + 2 + kCap);
   const obs::RegistrySnapshot snap = fx.registry.snapshot();
   EXPECT_NE(find_with_client_label(snap, "churn_0_total", "0"), nullptr)
       << "series under the cap still merge";
-  EXPECT_EQ(find_with_client_label(snap, "churn_19_total", "0"), nullptr);
+  EXPECT_EQ(find_with_client_label(snap, "churn_299_total", "0"), nullptr);
 
   // The loop is unharmed: a well-behaved client completes rounds.
   net::HarmonyClient client(fx.client_options());
@@ -540,11 +537,11 @@ TEST(NetLoop, StatsSeriesChurnPastTheCapClosesTheConnection) {
 TEST(NetLoop, StatsSeriesBudgetIsPerSessionAcrossReconnects) {
   // The series budget belongs to the session, not to one connection: a
   // client that reconnects for every push must not get a fresh budget each
-  // time.  Width 1 and a cap of 8: of 1 000 raw reconnects that each
-  // attach and push one never-seen counter, only the first 8 mint a series.
-  net::NetServerOptions no;
-  no.max_stats_series = 8;
-  LoopFixture fx(no);
+  // time.  Width 1 and a cap of kMaxStatsSeries = 256: of 1 000 raw
+  // reconnects that each attach and push one never-seen counter, only the
+  // first 256 mint a series.
+  constexpr std::size_t kCap = net::NetServer::kMaxStatsSeries;
+  LoopFixture fx;
   auto hosted = fx.host("reconnecting", 1);
   const std::size_t before = fx.registry.size();
 
@@ -565,14 +562,15 @@ TEST(NetLoop, StatsSeriesBudgetIsPerSessionAcrossReconnects) {
         << "reconnect " << i;
     (last == net::MsgType::kError ? rejected : accepted) += 1;
   }
-  EXPECT_EQ(accepted, 8u);
-  EXPECT_EQ(rejected, 992u);
+  EXPECT_EQ(accepted, kCap);
+  EXPECT_EQ(rejected, 1000u - kCap);
   // The cap's worth of series (+2 for the session's own wire histograms,
   // minted by the first attach).
-  EXPECT_LE(fx.registry.size(), before + 2 + 8);
+  EXPECT_LE(fx.registry.size(), before + 2 + kCap);
   const obs::RegistrySnapshot snap = fx.registry.snapshot();
   EXPECT_NE(find_with_client_label(snap, "reconnect_0_total", "0"), nullptr);
-  EXPECT_EQ(find_with_client_label(snap, "reconnect_8_total", "0"), nullptr);
+  EXPECT_NE(find_with_client_label(snap, "reconnect_255_total", "0"), nullptr);
+  EXPECT_EQ(find_with_client_label(snap, "reconnect_256_total", "0"), nullptr);
 
   // The loop is unharmed: a well-behaved client completes rounds.
   net::HarmonyClient client(fx.client_options());
@@ -593,9 +591,10 @@ TEST(NetLoop, WatchdogStallDumpCapturesTheParkedFetchAndTheImpute) {
   // watchdog dumps a ring that still holds both edges.
   obs::FlightRecorder flight(512);
   net::NetServerOptions no;
-  no.stall_timeout = std::chrono::duration<double>(0.25);
   no.flight = &flight;
   LoopFixture fx(no);
+  // The 0.05 s report deadline gives a stall window of 0.05 × kStallFactor
+  // = 0.2 s.
   harmony::ServerOptions so;
   so.report_timeout = std::chrono::duration<double>(0.05);
   so.straggler_policy = harmony::StragglerPolicy::kShrink;
@@ -620,7 +619,7 @@ TEST(NetLoop, WatchdogStallDumpCapturesTheParkedFetchAndTheImpute) {
   // deadline expires and imputes the straggler.
   client.fetch_into(0, cfg);
   // Now go silent while staying attached.  Rounds stop advancing; after
-  // stall_timeout the watchdog declares the session stalled and dumps.
+  // the stall window the watchdog declares the session stalled and dumps.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while (fx.server->stall_dumps() == 0 &&

@@ -108,17 +108,9 @@ TEST(RoundEngine, MisuseIsALoudEngineError) {
   EXPECT_THROW(engine.reactivate(9), EngineError);
 }
 
-TEST(RoundEngine, RejectsZeroWidthAndBadPenalty) {
+TEST(RoundEngine, RejectsZeroWidth) {
   core::FixedStrategy fixed(Point{1.0});
   EXPECT_THROW(RoundEngine(fixed, padded(0)), EngineError);
-  RoundEngineOptions o = padded(2);
-  o.impute_penalty = 0.5;
-  EXPECT_THROW(RoundEngine(fixed, o), EngineError);
-  // An infinite penalty would make every imputed T_k infinite.
-  o.impute_penalty = std::numeric_limits<double>::infinity();
-  EXPECT_THROW(RoundEngine(fixed, o), EngineError);
-  o.impute_penalty = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(RoundEngine(fixed, o), EngineError);
 }
 
 TEST(RoundEngine, SubmitRejectsNonFiniteAndNegativeTimes) {

@@ -5,9 +5,9 @@
 //
 //   * registry churn (create/attach/detach/remove) must never stall or
 //     corrupt unrelated sessions' fetch/report traffic;
-//   * a slow exporter sweeping stats_all()/metrics_snapshot() must not
-//     hold the registry against churn (the pre-PR-7 bug aggregated while
-//     holding the registry mutex);
+//   * a slow exporter sweeping stats_all() and Registry::snapshot() must
+//     not hold the session registry against churn (an earlier manager
+//     aggregated while holding its mutex);
 //   * Server::tick() deadline enforcement must not block in-flight
 //     fetches (asserted through the loadgen at two tick frequencies).
 #include <gtest/gtest.h>
@@ -105,7 +105,7 @@ TEST(ServingStress, RegistryChurnWhileRanksFetchAndReport) {
         EXPECT_FALSE(st.name.empty());
         EXPECT_GE(st.clients, 2u);
       }
-      const obs::RegistrySnapshot snap = manager.metrics_snapshot();
+      const obs::RegistrySnapshot snap = registry.snapshot();
       EXPECT_GE(snap.instruments.size(), stats.size());
     }
   });
@@ -124,9 +124,9 @@ TEST(ServingStress, RegistryChurnWhileRanksFetchAndReport) {
 }
 
 TEST(ServingStress, SlowExporterNeverHoldsRegistryAgainstChurn) {
-  // Regression for the stats_all/metrics_snapshot stop-the-world bug: the
-  // aggregation pass used to run under the registry mutex, so an exporter
-  // mid-sweep blocked every create/remove.  Now handles are pinned under a
+  // Regression for the stats_all stop-the-world bug: the aggregation pass
+  // used to run under the registry mutex, so an exporter mid-sweep blocked
+  // every create/remove.  Now handles are pinned under a
   // brief reader lock and aggregated after release — sessions removed
   // mid-sweep stay alive through the exporter's shared_ptr (no
   // use-after-free), and churn completes regardless of exporter cadence.
@@ -145,7 +145,7 @@ TEST(ServingStress, SlowExporterNeverHoldsRegistryAgainstChurn) {
     while (!stop.load(std::memory_order_relaxed)) {
       const auto stats = manager.stats_all();
       EXPECT_GE(stats.size(), 24u);  // the fixed bed is always listed
-      const obs::RegistrySnapshot snap = manager.metrics_snapshot();
+      const obs::RegistrySnapshot snap = registry.snapshot();
       EXPECT_FALSE(snap.instruments.empty());
       sweeps.fetch_add(1, std::memory_order_relaxed);
     }

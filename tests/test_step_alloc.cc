@@ -94,8 +94,7 @@ TEST(StepAllocation, SteadyStateSurvivesFullInstrumentation) {
   EXPECT_EQ(allocation_count(), before)
       << "instrumented steady-state step allocated on the heap";
   obs::Tracer::global().configure(false);
-  const obs::RegistrySnapshot snap =
-      obs::Registry::global().snapshot("session", "alloc-probe");
+  const obs::RegistrySnapshot snap = obs::Registry::global().snapshot();
   const obs::InstrumentSnapshot* rounds =
       snap.find("protuner_rounds_total", "alloc-probe");
   ASSERT_NE(rounds, nullptr);
@@ -194,7 +193,6 @@ TEST(StepAllocation, NetServingFetchReportPathIsAllocationFree) {
   net::NetServerOptions no;
   no.metrics = &registry;
   no.flight = &flight;
-  no.poll_interval = std::chrono::milliseconds(1);
   net::NetServer net(manager, no);
   std::thread loop([&net] { net.run(); });
   {

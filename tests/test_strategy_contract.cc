@@ -45,22 +45,15 @@ ParameterSpace mixed_space() {
 using Factory = std::function<TuningStrategyPtr(const ParameterSpace&)>;
 
 /// The rounds of a warm session a strategy may allocate in: (ranks, round
-/// index since start(), converged before the round).  Each use names its
-/// reason; a case without one must not allocate in any round.
-using AllocationException = bool (*)(std::size_t ranks, int round,
-                                     bool converged);
+/// index since start()).  Each use names its reason; a case without one
+/// must not allocate in any round.
+using AllocationException = bool (*)(std::size_t ranks, int round);
 
 struct StrategyCase {
   const char* label;
   Factory make;
   AllocationException may_allocate = nullptr;
 };
-
-// Ranking-and-selection sizes a fresh per-candidate count vector in every
-// searching round's propose_into.
-bool rs_searching_rounds(std::size_t, int, bool converged) {
-  return !converged;
-}
 
 LandscapePtr test_landscape() {
   return std::make_shared<FunctionLandscape>("contract", [](const Point& x) {
@@ -245,13 +238,14 @@ TEST_P(StrategyContract, ImprovesOrMatchesCenterNoiseFree) {
 // start() has rewound it, no propose_into + observe round of a second
 // session may touch the heap: searching, sampling, probing, converged, and
 // grid's finished sweep (192 points, so it ends inside the session even at
-// 1 rank).  The only rounds excused are the case's named exception.
+// 1 rank; at 5 ranks its final wave is short).  The only rounds excused
+// are the case's named exception.
 TEST_P(StrategyContract, WarmRoundsAreAllocationFree) {
   const auto space = mixed_space();
   const auto land = test_landscape();
   constexpr int kRounds = 240;
-  for (const std::size_t ranks : {std::size_t{1}, std::size_t{6},
-                                  std::size_t{64}}) {
+  for (const std::size_t ranks : {std::size_t{1}, std::size_t{5},
+                                  std::size_t{6}, std::size_t{64}}) {
     auto strategy = GetParam().make(space);
     std::vector<Point> buf;
     std::vector<double> times;
@@ -260,7 +254,6 @@ TEST_P(StrategyContract, WarmRoundsAreAllocationFree) {
     const auto session = [&] {
       strategy->start(ranks);
       for (int r = 0; r < kRounds; ++r) {
-        const bool converged = strategy->converged();
         const std::size_t before = allocation_count();
         strategy->propose_into(buf);
         times.resize(buf.size());
@@ -270,7 +263,7 @@ TEST_P(StrategyContract, WarmRoundsAreAllocationFree) {
         strategy->observe(times);
         const std::size_t n = allocation_count() - before;
         const AllocationException excused = GetParam().may_allocate;
-        if (n != 0 && !(excused && excused(ranks, r, converged))) {
+        if (n != 0 && !(excused && excused(ranks, r))) {
           unexcused += n;
           if (first_unexcused < 0) first_unexcused = r;
         }
@@ -336,7 +329,7 @@ INSTANTIATE_TEST_SUITE_P(
                        return std::make_unique<CompassStrategy>(
                            s, CompassOptions{});
                      },
-                     [](std::size_t ranks, int round, bool) {
+                     [](std::size_t ranks, int round) {
                        return ranks < 6 && round == 1;
                      }},
         // Two samples per poll and no step floor: compass polls every
@@ -348,7 +341,7 @@ INSTANTIATE_TEST_SUITE_P(
                        o.samples = 2;
                        return std::make_unique<CompassStrategy>(s, o);
                      },
-                     [](std::size_t ranks, int round, bool) {
+                     [](std::size_t ranks, int round) {
                        return ranks < 6 && round == 2;  // as compass
                      }},
         StrategyCase{"annealing",
@@ -374,15 +367,12 @@ INSTANTIATE_TEST_SUITE_P(
                      [](const ParameterSpace& s) -> TuningStrategyPtr {
                        return std::make_unique<RandomSearchStrategy>(s, 123);
                      }},
-        // A finished sweep clears its pending points, so the restarted
-        // sweep's first round allocates them again.
         StrategyCase{"grid",
                      [](const ParameterSpace& s) -> TuningStrategyPtr {
                        GridSearchOptions o;
                        o.continuous_levels = 3;
                        return std::make_unique<GridSearchStrategy>(s, o);
-                     },
-                     [](std::size_t, int round, bool) { return round == 0; }},
+                     }},
         StrategyCase{"fixed",
                      [](const ParameterSpace& s) -> TuningStrategyPtr {
                        return std::make_unique<FixedStrategy>(s.center());
@@ -399,8 +389,7 @@ INSTANTIATE_TEST_SUITE_P(
                        o.seed = 123;
                        return std::make_unique<RankingSelectionStrategy>(s,
                                                                          o);
-                     },
-                     rs_searching_rounds},
+                     }},
         StrategyCase{"rs_mean",
                      [](const ParameterSpace& s) -> TuningStrategyPtr {
                        RankingSelectionOptions o;
@@ -408,8 +397,7 @@ INSTANTIATE_TEST_SUITE_P(
                        o.seed = 123;
                        return std::make_unique<RankingSelectionStrategy>(s,
                                                                          o);
-                     },
-                     rs_searching_rounds},
+                     }},
         // Spec-constructed twins: the factory path must satisfy the same
         // contracts as direct construction.
         StrategyCase{"spec_spsa",
@@ -419,8 +407,7 @@ INSTANTIATE_TEST_SUITE_P(
         StrategyCase{"spec_rs",
                      [](const ParameterSpace& s) -> TuningStrategyPtr {
                        return make_strategy("rs:m=12,n0=3", s, 123);
-                     },
-                     rs_searching_rounds}),
+                     }}),
     [](const ::testing::TestParamInfo<StrategyCase>& info) {
       return info.param.label;
     });
