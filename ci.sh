@@ -10,7 +10,9 @@
 #            test), full ctest suite
 #
 # The three sanitizer legs are RelWithDebInfo builds with
-# PROTUNER_WERROR=ON: a compiler warning fails them.
+# PROTUNER_WERROR=ON: a compiler warning fails them.  The strategy
+# shootout smoke sweep is the bench_smoke_shootout ctest, so every leg
+# already runs it (tsan through its tier1-tsan label).
 #
 # Every leg builds and tests in parallel: CMAKE_BUILD_PARALLEL_LEVEL and
 # CTEST_PARALLEL_LEVEL default to the core count when unset (the presets
@@ -25,7 +27,4 @@ for wf in ci ci-tsan ci-asan ci-ubsan; do
   echo "==== cmake --workflow --preset ${wf} ===="
   cmake --workflow --preset "${wf}"
 done
-echo "==== tuning_shootout --smoke ===="
-./build/examples/tuning_shootout --smoke \
-  --json=build/BENCH_shootout.json > /dev/null
 echo "==== verify matrix green ===="

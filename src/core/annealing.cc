@@ -6,12 +6,18 @@
 
 namespace protuner::core {
 
+namespace {
+
+constexpr double kInitialTemperature = 1.0;  ///< relative to best_value_
+constexpr double kCooling = 0.98;            ///< T <- kCooling * T per step
+/// Neighbour scale: step stddev as a fraction of each parameter range.
+constexpr double kStepFraction = 0.1;
+
+}  // namespace
+
 AnnealingStrategy::AnnealingStrategy(ParameterSpace space,
                                      AnnealingOptions opts)
-    : space_(std::move(space)), opts_(opts) {
-  assert(opts.cooling > 0.0 && opts.cooling <= 1.0);
-  assert(opts.step_fraction > 0.0);
-}
+    : space_(std::move(space)), opts_(opts) {}
 
 void AnnealingStrategy::start(std::size_t ranks) {
   assert(ranks >= 1);
@@ -21,7 +27,7 @@ void AnnealingStrategy::start(std::size_t ranks) {
     current_.push_back(space_.random_point(rngs_[r]));
   }
   current_value_.assign(ranks, 0.0);
-  temperature_ = opts_.initial_temperature;
+  temperature_ = kInitialTemperature;
   step_scale_ = 1.0;
   steps_seen_ = 0;
   best_point_ = current_.front();
@@ -55,7 +61,7 @@ void AnnealingStrategy::neighbor_into(const Point& x, util::Rng& rng,
     } else {
       out[i] = std::clamp(
           out[i] +
-              rng.normal(0.0, opts_.step_fraction * step_scale_ * par.range()),
+              rng.normal(0.0, kStepFraction * step_scale_ * par.range()),
           par.lower(), par.upper());
     }
   }
@@ -88,7 +94,7 @@ void AnnealingStrategy::observe(std::span<const double> times) {
         best_point_ = proposals_[r];
       }
     }
-    temperature_ *= opts_.cooling;
+    temperature_ *= kCooling;
     step_scale_ *= opts_.step_decay;
   }
   ++steps_seen_;

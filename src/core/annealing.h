@@ -12,11 +12,10 @@
 
 namespace protuner::core {
 
+/// Each chain starts at temperature 1 (relative to the best value seen)
+/// and cools by 0.98 per step; a continuous neighbour's step has stddev 10%
+/// of the parameter range, times the decaying scale below.
 struct AnnealingOptions {
-  double initial_temperature = 1.0;  ///< relative to the initial value scale
-  double cooling = 0.98;             ///< T <- cooling * T per step
-  /// Neighbour scale: step stddev as a fraction of each parameter range.
-  double step_fraction = 0.1;
   /// Per-step decay of the neighbour scale (also scales the probability of
   /// moving on discrete axes), so late proposals stay near the incumbent
   /// and the tail iteration cost converges.  1.0 disables.

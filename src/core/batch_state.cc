@@ -6,6 +6,14 @@
 
 namespace protuner::core {
 
+namespace {
+
+/// Racing drops a candidate whose minimum is this far (relative) above the
+/// wave leader's.
+constexpr double kRacingMargin = 0.10;
+
+}  // namespace
+
 std::span<Point> BatchState::stage(std::size_t n) {
   assert(n >= 1);
   if (points_.size() < n) points_.resize(n);
@@ -19,7 +27,6 @@ void BatchState::start(std::size_t ranks, const Options& opts) {
   assert(ranks >= 1);
   assert(opts.samples >= 1);
   assert(!opts.racing || opts.estimator == EstimatorKind::kMin);
-  assert(opts.racing_margin >= 0.0);
   // clear() and assign() keep capacity: a warm batch of this size reuses
   // every sample vector instead of reallocating it.
   if (samples_.size() < count_) samples_.resize(count_);
@@ -126,7 +133,7 @@ void BatchState::feed(std::span<const double> times) {
         best_min = m;
         best_idx = i;
       }
-      if (m > leader * (1.0 + opts_.racing_margin)) {
+      if (m > leader * (1.0 + kRacingMargin)) {
         racing_active_[i] = false;
       }
     }

@@ -30,13 +30,12 @@ class BatchState {
     EstimatorKind estimator = EstimatorKind::kMin;
     bool parallel_replicas = false;        ///< use spare ranks for samples
     /// Racing elimination: after each sampling round, candidates whose
-    /// current minimum already exceeds (1 + racing_margin) times the best
-    /// candidate's minimum stop being re-measured — their estimate is the
-    /// min of the samples they have.  Because the step cost is the max
-    /// over the batch, not re-running clear losers directly lowers T_k.
-    /// Only meaningful with the kMin estimator and K > 1.
+    /// current minimum already exceeds 1.1 times the best candidate's
+    /// minimum stop being re-measured — their estimate is the min of the
+    /// samples they have.  Because the step cost is the max over the batch,
+    /// not re-running clear losers directly lowers T_k.  Requires the kMin
+    /// estimator; only meaningful with K > 1.
     bool racing = false;
-    double racing_margin = 0.10;
   };
 
   BatchState() = default;

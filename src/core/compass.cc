@@ -7,10 +7,18 @@
 
 namespace protuner::core {
 
-CompassStrategy::CompassStrategy(ParameterSpace space, CompassOptions opts)
-    : space_(std::move(space)), opts_(opts) {
-  assert(opts.initial_step_fraction > 0.0);
-  assert(opts.samples >= 1);
+namespace {
+
+/// Initial step as a fraction of each parameter range.
+constexpr double kInitialStepFraction = 0.25;
+/// Step-size floor (relative) below which the search declares convergence.
+constexpr double kMinStepFraction = 1e-3;
+
+}  // namespace
+
+CompassStrategy::CompassStrategy(ParameterSpace space, int samples)
+    : space_(std::move(space)), samples_(samples) {
+  assert(samples >= 1);
 }
 
 void CompassStrategy::start(std::size_t ranks) {
@@ -21,7 +29,7 @@ void CompassStrategy::start(std::size_t ranks) {
   measuring_incumbent_ = true;
   step_.resize(space_.size());
   for (std::size_t i = 0; i < space_.size(); ++i) {
-    step_[i] = opts_.initial_step_fraction * space_.param(i).range();
+    step_[i] = kInitialStepFraction * space_.param(i).range();
   }
   pending_.resize(2 * space_.size());
   pending_[0] = incumbent_;
@@ -53,7 +61,7 @@ void CompassStrategy::shrink_step() {
   bool any_above_floor = false;
   for (std::size_t i = 0; i < space_.size(); ++i) {
     step_[i] *= 0.5;
-    if (step_[i] > opts_.min_step_fraction * space_.param(i).range() &&
+    if (step_[i] > kMinStepFraction * space_.param(i).range() &&
         (!space_.param(i).is_discrete_kind() || step_[i] >= 0.5)) {
       any_above_floor = true;
     }
@@ -91,7 +99,7 @@ void CompassStrategy::observe(std::span<const double> raw_times) {
     }
   }
   ++samples_done_;
-  if (samples_done_ < opts_.samples) return;  // keep sampling the same poll
+  if (samples_done_ < samples_) return;  // keep sampling the same poll
 
   if (measuring_incumbent_) {
     incumbent_value_ = est_.front();

@@ -2,8 +2,10 @@
 // Set Search family (Kolda, Lewis, Torczon 2003) the paper situates PRO in.
 // Each iteration polls the 2N axial neighbours of the incumbent at the
 // current step size, all in one parallel round; success moves the
-// incumbent, failure halves the step.  A useful second GSS reference point
-// for the algorithm-comparison benches.
+// incumbent, failure halves the step.  The step starts at a quarter of each
+// parameter range, and the search converges once every step is below 0.1%
+// of its range (and below one grid unit on discrete axes).  A useful second
+// GSS reference point for the algorithm-comparison benches.
 #pragma once
 
 #include "core/parameter_space.h"
@@ -11,17 +13,10 @@
 
 namespace protuner::core {
 
-struct CompassOptions {
-  /// Initial step as a fraction of each parameter range.
-  double initial_step_fraction = 0.25;
-  /// Step-size floor (relative) below which the search declares convergence.
-  double min_step_fraction = 1e-3;
-  int samples = 1;
-};
-
 class CompassStrategy final : public TuningStrategy {
  public:
-  CompassStrategy(ParameterSpace space, CompassOptions opts);
+  /// `samples` is K: each poll point's estimate is its min-of-K.
+  CompassStrategy(ParameterSpace space, int samples = 1);
 
   void start(std::size_t ranks) override;
   void propose_into(std::vector<Point>& out) override;
@@ -37,7 +32,7 @@ class CompassStrategy final : public TuningStrategy {
   void shrink_step();
 
   ParameterSpace space_;
-  CompassOptions opts_;
+  int samples_;
   std::size_t ranks_ = 1;
   std::size_t active_slots_ = 0;
 

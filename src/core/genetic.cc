@@ -6,15 +6,21 @@
 
 namespace protuner::core {
 
-GeneticStrategy::GeneticStrategy(ParameterSpace space, GeneticOptions opts)
-    : space_(std::move(space)), opts_(opts) {
-  assert(opts.mutation_rate >= 0.0 && opts.mutation_rate <= 1.0);
-  assert(opts.tournament >= 1);
-}
+namespace {
+
+constexpr double kMutationRate = 0.15;  ///< per-axis mutation probability
+constexpr double kCrossoverRate = 0.9;  ///< chance a child mixes two parents
+constexpr std::size_t kTournament = 2;  ///< parent-selection tournament size
+constexpr std::size_t kElites = 1;      ///< best individuals kept unchanged
+
+}  // namespace
+
+GeneticStrategy::GeneticStrategy(ParameterSpace space, std::uint64_t seed)
+    : space_(std::move(space)), seed_(seed) {}
 
 void GeneticStrategy::start(std::size_t ranks) {
   assert(ranks >= 1);
-  rng_.reseed(opts_.seed);
+  rng_.reseed(seed_);
   population_.clear();
   for (std::size_t r = 0; r < ranks; ++r) {
     population_.push_back(space_.random_point(rng_));
@@ -36,7 +42,7 @@ std::size_t GeneticStrategy::select_parent(std::span<const double> fitness) {
   // Tournament selection on runtime (lower is fitter).
   std::size_t winner = static_cast<std::size_t>(
       rng_.uniform_int(0, static_cast<long>(fitness.size()) - 1));
-  for (std::size_t t = 1; t < opts_.tournament; ++t) {
+  for (std::size_t t = 1; t < kTournament; ++t) {
     const auto c = static_cast<std::size_t>(
         rng_.uniform_int(0, static_cast<long>(fitness.size()) - 1));
     if (fitness[c] < fitness[winner]) winner = c;
@@ -46,7 +52,7 @@ std::size_t GeneticStrategy::select_parent(std::span<const double> fitness) {
 
 void GeneticStrategy::mutate(Point& x) {
   for (std::size_t i = 0; i < x.size(); ++i) {
-    if (!rng_.bernoulli(opts_.mutation_rate)) continue;
+    if (!rng_.bernoulli(kMutationRate)) continue;
     const Parameter& par = space_.param(i);
     if (par.is_discrete_kind()) {
       x[i] = rng_.bernoulli(0.5) ? par.neighbor_above(x[i])
@@ -78,7 +84,7 @@ void GeneticStrategy::observe(std::span<const double> times) {
             [&](std::size_t a, std::size_t b) { return times[a] < times[b]; });
 
   next_.resize(n);
-  const std::size_t elites = std::min(opts_.elites, n);
+  const std::size_t elites = std::min(kElites, n);
   for (std::size_t e = 0; e < elites; ++e) {
     next_[e] = population_[order_[e]];
   }
@@ -87,7 +93,7 @@ void GeneticStrategy::observe(std::span<const double> times) {
     const Point& b = population_[select_parent(times)];
     Point& child = next_[k];
     child = a;
-    if (rng_.bernoulli(opts_.crossover_rate)) {
+    if (rng_.bernoulli(kCrossoverRate)) {
       for (std::size_t i = 0; i < child.size(); ++i) {
         if (rng_.bernoulli(0.5)) child[i] = b[i];
       }

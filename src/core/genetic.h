@@ -1,7 +1,9 @@
 // Generational genetic algorithm — the second randomized comparator the
 // paper names as unsuitable for on-line tuning (§2).  Population of `ranks`
 // individuals, evaluated one generation per application time step;
-// tournament selection, uniform crossover, per-axis mutation.
+// tournament selection (size 2), uniform crossover (probability 0.9),
+// per-axis mutation (probability 0.15), and the best individual carried
+// over unchanged.
 #pragma once
 
 #include "core/parameter_space.h"
@@ -9,17 +11,9 @@
 
 namespace protuner::core {
 
-struct GeneticOptions {
-  double mutation_rate = 0.15;   ///< per-axis mutation probability
-  double crossover_rate = 0.9;   ///< probability a child mixes two parents
-  std::size_t tournament = 2;    ///< tournament size for parent selection
-  std::size_t elites = 1;        ///< best individuals copied unchanged
-  std::uint64_t seed = 1;
-};
-
 class GeneticStrategy final : public TuningStrategy {
  public:
-  GeneticStrategy(ParameterSpace space, GeneticOptions opts);
+  GeneticStrategy(ParameterSpace space, std::uint64_t seed);
 
   void start(std::size_t ranks) override;
   void propose_into(std::vector<Point>& out) override;
@@ -39,7 +33,7 @@ class GeneticStrategy final : public TuningStrategy {
   void mutate(Point& x);
 
   ParameterSpace space_;
-  GeneticOptions opts_;
+  std::uint64_t seed_;
 
   std::vector<Point> population_;
   // Recycled per-generation storage: the next population (swapped with

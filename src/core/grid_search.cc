@@ -5,10 +5,16 @@
 
 namespace protuner::core {
 
-GridSearchStrategy::GridSearchStrategy(ParameterSpace space,
-                                       GridSearchOptions opts)
-    : space_(std::move(space)), opts_(opts) {
-  assert(opts.continuous_levels >= 2);
+namespace {
+
+/// Levels sampled per continuous axis (discrete and integer axes enumerate
+/// their admissible values exactly).
+constexpr std::size_t kContinuousLevels = 9;
+
+}  // namespace
+
+GridSearchStrategy::GridSearchStrategy(ParameterSpace space)
+    : space_(std::move(space)) {
   axes_.reserve(space_.size());
   for (std::size_t i = 0; i < space_.size(); ++i) {
     const Parameter& p = space_.param(i);
@@ -23,10 +29,10 @@ GridSearchStrategy::GridSearchStrategy(ParameterSpace space,
         }
         break;
       case ParamKind::kContinuous:
-        for (std::size_t l = 0; l < opts_.continuous_levels; ++l) {
+        for (std::size_t l = 0; l < kContinuousLevels; ++l) {
           vals.push_back(p.lower() +
                          p.range() * static_cast<double>(l) /
-                             static_cast<double>(opts_.continuous_levels - 1));
+                             static_cast<double>(kContinuousLevels - 1));
         }
         break;
     }

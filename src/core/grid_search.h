@@ -1,5 +1,5 @@
 // Exhaustive grid search — evaluates every admissible configuration once
-// (continuous axes are sampled at a fixed number of levels), then pins the
+// (continuous axes are sampled at 9 evenly spaced levels), then pins the
 // best.  The brute-force upper bound for small spaces, and the honest way
 // to find a space's true optimum in tests and benches.
 #pragma once
@@ -9,15 +9,9 @@
 
 namespace protuner::core {
 
-struct GridSearchOptions {
-  /// Levels sampled per continuous axis (discrete/integer axes enumerate
-  /// their admissible values exactly).
-  std::size_t continuous_levels = 9;
-};
-
 class GridSearchStrategy final : public TuningStrategy {
  public:
-  GridSearchStrategy(ParameterSpace space, GridSearchOptions opts = {});
+  explicit GridSearchStrategy(ParameterSpace space);
 
   void start(std::size_t ranks) override;
   void propose_into(std::vector<Point>& out) override;
@@ -36,7 +30,6 @@ class GridSearchStrategy final : public TuningStrategy {
   void point_into(std::size_t flat_index, Point& out) const;
 
   ParameterSpace space_;
-  GridSearchOptions opts_;
   std::size_t ranks_ = 1;
 
   std::vector<std::vector<double>> axes_;

@@ -6,16 +6,21 @@
 
 namespace protuner::core {
 
+namespace {
+
+constexpr double kInitialSize = 0.2;  ///< initial simplex relative size r
+
+}  // namespace
+
 NelderMeadStrategy::NelderMeadStrategy(ParameterSpace space,
                                        NelderMeadOptions opts)
     : space_(std::move(space)), opts_(opts) {
-  assert(opts.initial_size > 0.0);
   assert(opts.samples >= 1);
 }
 
 void NelderMeadStrategy::start(std::size_t ranks) {
   ranks_ = std::max<std::size_t>(1, ranks);
-  simplex_ = minimal_simplex(space_, opts_.initial_size);  // N+1 vertices
+  simplex_ = minimal_simplex(space_, kInitialSize);  // N+1 vertices
   phase_ = Phase::kInitEval;
   frozen_ = false;
   const std::vector<Point>& vs = simplex_.vertices();
@@ -26,7 +31,6 @@ void NelderMeadStrategy::start(std::size_t ranks) {
 void NelderMeadStrategy::begin_batch() {
   BatchState::Options bo;
   bo.samples = opts_.samples;
-  bo.estimator = opts_.estimator;
   batch_.start(/*ranks=*/1, bo);
 }
 
@@ -147,7 +151,7 @@ void NelderMeadStrategy::on_batch_done() {
 
 std::string NelderMeadStrategy::name() const {
   std::ostringstream ss;
-  ss << "NelderMead(r=" << opts_.initial_size << ", K=" << opts_.samples
+  ss << "NelderMead(r=" << kInitialSize << ", K=" << opts_.samples
      << ")";
   return ss.str();
 }

@@ -16,10 +16,10 @@
 
 namespace protuner::core {
 
+/// The initial simplex is the minimal N+1 one of relative size 0.2, and
+/// each point's K samples collapse by their minimum.
 struct NelderMeadOptions {
-  double initial_size = 0.2;
   int samples = 1;
-  EstimatorKind estimator = EstimatorKind::kMin;
   /// Iteration cap after which the strategy freezes on its best vertex; 0
   /// disables.  NM has no reliable convergence certificate (§3.1), so the
   /// session otherwise keeps paying shrink steps forever.

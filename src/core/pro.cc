@@ -15,8 +15,6 @@ ProStrategy::ProStrategy(ParameterSpace space, ProOptions opts)
   assert(opts.samples >= 1);
   assert(opts.max_samples >= opts.samples);
   assert(!opts.adaptive_samples || opts.refresh_best);
-  assert(opts.adaptive_lambda > 0.0);
-  assert(opts.adaptive_epsilon > 0.0 && opts.adaptive_epsilon < 1.0);
 }
 
 void ProStrategy::start(std::size_t ranks) {
@@ -54,7 +52,6 @@ void ProStrategy::begin_batch() {
   bo.estimator = opts_.estimator;
   bo.parallel_replicas = opts_.parallel_replicas;
   bo.racing = opts_.racing;
-  bo.racing_margin = opts_.racing_margin;
   batch_.start(ranks_, bo);
 }
 
@@ -76,13 +73,19 @@ std::span<const double> ProStrategy::split_refresh() {
 
 namespace {
 
-/// Fraction of a window lying within (1 + lambda) of its own minimum — the
-/// empirical per-sample floor-hit probability q.
-double floor_hit_fraction(const std::vector<double>& window, double lambda) {
+/// Adaptive K: a sample "hits the floor" within this relative distance of
+/// the window minimum, and K is sized so min-of-K misses the floor with at
+/// most this probability (Eq. 11/22).
+constexpr double kAdaptiveLambda = 0.05;
+constexpr double kAdaptiveEpsilon = 0.10;
+
+/// Fraction of a window lying within (1 + kAdaptiveLambda) of its own
+/// minimum — the empirical per-sample floor-hit probability q.
+double floor_hit_fraction(const std::vector<double>& window) {
   const double floor = *std::min_element(window.begin(), window.end());
   std::size_t hits = 0;
   for (double y : window) {
-    if (y <= floor * (1.0 + lambda)) ++hits;
+    if (y <= floor * (1.0 + kAdaptiveLambda)) ++hits;
   }
   return static_cast<double>(hits) / static_cast<double>(window.size());
 }
@@ -98,7 +101,7 @@ void ProStrategy::update_adaptive_k(double fresh_observation) {
   if (incumbent_tracked_ != simplex_.best()) {
     if (incumbent_window_.size() >= 4) {
       const double q_local =
-          floor_hit_fraction(incumbent_window_, opts_.adaptive_lambda);
+          floor_hit_fraction(incumbent_window_);
       q_ewma_ = q_ewma_ < 0.0 ? q_local : 0.7 * q_ewma_ + 0.3 * q_local;
     }
     incumbent_tracked_ = simplex_.best();
@@ -113,7 +116,7 @@ void ProStrategy::update_adaptive_k(double fresh_observation) {
   double q_est = q_ewma_;
   if (incumbent_window_.size() >= 6) {
     const double q_local =
-        floor_hit_fraction(incumbent_window_, opts_.adaptive_lambda);
+        floor_hit_fraction(incumbent_window_);
     q_est = q_est < 0.0 ? q_local : 0.5 * (q_est + q_local);
   }
   if (q_est < 0.0) return;  // no usable evidence yet
@@ -121,7 +124,7 @@ void ProStrategy::update_adaptive_k(double fresh_observation) {
   // Eq. 11: P[min-of-K misses the floor] = (1 - q)^K, solved at epsilon.
   const double q = std::clamp(q_est, 0.05, 0.999);
   const int k = static_cast<int>(
-      std::ceil(std::log(opts_.adaptive_epsilon) / std::log(1.0 - q)));
+      std::ceil(std::log(kAdaptiveEpsilon) / std::log(1.0 - q)));
   opts_.samples = std::clamp(k, 1, opts_.max_samples);
 }
 
@@ -264,29 +267,24 @@ void ProStrategy::on_batch_done() {
 }
 
 void ProStrategy::after_accept() {
-  if (simplex_.collapsed(space_)) {
-    if (opts_.stop_at_convergence) {
-      // The probe points are written straight into the batch storage;
-      // stage_batch() below keeps them and appends the refresh slot.
-      const std::size_t n = probe_points(
-          space_, simplex_.best(), batch_.stage(2 * space_.size()));
-      if (n == 0) {
-        converged_ = true;  // best sits in a fully-boundary corner
-        phase_ = Phase::kDone;
-        return;
-      }
-      ++probes_run_;
-      phase_ = Phase::kProbe;
-      stage_batch(n, /*with_refresh=*/true);
-      begin_batch();
-    } else {
-      converged_ = true;
-      phase_ = Phase::kDone;
-    }
+  if (!simplex_.collapsed(space_)) {
+    phase_ = Phase::kReflect;
+    begin_reflections();
     return;
   }
-  phase_ = Phase::kReflect;
-  begin_reflections();
+  // The probe points are written straight into the batch storage;
+  // stage_batch() below keeps them and appends the refresh slot.
+  const std::size_t n = probe_points(space_, simplex_.best(),
+                                     batch_.stage(2 * space_.size()));
+  if (n == 0) {
+    converged_ = true;  // best sits in a fully-boundary corner
+    phase_ = Phase::kDone;
+    return;
+  }
+  ++probes_run_;
+  phase_ = Phase::kProbe;
+  stage_batch(n, /*with_refresh=*/true);
+  begin_batch();
 }
 
 const Point& ProStrategy::best_point() const { return simplex_.best(); }

@@ -45,15 +45,12 @@ struct ProOptions {
   /// samples in subsequent time steps as a worst case.
   bool parallel_replicas = false;
   /// Racing elimination during multi-sampling (extension): candidates whose
-  /// running minimum is already (1 + racing_margin) above the round leader
-  /// stop being re-measured, which lowers T_k (the step cost is the max
-  /// over the batch, and clear losers are exactly the expensive entries).
-  /// Requires the kMin estimator and K > 1 to have any effect.
+  /// running minimum is already 10% above the round leader's stop being
+  /// re-measured, which lowers T_k (the step cost is the max over the
+  /// batch, and clear losers are exactly the expensive entries).  Needs the
+  /// kMin estimator (the spec factory rejects racing with any other) and
+  /// has an effect only with K > 1.
   bool racing = false;
-  double racing_margin = 0.10;
-  /// Run the §3.2.2 convergence probe when the simplex collapses; once it
-  /// certifies a local minimum the strategy proposes only the best point.
-  bool stop_at_convergence = true;
   /// After a successful §3.2.2 probe, continue with the 2N generated points
   /// *only*, as the paper specifies ("continue PRO with the generated
   /// simplex") — the incumbent configuration is not carried over, so under
@@ -64,16 +61,13 @@ struct ProOptions {
   /// Adaptive K (the paper's stated future work, §5.2: "we are working on
   /// optimization algorithms that update K adaptively").  When enabled the
   /// strategy estimates, from the incumbent's repeated observations, the
-  /// per-sample probability q of landing within `adaptive_lambda` of the
-  /// observed noise floor, then sets K so that the min-of-K misses the
-  /// floor with probability below `adaptive_epsilon` (Eq. 11/22:
-  /// (1-q)^K <= eps).  Noise-free machines thus get K = 1 automatically;
-  /// heavy variability grows K up to `max_samples`.  Requires
-  /// refresh_best.
+  /// per-sample probability q of landing within 5% of the observed noise
+  /// floor, then sets K so that the min-of-K misses the floor with
+  /// probability below 10% (Eq. 11/22: (1-q)^K <= 0.1).  Noise-free
+  /// machines thus get K = 1 automatically; heavy variability grows K up to
+  /// `max_samples`.  Requires refresh_best.
   bool adaptive_samples = false;
   int max_samples = 8;
-  double adaptive_lambda = 0.05;
-  double adaptive_epsilon = 0.10;
   /// Re-measure the incumbent v^0 alongside every candidate batch and use
   /// the fresh estimate in all comparisons.  This is what a real on-line
   /// SPMD deployment does — every processor runs *something* each time

@@ -4,24 +4,27 @@
 #include <cassert>
 #include <cmath>
 
-#include "stats/common_distributions.h"
-
 namespace protuner::core {
+
+namespace {
+
+/// Indifference zone, relative to the leader's running minimum: differences
+/// below this fraction are ties we do not pay to resolve.
+constexpr double kDelta = 0.05;
+
+}  // namespace
 
 RankingSelectionStrategy::RankingSelectionStrategy(
     ParameterSpace space, RankingSelectionOptions opts)
     : space_(std::move(space)), opts_(opts) {
   assert(opts.candidates >= 2);
   assert(opts.n0 >= 2);
-  assert(opts.delta >= 0.0);
-  assert(opts.confidence > 0.0 && opts.confidence < 1.0);
 }
 
 void RankingSelectionStrategy::start(std::size_t ranks) {
   assert(ranks >= 1);
   ranks_ = ranks;
   winner_ = -1;
-  observations_ = 0;
   stable_passes_ = 0;
   eliminated_this_pass_ = 0;
   candidates_.clear();
@@ -45,19 +48,7 @@ void RankingSelectionStrategy::start(std::size_t ranks) {
        ++tries) {
     push_unique(space_.random_point(rng));
   }
-
-  // Bonferroni-adjusted two-sided normal quantile across the m(m-1)/2
-  // pairwise looks of one screening pass.
-  const std::size_t m = candidates_.size();
-  const double looks =
-      std::max<std::size_t>(1, m * (m > 1 ? m - 1 : 1) / 2);
-  const double tail = (1.0 - opts_.confidence) / static_cast<double>(looks);
-  h_ = stats::std_normal_quantile(1.0 - tail / 2.0);
   pending_.clear();
-}
-
-double RankingSelectionStrategy::statistic(const Candidate& c) const {
-  return opts_.estimator == EstimatorKind::kMean ? c.mean : c.min;
 }
 
 std::size_t RankingSelectionStrategy::best_alive() const {
@@ -65,8 +56,7 @@ std::size_t RankingSelectionStrategy::best_alive() const {
   for (std::size_t i = 0; i < candidates_.size(); ++i) {
     const Candidate& c = candidates_[i];
     if (!c.alive || c.n == 0) continue;
-    if (best == candidates_.size() ||
-        statistic(c) < statistic(candidates_[best])) {
+    if (best == candidates_.size() || c.min < candidates_[best].min) {
       best = i;
     }
   }
@@ -113,18 +103,10 @@ void RankingSelectionStrategy::observe(std::span<const double> times) {
     Candidate& c = candidates_[pending_[i]];
     const double y = times[i];
     ++c.n;
-    ++observations_;
-    const double d = y - c.mean;
-    c.mean += d / static_cast<double>(c.n);
-    c.m2 += d * (y - c.mean);
     c.min = c.n == 1 ? y : std::min(c.min, y);
   }
   pending_.clear();
   screen();
-  if (winner_ >= 0) return;
-  if (opts_.budget != 0 && observations_ >= opts_.budget) {
-    declare(best_alive());
-  }
 }
 
 void RankingSelectionStrategy::screen() {
@@ -142,26 +124,15 @@ void RankingSelectionStrategy::screen() {
 
   const std::size_t best = best_alive();
   const Candidate& b = candidates_[best];
-  const double margin = opts_.delta * std::abs(statistic(b));
+  const double margin = kDelta * std::abs(b.min);
 
   for (std::size_t i = 0; i < candidates_.size(); ++i) {
     if (i == best || !candidates_[i].alive) continue;
     Candidate& c = candidates_[i];
-    bool eliminate = false;
-    if (opts_.estimator == EstimatorKind::kMean) {
-      // Welch screening: disjoint intervals beyond the indifference zone.
-      const double si = std::sqrt(c.m2 / static_cast<double>(c.n - 1));
-      const double sb = std::sqrt(b.m2 / static_cast<double>(b.n - 1));
-      const double lo_i = c.mean - h_ * si / std::sqrt(double(c.n));
-      const double hi_b = b.mean + h_ * sb / std::sqrt(double(b.n));
-      eliminate = lo_i > hi_b + margin;
-    } else {
-      // Running-minimum screening: the min converges to f + n_min from
-      // above, so a minimum that stays `delta` above the leader's after n0
-      // draws is a loser with min-of-K confidence (paper Eq. 11/22 logic).
-      eliminate = c.min > b.min + margin;
-    }
-    if (eliminate) {
+    // The min converges to f + n_min from above, so a minimum that stays
+    // kDelta above the leader's after n0 draws is a loser with min-of-K
+    // confidence (paper Eq. 11/22 logic).
+    if (c.min > b.min + margin) {
       c.alive = false;
       ++eliminated_this_pass_;
     }
@@ -186,7 +157,7 @@ void RankingSelectionStrategy::screen() {
   if (stable_passes_ >= opts_.n0) {
     bool all_tied = true;
     for (const Candidate& c : candidates_) {
-      if (c.alive && statistic(c) > statistic(b) + margin) {
+      if (c.alive && c.min > b.min + margin) {
         all_tied = false;
         break;
       }
@@ -217,15 +188,10 @@ const Point& RankingSelectionStrategy::best_point() const {
 
 double RankingSelectionStrategy::best_estimate() const {
   if (winner_ >= 0) {
-    return statistic(candidates_[static_cast<std::size_t>(winner_)]);
+    return candidates_[static_cast<std::size_t>(winner_)].min;
   }
   const std::size_t best = best_alive();
-  return best < candidates_.size() ? statistic(candidates_[best]) : 0.0;
-}
-
-std::string RankingSelectionStrategy::name() const {
-  return opts_.estimator == EstimatorKind::kMean ? "RankingSelection-mean"
-                                                 : "RankingSelection-min";
+  return best < candidates_.size() ? candidates_[best].min : 0.0;
 }
 
 }  // namespace protuner::core

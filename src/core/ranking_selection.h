@@ -7,18 +7,13 @@
 // tuning round: a fixed candidate set (the space centre plus m-1 random
 // admissible configurations) is sampled breadth-first, `ranks` evaluations
 // per application time step, least-sampled-survivor first.  Once every
-// survivor holds n0 observations, a screening pass eliminates candidates
-// that are statistically dominated:
-//
-//   * est=mean ("parallel R&S with Welch screening"): candidate i dies when
-//     some j has  Ȳ_i - h·s_i/√n_i  >  Ȳ_j + h·s_j/√n_j  with h the
-//     Bonferroni-adjusted normal quantile for the configured confidence —
-//     disjoint confidence intervals at the indifference-zone resolution.
-//   * est=min (heavy-tail mode, the drop-in replacement for min-of-K):
-//     candidate i dies when its running minimum exceeds the best survivor's
-//     running minimum by the relative indifference margin delta — the
-//     min-of-K limit L_y -> f + n_min makes the running minimum the right
-//     statistic exactly where means diverge (paper §5).
+// survivor holds n0 observations, a screening pass eliminates each
+// candidate whose running minimum exceeds the best survivor's running
+// minimum by more than the relative indifference margin (5%).  This is the
+// heavy-tail form of the screen, the drop-in replacement for min-of-K: the
+// min-of-K limit L_y -> f + n_min makes the running minimum the right
+// statistic exactly where means diverge (paper §5), so the classic Welch
+// screen on means is not offered.
 //
 // When one survivor remains the strategy freezes on it (converged); until
 // then idle ranks keep re-sampling survivors, so wider machines screen
@@ -28,7 +23,6 @@
 
 #include <cstdint>
 
-#include "core/estimator.h"
 #include "core/parameter_space.h"
 #include "core/strategy.h"
 #include "util/rng.h"
@@ -38,15 +32,6 @@ namespace protuner::core {
 struct RankingSelectionOptions {
   std::size_t candidates = 16;  ///< m: size of the sampled candidate set
   std::size_t n0 = 4;           ///< observations per candidate before screening
-  /// Indifference zone, relative to the incumbent statistic: differences
-  /// below this fraction are ties we do not pay to resolve.
-  double delta = 0.05;
-  double confidence = 0.95;     ///< screening confidence (est=mean)
-  /// Screening statistic: kMin (heavy-tail default) or kMean (classic).
-  EstimatorKind estimator = EstimatorKind::kMin;
-  /// Evaluation budget after which the best-by-statistic survivor is
-  /// declared even if screening has not singled it out; 0 = unlimited.
-  std::size_t budget = 0;
   std::uint64_t seed = 1;
 };
 
@@ -60,22 +45,18 @@ class RankingSelectionStrategy final : public TuningStrategy {
   const Point& best_point() const override;
   double best_estimate() const override;
   bool converged() const override { return winner_ >= 0; }
-  std::string name() const override;
+  std::string name() const override { return "RankingSelection-min"; }
 
   std::size_t survivors() const;
-  std::size_t observations() const { return observations_; }
 
  private:
   struct Candidate {
     Point config;
     std::size_t n = 0;      ///< observations taken
-    double mean = 0.0;      ///< running mean (Welford)
-    double m2 = 0.0;        ///< running sum of squared deviations
     double min = 0.0;       ///< running minimum
     bool alive = true;
   };
 
-  double statistic(const Candidate& c) const;
   std::size_t best_alive() const;
   void screen();
   void declare(std::size_t index);
@@ -87,9 +68,7 @@ class RankingSelectionStrategy final : public TuningStrategy {
   std::vector<Candidate> candidates_;
   std::vector<std::size_t> pending_;  ///< candidate index per proposal slot
   std::vector<std::size_t> virtual_n_;  ///< propose_into's per-candidate slots
-  double h_ = 0.0;                    ///< Welch screening quantile
   long winner_ = -1;                  ///< index once selected
-  std::size_t observations_ = 0;
   std::size_t stable_passes_ = 0;        ///< screening passes with no kill
   std::size_t eliminated_this_pass_ = 0;
 };

@@ -8,19 +8,24 @@
 
 namespace protuner::core {
 
-SpsaStrategy::SpsaStrategy(ParameterSpace space, SpsaOptions opts)
-    : space_(std::move(space)), opts_(opts), rng_(opts.seed) {
-  assert(opts.a > 0.0);
-  assert(opts.c > 0.0);
-  assert(opts.A >= 0.0);
-  assert(opts.alpha > 0.0);
-  assert(opts.gamma > 0.0);
-}
+namespace {
+
+// Gain schedules a_k = kA / (kBigA + k)^kAlpha and c_k = kC / k^kGamma.
+constexpr double kA = 0.2;        ///< gain numerator (normalised units)
+constexpr double kC = 0.1;        ///< initial perturbation, range fraction
+constexpr double kBigA = 10.0;    ///< stability offset in the a_k schedule
+constexpr double kAlpha = 0.602;  ///< gain decay exponent (Spall)
+constexpr double kGamma = 0.101;  ///< perturbation decay exponent (Spall)
+
+}  // namespace
+
+SpsaStrategy::SpsaStrategy(ParameterSpace space, std::uint64_t seed)
+    : space_(std::move(space)), seed_(seed), rng_(seed) {}
 
 void SpsaStrategy::start(std::size_t ranks) {
   assert(ranks >= 1);
   ranks_ = ranks;
-  rng_.reseed(opts_.seed);
+  rng_.reseed(seed_);
   const std::size_t n = space_.size();
   z_.assign(n, 0.0);
   const Point c = space_.center();
@@ -35,7 +40,6 @@ void SpsaStrategy::start(std::size_t ranks) {
   best_point_ = c;
   best_value_ = 0.0;
   have_best_ = false;
-  frozen_ = false;
   have_pair_ = false;
   awaiting_minus_ = false;
   y_scale_ = 0.0;
@@ -54,7 +58,7 @@ void SpsaStrategy::project_z(const std::vector<double>& z, Point& out) const {
 
 void SpsaStrategy::prepare_probes() {
   const std::size_t k = iterations_ + 1;  // 1-based schedule index
-  ck_ = opts_.c / std::pow(static_cast<double>(k), opts_.gamma);
+  ck_ = kC / std::pow(static_cast<double>(k), kGamma);
   // Π(θ) is anchored at the previous anchor, so it is built in plus_ (about
   // to be rebuilt anyway) and swapped in.
   project_z(z_, plus_);
@@ -69,11 +73,6 @@ void SpsaStrategy::prepare_probes() {
 }
 
 void SpsaStrategy::propose_into(std::vector<Point>& out) {
-  if (frozen_) {
-    out.resize(ranks_);
-    for (Point& slot : out) slot = best_point_;
-    return;
-  }
   if (ranks_ >= 3) {
     // A third rank is free: measure the iterate Π(θ) itself so the best
     // point can settle on the anchor, not just the perturbed probes.
@@ -102,7 +101,6 @@ void SpsaStrategy::track_best(const Point& p, double y) {
 }
 
 void SpsaStrategy::observe(std::span<const double> times) {
-  if (frozen_) return;
   assert(!times.empty());
 
   double y_plus = 0.0, y_minus = 0.0;
@@ -131,19 +129,13 @@ void SpsaStrategy::observe(std::span<const double> times) {
   }
 
   const std::size_t k = iterations_ + 1;
-  const double ak =
-      opts_.a / std::pow(opts_.A + static_cast<double>(k), opts_.alpha);
+  const double ak = kA / std::pow(kBigA + static_cast<double>(k), kAlpha);
   const double diff = (y_plus - y_minus) / y_scale_;
   for (std::size_t i = 0; i < z_.size(); ++i) {
     const double g = diff / (2.0 * ck_ * delta_[i]);
     z_[i] = std::clamp(z_[i] - ak * g, 0.0, 1.0);
   }
   ++iterations_;
-
-  if (opts_.max_iterations != 0 && iterations_ >= opts_.max_iterations) {
-    frozen_ = true;
-    return;
-  }
   prepare_probes();
 }
 

@@ -16,7 +16,10 @@
 // every proposal is admissible even on integer/discrete axes (the classic
 // discrete-SPSA treatment).  Gains follow the standard schedules
 //   a_k = a / (A + k)^alpha,   c_k = c / k^gamma
-// with Spall's recommended exponents as defaults.
+// with a = 0.2 (normalised-coordinate units), c = 0.1 (a fraction of each
+// range), A = 10 and Spall's recommended exponents alpha = 0.602 and
+// gamma = 0.101.  SPSA has no convergence certificate: it iterates for as
+// long as the session runs.
 #pragma once
 
 #include "core/parameter_space.h"
@@ -25,28 +28,16 @@
 
 namespace protuner::core {
 
-struct SpsaOptions {
-  double a = 0.2;        ///< gain numerator (normalised-coordinate units)
-  double c = 0.1;        ///< initial perturbation, fraction of each range
-  double A = 10.0;       ///< stability offset in the a_k schedule
-  double alpha = 0.602;  ///< gain decay exponent (Spall's recommendation)
-  double gamma = 0.101;  ///< perturbation decay exponent
-  /// Iteration cap after which the strategy freezes on its best observed
-  /// point (SPSA has no convergence certificate); 0 anneals forever.
-  std::size_t max_iterations = 0;
-  std::uint64_t seed = 1;
-};
-
 class SpsaStrategy final : public TuningStrategy {
  public:
-  SpsaStrategy(ParameterSpace space, SpsaOptions opts);
+  SpsaStrategy(ParameterSpace space, std::uint64_t seed);
 
   void start(std::size_t ranks) override;
   void propose_into(std::vector<Point>& out) override;
   void observe(std::span<const double> times) override;
   const Point& best_point() const override { return best_point_; }
   double best_estimate() const override { return best_value_; }
-  bool converged() const override { return frozen_; }
+  bool converged() const override { return false; }
   std::string name() const override { return "SPSA"; }
 
   std::size_t iterations() const { return iterations_; }
@@ -60,7 +51,7 @@ class SpsaStrategy final : public TuningStrategy {
   void track_best(const Point& p, double y);
 
   ParameterSpace space_;
-  SpsaOptions opts_;
+  std::uint64_t seed_;
   util::Rng rng_;
   std::size_t ranks_ = 1;
 
@@ -81,7 +72,6 @@ class SpsaStrategy final : public TuningStrategy {
   Point best_point_;
   double best_value_ = 0.0;
   bool have_best_ = false;
-  bool frozen_ = false;
   std::size_t iterations_ = 0;
   /// With ranks == 1 the pair is split across two rounds; this marks which
   /// probe the last proposal carried.

@@ -6,10 +6,15 @@
 
 namespace protuner::core {
 
-SroStrategy::SroStrategy(ParameterSpace space, SroOptions opts)
-    : space_(std::move(space)), opts_(opts) {
-  assert(opts.initial_size > 0.0);
-  assert(opts.samples >= 1);
+namespace {
+
+constexpr double kInitialSize = 0.2;  ///< initial simplex relative size r
+
+}  // namespace
+
+SroStrategy::SroStrategy(ParameterSpace space, int samples)
+    : space_(std::move(space)), samples_(samples) {
+  assert(samples >= 1);
 }
 
 void SroStrategy::start(std::size_t ranks) {
@@ -18,9 +23,7 @@ void SroStrategy::start(std::size_t ranks) {
   // processors still run the incumbent (they are part of the application),
   // so proposals are padded to full width for honest max-cost accounting.
   ranks_ = std::max<std::size_t>(1, ranks);
-  simplex_ = opts_.use_2n_simplex
-                 ? axial_2n_simplex(space_, opts_.initial_size)
-                 : minimal_simplex(space_, opts_.initial_size);
+  simplex_ = axial_2n_simplex(space_, kInitialSize);
   phase_ = Phase::kInitEval;
   converged_ = false;
   const std::vector<Point>& vs = simplex_.vertices();
@@ -30,9 +33,7 @@ void SroStrategy::start(std::size_t ranks) {
 
 void SroStrategy::begin_batch() {
   BatchState::Options bo;
-  bo.samples = opts_.samples;
-  bo.estimator = opts_.estimator;
-  bo.parallel_replicas = false;
+  bo.samples = samples_;
   batch_.start(/*ranks=*/1, bo);
 }
 
@@ -126,33 +127,26 @@ void SroStrategy::on_batch_done() {
 }
 
 void SroStrategy::after_accept() {
-  if (simplex_.collapsed(space_)) {
-    if (opts_.stop_at_convergence) {
-      const std::size_t n = probe_points(
-          space_, simplex_.best(), batch_.stage(2 * space_.size()));
-      if (n == 0) {
-        converged_ = true;
-        phase_ = Phase::kDone;
-        return;
-      }
-      phase_ = Phase::kProbe;
-      batch_.stage(n);  // keeps the n probe points just written
-      begin_batch();
-    } else {
-      converged_ = true;
-      phase_ = Phase::kDone;
-    }
+  if (!simplex_.collapsed(space_)) {
+    phase_ = Phase::kReflectCheck;
+    begin_worst_move(2.0, -1.0);
     return;
   }
-  phase_ = Phase::kReflectCheck;
-  begin_worst_move(2.0, -1.0);
+  const std::size_t n = probe_points(space_, simplex_.best(),
+                                     batch_.stage(2 * space_.size()));
+  if (n == 0) {
+    converged_ = true;
+    phase_ = Phase::kDone;
+    return;
+  }
+  phase_ = Phase::kProbe;
+  batch_.stage(n);  // keeps the n probe points just written
+  begin_batch();
 }
 
 std::string SroStrategy::name() const {
   std::ostringstream ss;
-  ss << "SRO(r=" << opts_.initial_size
-     << ", simplex=" << (opts_.use_2n_simplex ? "2N" : "N+1")
-     << ", K=" << opts_.samples << ")";
+  ss << "SRO(r=" << kInitialSize << ", simplex=2N, K=" << samples_ << ")";
   return ss.str();
 }
 

@@ -14,17 +14,12 @@
 
 namespace protuner::core {
 
-struct SroOptions {
-  double initial_size = 0.2;
-  bool use_2n_simplex = true;
-  int samples = 1;
-  EstimatorKind estimator = EstimatorKind::kMin;
-  bool stop_at_convergence = true;
-};
-
 class SroStrategy final : public TuningStrategy {
  public:
-  SroStrategy(ParameterSpace space, SroOptions opts);
+  /// `samples` is K, the min-of-K observations per evaluated point.  The
+  /// simplex is the 2N axial one of relative size 0.2, and a collapsed
+  /// simplex runs the §3.2.2 probe before it freezes.
+  SroStrategy(ParameterSpace space, int samples = 1);
 
   void start(std::size_t ranks) override;
   void propose_into(std::vector<Point>& out) override;
@@ -57,7 +52,7 @@ class SroStrategy final : public TuningStrategy {
   void after_accept();
 
   ParameterSpace space_;
-  SroOptions opts_;
+  int samples_;
 
   Simplex simplex_;
   Phase phase_ = Phase::kInitEval;

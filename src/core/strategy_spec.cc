@@ -1,6 +1,7 @@
 // Built-in strategy registrations.  Each entry names the keys it accepts
 // and the option-struct fields they map to; the example spec exercises
-// every key so the contract tests can round-trip and construct it.
+// every key so the contract tests can round-trip and construct it.  A
+// strategy's other hyperparameters are constants in its own source file.
 #include "core/strategy_spec.h"
 
 #include <algorithm>
@@ -45,8 +46,8 @@ const Reg reg_pro{
     "pro",
     {},
     "Parallel Rank Ordering (paper Algorithm 2)",
-    "pro:size=0.2,2n=1,k=3,est=min,check=1,replicas=0,racing=0,margin=0.1,"
-    "stop=1,keep=0,adaptive=0,max_k=8,lambda=0.05,eps=0.1,refresh=1",
+    "pro:size=0.2,2n=1,k=3,est=min,check=1,replicas=0,racing=0,keep=0,"
+    "adaptive=0,max_k=8,refresh=1",
     [](spec::Options& o, const ParameterSpace& space,
        std::uint64_t) -> TuningStrategyPtr {
       ProOptions opts;
@@ -57,20 +58,28 @@ const Reg reg_pro{
       opts.expansion_check = o.get_bool("check", opts.expansion_check);
       opts.parallel_replicas = o.get_bool("replicas", opts.parallel_replicas);
       opts.racing = o.get_bool("racing", opts.racing);
-      opts.racing_margin =
-          o.get_double("margin", opts.racing_margin, 0.0, 10.0);
-      opts.stop_at_convergence = o.get_bool("stop", opts.stop_at_convergence);
       opts.keep_incumbent_after_probe =
           o.get_bool("keep", opts.keep_incumbent_after_probe);
       opts.adaptive_samples = o.get_bool("adaptive", opts.adaptive_samples);
       opts.max_samples = static_cast<int>(
           o.get_int("max_k", std::max(opts.max_samples, opts.samples), 1,
                     1024));
-      opts.adaptive_lambda =
-          o.get_double("lambda", opts.adaptive_lambda, 0.0, 10.0);
-      opts.adaptive_epsilon =
-          o.get_double("eps", opts.adaptive_epsilon, 1e-9, 1.0);
       opts.refresh_best = o.get_bool("refresh", opts.refresh_best);
+      const auto reject = [](const std::string& why) {
+        throw spec::SpecError("strategy 'pro': " + why);
+      };
+      if (opts.max_samples < opts.samples) {
+        reject("max_k=" + std::to_string(opts.max_samples) +
+               " is below k=" + std::to_string(opts.samples));
+      }
+      if (opts.adaptive_samples && !opts.refresh_best) {
+        reject("adaptive=1 needs refresh=1 (it samples the refreshed "
+               "incumbent)");
+      }
+      if (opts.racing && opts.estimator != EstimatorKind::kMin) {
+        reject("racing=1 needs est=min (it races running minima), not est=" +
+               estimator_name(opts.estimator));
+      }
       return std::make_unique<ProStrategy>(space, opts);
     }};
 
@@ -79,16 +88,11 @@ const Reg reg_sro{
     "sro",
     {},
     "Sequential Rank Ordering (paper Algorithm 1)",
-    "sro:size=0.2,2n=1,k=2,est=min,stop=1",
+    "sro:k=2",
     [](spec::Options& o, const ParameterSpace& space,
        std::uint64_t) -> TuningStrategyPtr {
-      SroOptions opts;
-      opts.initial_size = o.get_double("size", opts.initial_size, 1e-6, 10.0);
-      opts.use_2n_simplex = o.get_bool("2n", opts.use_2n_simplex);
-      opts.samples = static_cast<int>(o.get_int("k", opts.samples, 1, 1024));
-      opts.estimator = parse_estimator(o);
-      opts.stop_at_convergence = o.get_bool("stop", opts.stop_at_convergence);
-      return std::make_unique<SroStrategy>(space, opts);
+      return std::make_unique<SroStrategy>(
+          space, static_cast<int>(o.get_int("k", 1, 1, 1024)));
     }};
 
 const Reg reg_nm{
@@ -96,13 +100,11 @@ const Reg reg_nm{
     "nm",
     {"nelder-mead", "neldermead"},
     "Nelder-Mead simplex (the original Active Harmony optimizer)",
-    "nm:size=0.2,k=1,est=min,iters=200",
+    "nm:k=1,iters=200",
     [](spec::Options& o, const ParameterSpace& space,
        std::uint64_t) -> TuningStrategyPtr {
       NelderMeadOptions opts;
-      opts.initial_size = o.get_double("size", opts.initial_size, 1e-6, 10.0);
       opts.samples = static_cast<int>(o.get_int("k", opts.samples, 1, 1024));
-      opts.estimator = parse_estimator(o);
       opts.max_iterations = static_cast<std::size_t>(
           o.get_int("iters", static_cast<long>(opts.max_iterations), 0,
                     1000000));
@@ -114,19 +116,15 @@ const Reg reg_anneal{
     "anneal",
     {"annealing", "sa"},
     "parallel simulated annealing (one Metropolis chain per rank)",
-    "anneal:t0=1.0,cool=0.98,step=0.1,decay=0.995,migrate=0,seed=7",
+    "anneal:decay=0.995,migrate=0",
     [](spec::Options& o, const ParameterSpace& space,
        std::uint64_t seed) -> TuningStrategyPtr {
       AnnealingOptions opts;
-      opts.initial_temperature =
-          o.get_double("t0", opts.initial_temperature, 1e-9, 1e9);
-      opts.cooling = o.get_double("cool", opts.cooling, 1e-9, 1.0);
-      opts.step_fraction = o.get_double("step", opts.step_fraction, 1e-9, 1.0);
       opts.step_decay = o.get_double("decay", opts.step_decay, 1e-9, 1.0);
       opts.migrate_every = static_cast<std::size_t>(
           o.get_int("migrate", static_cast<long>(opts.migrate_every), 0,
                     1000000));
-      opts.seed = o.get_u64("seed", seed);
+      opts.seed = seed;
       return std::make_unique<AnnealingStrategy>(space, opts);
     }};
 
@@ -135,19 +133,10 @@ const Reg reg_genetic{
     "genetic",
     {"ga"},
     "generational genetic algorithm (tournament + uniform crossover)",
-    "genetic:mut=0.15,cross=0.9,tourney=2,elites=1,seed=7",
-    [](spec::Options& o, const ParameterSpace& space,
+    "genetic",
+    [](spec::Options&, const ParameterSpace& space,
        std::uint64_t seed) -> TuningStrategyPtr {
-      GeneticOptions opts;
-      opts.mutation_rate = o.get_double("mut", opts.mutation_rate, 0.0, 1.0);
-      opts.crossover_rate =
-          o.get_double("cross", opts.crossover_rate, 0.0, 1.0);
-      opts.tournament = static_cast<std::size_t>(
-          o.get_int("tourney", static_cast<long>(opts.tournament), 1, 1024));
-      opts.elites = static_cast<std::size_t>(
-          o.get_int("elites", static_cast<long>(opts.elites), 0, 1024));
-      opts.seed = o.get_u64("seed", seed);
-      return std::make_unique<GeneticStrategy>(space, opts);
+      return std::make_unique<GeneticStrategy>(space, seed);
     }};
 
 const Reg reg_random{
@@ -155,25 +144,21 @@ const Reg reg_random{
     "random",
     {},
     "uniform random search, keeps the best ever seen",
-    "random:seed=7",
-    [](spec::Options& o, const ParameterSpace& space,
+    "random",
+    [](spec::Options&, const ParameterSpace& space,
        std::uint64_t seed) -> TuningStrategyPtr {
-      return std::make_unique<RandomSearchStrategy>(space,
-                                                    o.get_u64("seed", seed));
+      return std::make_unique<RandomSearchStrategy>(space, seed);
     }};
 
 const Reg reg_grid{
     mutable_registry(),
     "grid",
     {},
-    "exhaustive sweep (continuous axes sampled at `levels`)",
-    "grid:levels=5",
-    [](spec::Options& o, const ParameterSpace& space,
+    "exhaustive sweep (continuous axes sampled at 9 levels)",
+    "grid",
+    [](spec::Options&, const ParameterSpace& space,
        std::uint64_t) -> TuningStrategyPtr {
-      GridSearchOptions opts;
-      opts.continuous_levels = static_cast<std::size_t>(o.get_int(
-          "levels", static_cast<long>(opts.continuous_levels), 2, 4096));
-      return std::make_unique<GridSearchStrategy>(space, opts);
+      return std::make_unique<GridSearchStrategy>(space);
     }};
 
 const Reg reg_compass{
@@ -181,38 +166,22 @@ const Reg reg_compass{
     "compass",
     {},
     "parallel compass (coordinate) search, 2N axial polls per round",
-    "compass:step=0.25,min_step=0.001,k=1",
+    "compass:k=1",
     [](spec::Options& o, const ParameterSpace& space,
        std::uint64_t) -> TuningStrategyPtr {
-      CompassOptions opts;
-      opts.initial_step_fraction =
-          o.get_double("step", opts.initial_step_fraction, 1e-9, 1.0);
-      opts.min_step_fraction =
-          o.get_double("min_step", opts.min_step_fraction, 1e-12, 1.0);
-      opts.samples = static_cast<int>(o.get_int("k", opts.samples, 1, 1024));
-      return std::make_unique<CompassStrategy>(space, opts);
+      return std::make_unique<CompassStrategy>(
+          space, static_cast<int>(o.get_int("k", 1, 1, 1024)));
     }};
 
 const Reg reg_fixed{
     mutable_registry(),
     "fixed",
     {"none"},
-    "no tuning: pin every rank to one configuration (default: centre)",
-    "fixed:at=8/2/0.5",
-    [](spec::Options& o, const ParameterSpace& space,
+    "no tuning: pin every rank to the centre of the space",
+    "fixed",
+    [](spec::Options&, const ParameterSpace& space,
        std::uint64_t) -> TuningStrategyPtr {
-      const std::vector<double> at = o.get_doubles("at");
-      Point config = space.center();
-      if (!at.empty()) {
-        if (at.size() != space.size()) {
-          throw spec::SpecError(
-              "strategy 'fixed': option 'at' has " +
-              std::to_string(at.size()) + " coordinates but the space has " +
-              std::to_string(space.size()));
-        }
-        config = space.snap_nearest(at);
-      }
-      return std::make_unique<FixedStrategy>(std::move(config));
+      return std::make_unique<FixedStrategy>(space.center());
     }};
 
 const Reg reg_spsa{
@@ -220,20 +189,10 @@ const Reg reg_spsa{
     "spsa",
     {},
     "Simultaneous Perturbation Stochastic Approximation (2 evals/step)",
-    "spsa:a=0.2,c=0.1,A=10,alpha=0.602,gamma=0.101,iters=0,seed=7",
-    [](spec::Options& o, const ParameterSpace& space,
+    "spsa",
+    [](spec::Options&, const ParameterSpace& space,
        std::uint64_t seed) -> TuningStrategyPtr {
-      SpsaOptions opts;
-      opts.a = o.get_double("a", opts.a, 1e-9, 1e3);
-      opts.c = o.get_double("c", opts.c, 1e-9, 1.0);
-      opts.A = o.get_double("A", opts.A, 0.0, 1e9);
-      opts.alpha = o.get_double("alpha", opts.alpha, 1e-9, 2.0);
-      opts.gamma = o.get_double("gamma", opts.gamma, 1e-9, 1.0);
-      opts.max_iterations = static_cast<std::size_t>(
-          o.get_int("iters", static_cast<long>(opts.max_iterations), 0,
-                    100000000));
-      opts.seed = o.get_u64("seed", seed);
-      return std::make_unique<SpsaStrategy>(space, opts);
+      return std::make_unique<SpsaStrategy>(space, seed);
     }};
 
 const Reg reg_rs{
@@ -241,7 +200,7 @@ const Reg reg_rs{
     "rs",
     {"ranking", "ranking-selection"},
     "ranking-and-selection subset screening (Ni & Henderson style)",
-    "rs:m=16,n0=4,delta=0.05,conf=0.95,est=min,budget=0,seed=7",
+    "rs:m=16,n0=4",
     [](spec::Options& o, const ParameterSpace& space,
        std::uint64_t seed) -> TuningStrategyPtr {
       RankingSelectionOptions opts;
@@ -249,15 +208,7 @@ const Reg reg_rs{
           o.get_int("m", static_cast<long>(opts.candidates), 2, 100000));
       opts.n0 = static_cast<std::size_t>(
           o.get_int("n0", static_cast<long>(opts.n0), 2, 100000));
-      opts.delta = o.get_double("delta", opts.delta, 0.0, 10.0);
-      opts.confidence =
-          o.get_double("conf", opts.confidence, 1e-6, 1.0 - 1e-6);
-      const std::string est = o.get_choice("est", "min", {"min", "mean"});
-      opts.estimator =
-          est == "mean" ? EstimatorKind::kMean : EstimatorKind::kMin;
-      opts.budget = static_cast<std::size_t>(
-          o.get_int("budget", static_cast<long>(opts.budget), 0, 100000000));
-      opts.seed = o.get_u64("seed", seed);
+      opts.seed = seed;
       return std::make_unique<RankingSelectionStrategy>(space, opts);
     }};
 

@@ -261,28 +261,6 @@ std::string Options::get_string(std::string_view key, std::string def) {
   return v == nullptr ? def : *v;
 }
 
-std::vector<double> Options::get_doubles(std::string_view key) {
-  const std::string* v = consume(key);
-  std::vector<double> out;
-  if (v == nullptr) return out;
-  std::string_view rest = *v;
-  while (!rest.empty()) {
-    const std::size_t slash = rest.find('/');
-    const std::string item(
-        trim(slash == std::string_view::npos ? rest : rest.substr(0, slash)));
-    rest = slash == std::string_view::npos ? std::string_view{}
-                                           : rest.substr(slash + 1);
-    char* end = nullptr;
-    const double x = std::strtod(item.c_str(), &end);
-    if (item.empty() || end != item.c_str() + item.size()) {
-      fail_value(key, *v, "a '/'-separated list of numbers");
-    }
-    out.push_back(x);
-  }
-  if (out.empty()) fail_value(key, *v, "a '/'-separated list of numbers");
-  return out;
-}
-
 std::string Options::get_choice(std::string_view key, std::string_view def,
                                 const std::vector<std::string>& allowed) {
   const std::string choice = get_string(key, std::string(def));
@@ -311,6 +289,7 @@ void Options::finish() const {
         family_ + " '" + spec_.name + "': unknown option '" + o.key + "'";
     const std::string hint = nearest_key(o.key, known);
     if (!hint.empty()) msg += "; did you mean '" + hint + "'?";
+    if (known.empty()) throw SpecError(msg + " (it takes no options)");
     msg += " (known: ";
     for (std::size_t i = 0; i < known.size(); ++i) {
       if (i != 0) msg += ", ";

@@ -4,9 +4,9 @@
 //   spec      := name [ ":" option ("," option)* ]
 //   option    := key [ "=" value ]            (bare key means "=1", a flag)
 //   name, key := [A-Za-z0-9_.-]+
-//   value     := anything except "," (trimmed; "/" separates vector items)
+//   value     := anything except "," (trimmed)
 //
-// Examples: "pro:k=4,racing", "spsa:a=0.2,c=0.1", "pareto:rho=0.1,alpha=1.7",
+// Examples: "pro:k=4,racing", "rs:m=12,n0=3", "pareto:rho=0.1,alpha=1.7",
 // "gs2", "simulated:ranks=16,rho=0.3".
 //
 // The design contract is the round trip: parse(to_string(s)) == s for every
@@ -85,10 +85,6 @@ class Options {
   /// the option, the offending value and the admissible interval.
   double get_double(std::string_view key, double def, double lo, double hi);
   long get_int(std::string_view key, long def, long lo, long hi);
-
-  /// "/"-separated list of doubles (e.g. "at=32/16/8"); empty default list
-  /// when absent.
-  std::vector<double> get_doubles(std::string_view key);
 
   /// Declares `alias` to mean `key` (e.g. pareto accepts scale= for rho=).
   /// Must be called before the getter for `key`.

@@ -57,7 +57,7 @@ TEST(Annealing, EventuallyNearsOptimum) {
 
 TEST(Genetic, PopulationSizeTracksRanks) {
   const auto space = int_box();
-  GeneticStrategy ga(space, {});
+  GeneticStrategy ga(space, 1);
   ga.start(6);
   EXPECT_EQ(ga.propose().configs.size(), 6u);
 }
@@ -66,7 +66,7 @@ TEST(Genetic, ImprovesBestOverGenerations) {
   const auto space = int_box();
   auto land = std::make_shared<QuadraticLandscape>(Point{15.0, 15.0}, 1.0, 0.3);
   auto machine = clean_cluster(land, 10);
-  GeneticStrategy ga(space, {});
+  GeneticStrategy ga(space, 1);
   const SessionResult res = run_session(ga, machine, {.steps = 200});
   EXPECT_LT(res.best_clean, 1.0 + 0.3 * 60.0);  // far better than random corner
   EXPECT_TRUE(space.admissible(res.best));
@@ -76,7 +76,7 @@ TEST(Genetic, ImprovesBestOverGenerations) {
 TEST(Genetic, ChildrenAlwaysAdmissible) {
   const auto space = int_box();
   auto land = std::make_shared<QuadraticLandscape>(Point{5.0, 5.0}, 1.0, 0.2);
-  GeneticStrategy ga(space, {});
+  GeneticStrategy ga(space, 1);
   ga.start(8);
   for (int g = 0; g < 50; ++g) {
     const StepProposal p = ga.propose();
@@ -126,7 +126,7 @@ TEST(Baselines, AnnealAndGeneticProposalsAdmissibleOnMixedSpace) {
       AnnealingStrategy sa(space, {.migrate_every = seed % 2 == 0 ? 10u : 0u,
                                    .seed = seed});
       drive(sa, ranks, seed);
-      GeneticStrategy ga(space, {.elites = seed % 3, .seed = seed});
+      GeneticStrategy ga(space, seed);
       drive(ga, ranks, seed);
     }
   }
@@ -153,7 +153,7 @@ TEST(Compass, ConvergesOnQuadratic) {
   const auto space = int_box();
   auto land = std::make_shared<QuadraticLandscape>(Point{6.0, 14.0}, 1.0, 0.3);
   auto machine = clean_cluster(land, 8);
-  CompassStrategy cs(space, {});
+  CompassStrategy cs(space);
   const SessionResult res = run_session(cs, machine, {.steps = 300});
   EXPECT_EQ(res.best, (Point{6.0, 14.0}));
   EXPECT_TRUE(cs.converged());
@@ -163,7 +163,7 @@ TEST(Compass, FreezesAfterConvergence) {
   const auto space = int_box();
   auto land = std::make_shared<QuadraticLandscape>(Point{6.0, 6.0}, 1.0, 0.3);
   auto machine = clean_cluster(land, 8);
-  CompassStrategy cs(space, {});
+  CompassStrategy cs(space);
   (void)run_session(cs, machine, {.steps = 400});
   ASSERT_TRUE(cs.converged());
   const StepProposal p = cs.propose();

@@ -95,11 +95,11 @@ TEST(GridSearch, FindsExactOptimum) {
   EXPECT_EQ(res.best, (core::Point{3.0, 8.0}));
 }
 
-TEST(GridSearch, ContinuousAxesSampledAtLevels) {
+TEST(GridSearch, ContinuousAxesSampledAtNineLevels) {
   const core::ParameterSpace space(
       {core::Parameter::continuous("x", 0.0, 1.0)});
-  core::GridSearchStrategy gs(space, {.continuous_levels = 5});
-  EXPECT_EQ(gs.sweep_size(), 5u);
+  core::GridSearchStrategy gs(space);
+  EXPECT_EQ(gs.sweep_size(), 9u);
 }
 
 TEST(GridSearch, PinsBestAfterSweep) {
@@ -150,7 +150,6 @@ TEST(AdaptiveK, GrowsUnderHeavyNoise) {
         {.ranks = 8, .seed = static_cast<std::uint64_t>(40 + rep)});
     core::ProOptions opts;
     opts.adaptive_samples = true;
-    opts.stop_at_convergence = false;  // keep sampling the incumbent
     core::ProStrategy pro(space, opts);
     (void)core::run_session(pro, machine, {.steps = 200});
     grew += pro.current_samples() > 1;
@@ -170,7 +169,6 @@ TEST(AdaptiveK, RespectsMaxSamples) {
   core::ProOptions opts;
   opts.adaptive_samples = true;
   opts.max_samples = 3;
-  opts.stop_at_convergence = false;
   core::ProStrategy pro(space, opts);
   (void)core::run_session(pro, machine, {.steps = 300});
   EXPECT_LE(pro.current_samples(), 3);
@@ -200,7 +198,7 @@ TEST(HarmonySession, ProServerConverges) {
 TEST(HarmonySession, EveryStrategySpecCompletesARound) {
   const core::ParameterSpace space({core::Parameter::integer("a", 0, 20)});
   for (const char* text :
-       {"pro", "sro", "nm", "pro:k=2", "spsa:a=0.3", "rs:m=8,n0=2"}) {
+       {"pro", "sro", "nm", "pro:k=2", "spsa", "rs:m=8,n0=2"}) {
     harmony::Server server(core::make_strategy(text, space), 3);
     // One full round must complete without deadlock.
     for (std::size_t r = 0; r < 3; ++r) (void)server.fetch(r);

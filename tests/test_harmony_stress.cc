@@ -82,9 +82,7 @@ TEST(HarmonyStress, RandomizedStrategiesBehindTheServer) {
       o.seed = 9;
       strategy = std::make_unique<core::AnnealingStrategy>(space, o);
     } else {
-      core::GeneticOptions o;
-      o.seed = 9;
-      strategy = std::make_unique<core::GeneticStrategy>(space, o);
+      strategy = std::make_unique<core::GeneticStrategy>(space, 9);
     }
     harmony::Server server(std::move(strategy), 5);
     comm::spmd_run(5, [&](comm::Communicator& c) {

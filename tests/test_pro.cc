@@ -143,19 +143,6 @@ TEST(Pro, ExpansionCheckDisabledStillConverges) {
   EXPECT_EQ(res.best, (Point{17.0, 3.0}));
 }
 
-TEST(Pro, StopAtConvergenceDisabledNeverCertifies) {
-  const auto space = int_box();
-  auto land = std::make_shared<QuadraticLandscape>(Point{5.0, 5.0}, 1.0, 0.4);
-  auto machine = clean_cluster(land, 8);
-  ProOptions opts;
-  opts.stop_at_convergence = false;
-  ProStrategy pro(space, opts);
-  const SessionResult res = run_session(pro, machine, {.steps = 120});
-  // Without the probe the strategy either keeps moving or freezes without a
-  // certificate; in both cases it found the basin.
-  EXPECT_LE(res.best_clean, land->clean_time(space.center()));
-}
-
 TEST(Pro, MultiSampleMinResistsHeavyNoise) {
   // Under heavy-tailed noise, K=3 with min estimator should find a truly
   // better configuration (clean value) at least as often as K=1, measured

@@ -43,9 +43,7 @@ TEST(ProStateMachine, MonotoneSlopeTriggersExpansions) {
   auto land = std::make_shared<FunctionLandscape>(
       "slope", [](const Point& x) { return 200.0 - x[0]; });
   auto m = machine_for(land, 4);
-  ProOptions opts;
-  opts.stop_at_convergence = false;
-  ProStrategy pro(line_space(), opts);
+  ProStrategy pro(line_space(), {});
   pro.start(4);
   run_steps(pro, m, 40);
   EXPECT_GT(pro.expansions_accepted(), 0u);
@@ -60,9 +58,7 @@ TEST(ProStateMachine, BowlAroundCenterTriggersShrinks) {
         return 1.0 + (x[0] - 50.0) * (x[0] - 50.0);
       });
   auto m = machine_for(land, 4);
-  ProOptions opts;
-  opts.stop_at_convergence = false;
-  ProStrategy pro(line_space(), opts);
+  ProStrategy pro(line_space(), {});
   pro.start(4);
   run_steps(pro, m, 30);
   EXPECT_GT(pro.shrinks_accepted(), 0u);
@@ -83,7 +79,6 @@ TEST(ProStateMachine, ReflectionAcceptedWhenExpansionOvershoots) {
   auto m = machine_for(land, 4);
   ProOptions opts;
   opts.initial_size = 0.1;  // b = 5 -> vertices at 45 and 55
-  opts.stop_at_convergence = false;
   ProStrategy pro(line_space(), opts);
   pro.start(4);
   run_steps(pro, m, 30);
@@ -144,9 +139,7 @@ TEST(ProStateMachine, IterationsMatchAcceptCounters) {
                std::abs(x[0] - 30.0);
       });
   auto m = machine_for(land, 4);
-  ProOptions opts;
-  opts.stop_at_convergence = false;
-  ProStrategy pro(line_space(), opts);
+  ProStrategy pro(line_space(), {});
   pro.start(4);
   run_steps(pro, m, 100);
   EXPECT_EQ(pro.iterations(), pro.expansions_accepted() +
@@ -168,7 +161,6 @@ TEST(ProStateMachine, RefreshReactsToDegradedIncumbent) {
       });
   auto m = machine_for(land, 4);
   ProOptions opts;
-  opts.stop_at_convergence = false;  // freeze only matters after collapse
   opts.refresh_best = true;
   ProStrategy pro(line_space(), opts);
   pro.start(4);

@@ -25,8 +25,7 @@ TEST(Racing, EliminatesClearLoserAfterFirstRound) {
   BatchState::Options o;
   o.samples = 4;
   o.estimator = EstimatorKind::kMin;
-  o.racing = true;
-  o.racing_margin = 0.10;
+  o.racing = true;  // drops candidates 10% above the leader
   BatchState b;
   b.reset(std::vector<Point>{Point{1.0}, Point{2.0}, Point{3.0}},
           /*ranks=*/3, o);
@@ -64,11 +63,10 @@ TEST(Racing, NoEliminationWhenAllClose) {
   BatchState::Options o;
   o.samples = 3;
   o.racing = true;
-  o.racing_margin = 0.50;
   BatchState b;
   b.reset(std::vector<Point>{Point{1.0}, Point{2.0}}, 2, o);
-  b.feed(std::vector<double>{1.0, 1.2});
-  EXPECT_EQ(step_assignment(b).size(), 2u);  // 1.2 within 50% of 1.0
+  b.feed(std::vector<double>{1.0, 1.08});
+  EXPECT_EQ(step_assignment(b).size(), 2u);  // 1.08 within 10% of 1.0
   b.feed(std::vector<double>{1.1, 1.0});
   EXPECT_EQ(step_assignment(b).size(), 2u);
   b.feed(std::vector<double>{1.0, 1.1});
@@ -79,11 +77,11 @@ TEST(Racing, LeaderAlwaysKeepsSampling) {
   BatchState::Options o;
   o.samples = 5;
   o.racing = true;
-  o.racing_margin = 0.0;  // maximal aggression
   BatchState b;
   b.reset(std::vector<Point>{Point{1.0}, Point{2.0}, Point{3.0}}, 3, o);
   b.feed(std::vector<double>{5.0, 4.0, 3.0});
-  // Margin 0: everyone above the leader's min is dropped; the leader stays.
+  // Both others are over 10% above the leader's min and drop; the leader
+  // stays.
   const auto a = step_assignment(b);
   ASSERT_EQ(a.size(), 1u);
   EXPECT_EQ(a[0], Point{3.0});

@@ -31,7 +31,7 @@ TEST(Sro, FindsQuadraticMinimum) {
   const auto space = int_box();
   auto land = std::make_shared<QuadraticLandscape>(Point{7.0, 13.0}, 1.0, 0.2);
   auto machine = clean_cluster(land, 1);
-  SroStrategy sro(space, {});
+  SroStrategy sro(space);
   const SessionResult res = run_session(sro, machine, {.steps = 600});
   EXPECT_EQ(res.best, (Point{7.0, 13.0}));
 }
@@ -41,7 +41,7 @@ TEST(Sro, OneNewEvaluationPerStepRestPadded) {
   // padded with the incumbent so the step cost stays a max over all ranks.
   const auto space = int_box();
   auto land = std::make_shared<QuadraticLandscape>(Point{5.0, 5.0}, 1.0, 0.2);
-  SroStrategy sro(space, {});
+  SroStrategy sro(space);
   sro.start(8);
   for (int i = 0; i < 50; ++i) {
     const StepProposal p = sro.propose();
@@ -63,7 +63,7 @@ TEST(Sro, SlowerThanProPerTimeStepBudget) {
   auto m_pro = clean_cluster(land, 8);
   auto m_sro = clean_cluster(land, 8);
   ProStrategy pro(space, {});
-  SroStrategy sro(space, {});
+  SroStrategy sro(space);
   const SessionResult r_pro = run_session(pro, m_pro, {.steps = 60});
   const SessionResult r_sro = run_session(sro, m_sro, {.steps = 60});
   EXPECT_LE(r_pro.best_clean, r_sro.best_clean + 1e-9);
@@ -73,7 +73,7 @@ TEST(Sro, ConvergesAndFreezes) {
   const auto space = int_box();
   auto land = std::make_shared<QuadraticLandscape>(Point{4.0, 4.0}, 1.0, 0.5);
   auto machine = clean_cluster(land, 1);
-  SroStrategy sro(space, {});
+  SroStrategy sro(space);
   const SessionResult res = run_session(sro, machine, {.steps = 900});
   EXPECT_TRUE(res.convergence_step.has_value());
   const StepProposal p = sro.propose();

@@ -1,10 +1,12 @@
 // Contract property tests, parameterized over EVERY tuning strategy in the
-// library: admissibility of all proposals, full-width assignments,
-// determinism, convergence freezing, session accounting and
-// allocation-free warm rounds.  This TU replaces the global allocator
-// (counting_allocator.h), so it must not be linked into anything else.
+// library: admissibility of all proposals (also under adversarial times),
+// full-width assignments, determinism, convergence freezing, session
+// accounting and allocation-free warm rounds.  This TU replaces the global
+// allocator (counting_allocator.h), so it must not be linked into anything
+// else.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <functional>
 #include <memory>
 #include <string>
@@ -49,18 +51,30 @@ using Factory = std::function<TuningStrategyPtr(const ParameterSpace&)>;
 /// must not allocate in any round.
 using AllocationException = bool (*)(std::size_t ranks, int round);
 
-struct StrategyCase {
-  const char* label;
-  Factory make;
-  AllocationException may_allocate = nullptr;
-};
-
 LandscapePtr test_landscape() {
   return std::make_shared<FunctionLandscape>("contract", [](const Point& x) {
     return 1.0 + 0.05 * (x[0] - 7.0) * (x[0] - 7.0) + 0.1 * x[1] +
            0.5 * x[2] * x[2];
   });
 }
+
+/// Every evaluation off the lower c bound is faster than all before it, so
+/// each compass poll beats its incumbent: the step never halves, and the
+/// incumbent steps c between 0 and -0.5 for as long as the session runs.
+LandscapePtr ever_faster_landscape() {
+  return std::make_shared<FunctionLandscape>(
+      "ever-faster", [n = 0.0](const Point& x) mutable {
+        return x[2] <= -1.0 ? 2.0 : 1.0 / ++n;
+      });
+}
+
+struct StrategyCase {
+  const char* label;
+  Factory make;
+  AllocationException may_allocate = nullptr;
+  /// The landscape WarmRoundsAreAllocationFree times proposals on.
+  LandscapePtr (*warm_landscape)() = test_landscape;
+};
 
 class StrategyContract : public ::testing::TestWithParam<StrategyCase> {};
 
@@ -237,13 +251,13 @@ TEST_P(StrategyContract, ImprovesOrMatchesCenterNoiseFree) {
 // whole session at a width (every batch shape at its high-water mark) and
 // start() has rewound it, no propose_into + observe round of a second
 // session may touch the heap: searching, sampling, probing, converged, and
-// grid's finished sweep (192 points, so it ends inside the session even at
-// 1 rank; at 5 ranks its final wave is short).  The only rounds excused
-// are the case's named exception.
+// grid's finished sweep (576 points at 9 levels on the continuous axis, so
+// it ends inside the session even at 1 rank; at 5 ranks its final wave is
+// short).  The only rounds excused are the case's named exception.
 TEST_P(StrategyContract, WarmRoundsAreAllocationFree) {
   const auto space = mixed_space();
-  const auto land = test_landscape();
-  constexpr int kRounds = 240;
+  const auto land = GetParam().warm_landscape();
+  constexpr int kRounds = 600;
   for (const std::size_t ranks : {std::size_t{1}, std::size_t{5},
                                   std::size_t{6}, std::size_t{64}}) {
     auto strategy = GetParam().make(space);
@@ -275,6 +289,47 @@ TEST_P(StrategyContract, WarmRoundsAreAllocationFree) {
     session();
     EXPECT_EQ(unexcused, 0u) << GetParam().label << " at " << ranks
                              << " ranks, first in round " << first_unexcused;
+  }
+}
+
+// Times at the edges of the double range must not push a proposal off the
+// space or to a non-finite coordinate.  Rounds cycle through pairwise ties,
+// 1e-300-scale, 1e300-scale and all-equal times, so every strategy also
+// sees the jumps between them (ratios near 1e600 overflow to inf).
+TEST_P(StrategyContract, AdversarialTimesKeepProposalsFiniteAndAdmissible) {
+  const auto space = mixed_space();
+  for (const std::size_t ranks : {std::size_t{1}, std::size_t{8}}) {
+    auto strategy = GetParam().make(space);
+    strategy->start(ranks);
+    std::vector<Point> buf;
+    std::vector<double> times;
+    for (int round = 0; round < 400; ++round) {
+      strategy->propose_into(buf);
+      ASSERT_FALSE(buf.empty()) << GetParam().label;
+      for (const Point& c : buf) {
+        for (const double v : c) {
+          ASSERT_TRUE(std::isfinite(v))
+              << GetParam().label << " at " << ranks << " ranks, round "
+              << round;
+        }
+        ASSERT_TRUE(space.admissible(c))
+            << GetParam().label << " at " << ranks << " ranks, round "
+            << round;
+      }
+      times.resize(buf.size());
+      for (std::size_t i = 0; i < times.size(); ++i) {
+        const double step = static_cast<double>(i / 2 + 1);
+        switch (round % 4) {
+          case 0: times[i] = step; break;            // ties in pairs
+          case 1: times[i] = 1e-300 * step; break;
+          case 2: times[i] = 1e300 * step; break;
+          default: times[i] = 1.0; break;            // all equal
+        }
+      }
+      strategy->observe(times);
+    }
+    EXPECT_TRUE(space.admissible(strategy->best_point()))
+        << GetParam().label << " at " << ranks << " ranks";
   }
 }
 
@@ -313,7 +368,7 @@ INSTANTIATE_TEST_SUITE_P(
                      }},
         StrategyCase{"sro",
                      [](const ParameterSpace& s) -> TuningStrategyPtr {
-                       return std::make_unique<SroStrategy>(s, SroOptions{});
+                       return std::make_unique<SroStrategy>(s);
                      }},
         StrategyCase{"nelder_mead",
                      [](const ParameterSpace& s) -> TuningStrategyPtr {
@@ -326,24 +381,22 @@ INSTANTIATE_TEST_SUITE_P(
         // poll grows it back.
         StrategyCase{"compass",
                      [](const ParameterSpace& s) -> TuningStrategyPtr {
-                       return std::make_unique<CompassStrategy>(
-                           s, CompassOptions{});
+                       return std::make_unique<CompassStrategy>(s);
                      },
                      [](std::size_t ranks, int round) {
                        return ranks < 6 && round == 1;
                      }},
-        // Two samples per poll and no step floor: compass polls every
-        // round of a session instead of idling in a converged tail.
+        // Two samples per poll, timed on a landscape where every poll
+        // succeeds: compass polls every round of a warm session instead of
+        // idling in a converged tail.
         StrategyCase{"compass_k2",
                      [](const ParameterSpace& s) -> TuningStrategyPtr {
-                       CompassOptions o;
-                       o.min_step_fraction = 0.0;
-                       o.samples = 2;
-                       return std::make_unique<CompassStrategy>(s, o);
+                       return std::make_unique<CompassStrategy>(s, 2);
                      },
                      [](std::size_t ranks, int round) {
                        return ranks < 6 && round == 2;  // as compass
-                     }},
+                     },
+                     ever_faster_landscape},
         StrategyCase{"annealing",
                      [](const ParameterSpace& s) -> TuningStrategyPtr {
                        AnnealingOptions o;
@@ -359,9 +412,7 @@ INSTANTIATE_TEST_SUITE_P(
                      }},
         StrategyCase{"genetic",
                      [](const ParameterSpace& s) -> TuningStrategyPtr {
-                       GeneticOptions o;
-                       o.seed = 123;
-                       return std::make_unique<GeneticStrategy>(s, o);
+                       return std::make_unique<GeneticStrategy>(s, 123);
                      }},
         StrategyCase{"random",
                      [](const ParameterSpace& s) -> TuningStrategyPtr {
@@ -369,9 +420,7 @@ INSTANTIATE_TEST_SUITE_P(
                      }},
         StrategyCase{"grid",
                      [](const ParameterSpace& s) -> TuningStrategyPtr {
-                       GridSearchOptions o;
-                       o.continuous_levels = 3;
-                       return std::make_unique<GridSearchStrategy>(s, o);
+                       return std::make_unique<GridSearchStrategy>(s);
                      }},
         StrategyCase{"fixed",
                      [](const ParameterSpace& s) -> TuningStrategyPtr {
@@ -379,21 +428,11 @@ INSTANTIATE_TEST_SUITE_P(
                      }},
         StrategyCase{"spsa",
                      [](const ParameterSpace& s) -> TuningStrategyPtr {
-                       SpsaOptions o;
-                       o.seed = 123;
-                       return std::make_unique<SpsaStrategy>(s, o);
+                       return std::make_unique<SpsaStrategy>(s, 123);
                      }},
-        StrategyCase{"rs_min",
+        StrategyCase{"rs",
                      [](const ParameterSpace& s) -> TuningStrategyPtr {
                        RankingSelectionOptions o;
-                       o.seed = 123;
-                       return std::make_unique<RankingSelectionStrategy>(s,
-                                                                         o);
-                     }},
-        StrategyCase{"rs_mean",
-                     [](const ParameterSpace& s) -> TuningStrategyPtr {
-                       RankingSelectionOptions o;
-                       o.estimator = EstimatorKind::kMean;
                        o.seed = 123;
                        return std::make_unique<RankingSelectionStrategy>(s,
                                                                          o);
@@ -402,7 +441,7 @@ INSTANTIATE_TEST_SUITE_P(
         // contracts as direct construction.
         StrategyCase{"spec_spsa",
                      [](const ParameterSpace& s) -> TuningStrategyPtr {
-                       return make_strategy("spsa:a=0.3,c=0.15", s, 123);
+                       return make_strategy("spsa", s, 123);
                      }},
         StrategyCase{"spec_rs",
                      [](const ParameterSpace& s) -> TuningStrategyPtr {
