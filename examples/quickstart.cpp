@@ -42,7 +42,8 @@ int main() {
 
   // 4. PRO with min-of-3 sampling; tune over 120 application time steps.
   //    Strategies are built from declarative specs (DESIGN.md §13):
-  //    swap in "spsa", "nm:iters=200", "rs:m=12", ... without recompiling.
+  //    swap in "nm:iters=200", "compass:k=3", "anneal", ... without
+  //    recompiling.
   auto pro = core::make_strategy("pro:k=3", space);
   const core::SessionResult result =
       core::run_session(*pro, machine, {.steps = 120});

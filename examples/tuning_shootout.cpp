@@ -5,7 +5,7 @@
 //   tuning_shootout --smoke             # CI-sized matrix (~1 s)
 //   tuning_shootout --json=OUT.json     # also write a JSON summary
 //   tuning_shootout --list              # print every registered spec family
-//   tuning_shootout --strategies=pro,spsa --landscapes=quad:dims=2
+//   tuning_shootout --strategies=pro,anneal --landscapes=quad:dims=2
 //       --noises=none --steps=60        # custom cells, one command line
 //                                       # (';'-separated specs when a spec
 //                                       # itself contains ',')
@@ -55,8 +55,8 @@ int main(int argc, char** argv) {
   using protuner::apps::ShootoutOptions;
 
   ShootoutOptions opt;
-  opt.strategies = {"pro",  "pro:racing=1", "sro", "nm:iters=200",
-                    "spsa", "rs:m=12",      "compass"};
+  opt.strategies = {"pro",     "pro:racing=1", "sro", "nm:iters=200",
+                    "compass", "anneal"};
   opt.landscapes = {"gs2", "gs2db", "quad:dims=3", "multimodal:dims=3"};
   opt.noises = {"none", "pareto:rho=0.1,alpha=1.7",
                 "exp:rho=0.05+pareto:rho=0.05,alpha=1.5"};
@@ -67,8 +67,7 @@ int main(int argc, char** argv) {
     const std::string_view arg = argv[i];
     std::string_view v;
     if (arg == "--smoke") {
-      opt.strategies = {"pro", "sro", "nm:iters=150", "spsa",
-                        "rs:m=10,n0=3"};
+      opt.strategies = {"pro", "sro", "nm:iters=150", "compass", "anneal"};
       opt.landscapes = {"gs2", "quad:dims=3", "multimodal:dims=2"};
       opt.min_of_k = {0, 3};
       opt.seeds = 2;

@@ -11,7 +11,7 @@
 // convergence plots, and optionally a BENCH_shootout.json summary.
 //
 // Min-of-K is applied by rewriting each strategy spec with `k=<K>`;
-// strategies that do not take a `k` key (SPSA, annealing, ...) reject the
+// strategies that do not take a `k` key (annealing, genetic, ...) reject the
 // rewritten spec at parse time and the combination is recorded as skipped —
 // the unknown-key diagnostics doing real routing work.
 #pragma once

@@ -24,7 +24,6 @@ CompassStrategy::CompassStrategy(ParameterSpace space, int samples)
 void CompassStrategy::start(std::size_t ranks) {
   ranks_ = std::max<std::size_t>(1, ranks);
   incumbent_ = space_.center();
-  incumbent_known_ = false;
   converged_ = false;
   measuring_incumbent_ = true;
   step_.resize(space_.size());
@@ -34,7 +33,8 @@ void CompassStrategy::start(std::size_t ranks) {
   pending_.resize(2 * space_.size());
   pending_[0] = incumbent_;
   n_pending_ = 1;
-  est_.reserve(pending_.size());
+  wave_begin_ = 0;
+  est_.resize(pending_.size());
   samples_done_ = 0;
 }
 
@@ -70,44 +70,49 @@ void CompassStrategy::shrink_step() {
 }
 
 void CompassStrategy::propose_into(std::vector<Point>& out) {
-  // The pending poll first, the incumbent on every spare rank.  Copy-assigns
-  // into the caller's buffer so the converged tail — incumbent on every
-  // rank, forever — runs without allocating.
+  // The current wave of the pending poll first, the incumbent on every
+  // spare rank.  Copy-assigns into the caller's buffer, which always holds
+  // `ranks` points, so no round — the converged tail included — allocates.
   if (converged_) {
     out.assign(ranks_, incumbent_);
     active_slots_ = 0;
     return;
   }
-  const std::size_t n = std::max(n_pending_, ranks_);
-  out.resize(n);
-  for (std::size_t i = 0; i < n_pending_; ++i) out[i] = pending_[i];
-  for (std::size_t i = n_pending_; i < n; ++i) out[i] = incumbent_;
-  active_slots_ = n_pending_;
+  active_slots_ = std::min(n_pending_ - wave_begin_, ranks_);
+  out.resize(ranks_);
+  for (std::size_t i = 0; i < active_slots_; ++i) {
+    out[i] = pending_[wave_begin_ + i];
+  }
+  for (std::size_t i = active_slots_; i < ranks_; ++i) out[i] = incumbent_;
 }
 
 void CompassStrategy::observe(std::span<const double> raw_times) {
   if (converged_ || active_slots_ == 0) return;
   const std::span<const double> times = raw_times.first(active_slots_);
-  assert(times.size() == n_pending_);
+  double* est = est_.data() + wave_begin_;
   // The running min keeps the first of equal samples and a leading NaN, as
   // std::min_element over all of them would.
   if (samples_done_ == 0) {
-    est_.assign(times.begin(), times.end());
+    std::copy(times.begin(), times.end(), est);
   } else {
     for (std::size_t i = 0; i < times.size(); ++i) {
-      if (times[i] < est_[i]) est_[i] = times[i];
+      if (times[i] < est[i]) est[i] = times[i];
     }
   }
   ++samples_done_;
-  if (samples_done_ < samples_) return;  // keep sampling the same poll
+  if (samples_done_ < samples_) return;  // keep sampling the same wave
+  samples_done_ = 0;
+  wave_begin_ += active_slots_;
+  if (wave_begin_ < n_pending_) return;  // poll the next wave
+  wave_begin_ = 0;
 
   if (measuring_incumbent_) {
     incumbent_value_ = est_.front();
-    incumbent_known_ = true;
     measuring_incumbent_ = false;
   } else {
     const auto l = static_cast<std::size_t>(
-        std::min_element(est_.begin(), est_.end()) - est_.begin());
+        std::min_element(est_.begin(), est_.begin() + n_pending_) -
+        est_.begin());
     if (est_[l] < incumbent_value_) {
       incumbent_ = pending_[l];
       incumbent_value_ = est_[l];
@@ -118,11 +123,7 @@ void CompassStrategy::observe(std::span<const double> raw_times) {
   }
 
   fill_poll();
-  if (n_pending_ == 0) {
-    converged_ = true;
-    return;
-  }
-  samples_done_ = 0;
+  if (n_pending_ == 0) converged_ = true;
 }
 
 }  // namespace protuner::core

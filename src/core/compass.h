@@ -1,11 +1,12 @@
 // Parallel compass (coordinate) search — another member of the Generating
 // Set Search family (Kolda, Lewis, Torczon 2003) the paper situates PRO in.
 // Each iteration polls the 2N axial neighbours of the incumbent at the
-// current step size, all in one parallel round; success moves the
-// incumbent, failure halves the step.  The step starts at a quarter of each
-// parameter range, and the search converges once every step is below 0.1%
-// of its range (and below one grid unit on discrete axes).  A useful second
-// GSS reference point for the algorithm-comparison benches.
+// current step size, in waves of at most `ranks` points (one parallel round
+// at >= 2N ranks), each wave sampled K times; success moves the incumbent,
+// failure halves the step.  The step starts at a quarter of each parameter
+// range, and the search converges once every step is below 0.1% of its
+// range (and below one grid unit on discrete axes).  A useful second GSS
+// reference point for the algorithm-comparison benches.
 #pragma once
 
 #include "core/parameter_space.h"
@@ -38,13 +39,14 @@ class CompassStrategy final : public TuningStrategy {
 
   Point incumbent_;
   double incumbent_value_ = 0.0;
-  bool incumbent_known_ = false;
   std::vector<double> step_;  ///< per-axis absolute step
   // Recycled round storage: pending_ holds 2N points (the largest poll) of
   // which the first n_pending_ are live, and est_[i] is the running min of
-  // pending point i's samples, so rounds allocate nothing.
+  // pending point i's samples, so rounds allocate nothing.  The wave being
+  // sampled starts at wave_begin_ and spans active_slots_ points.
   std::vector<Point> pending_;
   std::size_t n_pending_ = 0;
+  std::size_t wave_begin_ = 0;
   std::vector<double> est_;
   int samples_done_ = 0;
   bool measuring_incumbent_ = true;

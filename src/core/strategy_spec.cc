@@ -13,12 +13,9 @@
 #include "core/estimator.h"
 #include "core/fixed.h"
 #include "core/genetic.h"
-#include "core/grid_search.h"
 #include "core/nelder_mead.h"
 #include "core/pro.h"
 #include "core/random_search.h"
-#include "core/ranking_selection.h"
-#include "core/spsa.h"
 #include "core/sro.h"
 
 namespace protuner::core {
@@ -150,22 +147,11 @@ const Reg reg_random{
       return std::make_unique<RandomSearchStrategy>(space, seed);
     }};
 
-const Reg reg_grid{
-    mutable_registry(),
-    "grid",
-    {},
-    "exhaustive sweep (continuous axes sampled at 9 levels)",
-    "grid",
-    [](spec::Options&, const ParameterSpace& space,
-       std::uint64_t) -> TuningStrategyPtr {
-      return std::make_unique<GridSearchStrategy>(space);
-    }};
-
 const Reg reg_compass{
     mutable_registry(),
     "compass",
     {},
-    "parallel compass (coordinate) search, 2N axial polls per round",
+    "parallel compass (coordinate) search over the 2N axial neighbours",
     "compass:k=1",
     [](spec::Options& o, const ParameterSpace& space,
        std::uint64_t) -> TuningStrategyPtr {
@@ -182,34 +168,6 @@ const Reg reg_fixed{
     [](spec::Options&, const ParameterSpace& space,
        std::uint64_t) -> TuningStrategyPtr {
       return std::make_unique<FixedStrategy>(space.center());
-    }};
-
-const Reg reg_spsa{
-    mutable_registry(),
-    "spsa",
-    {},
-    "Simultaneous Perturbation Stochastic Approximation (2 evals/step)",
-    "spsa",
-    [](spec::Options&, const ParameterSpace& space,
-       std::uint64_t seed) -> TuningStrategyPtr {
-      return std::make_unique<SpsaStrategy>(space, seed);
-    }};
-
-const Reg reg_rs{
-    mutable_registry(),
-    "rs",
-    {"ranking", "ranking-selection"},
-    "ranking-and-selection subset screening (Ni & Henderson style)",
-    "rs:m=16,n0=4",
-    [](spec::Options& o, const ParameterSpace& space,
-       std::uint64_t seed) -> TuningStrategyPtr {
-      RankingSelectionOptions opts;
-      opts.candidates = static_cast<std::size_t>(
-          o.get_int("m", static_cast<long>(opts.candidates), 2, 100000));
-      opts.n0 = static_cast<std::size_t>(
-          o.get_int("n0", static_cast<long>(opts.n0), 2, 100000));
-      opts.seed = seed;
-      return std::make_unique<RankingSelectionStrategy>(space, opts);
     }};
 
 }  // namespace

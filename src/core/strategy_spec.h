@@ -7,11 +7,11 @@
 //   auto s = core::make_strategy("pro:k=4,racing", space, seed);
 //   auto t = core::make_strategy("anneal:decay=0.985,migrate=25", space, seed);
 //
-// `seed` feeds the stochastic strategies (annealing, genetic, random,
-// spsa, rs), so harnesses sweep repetitions by changing one argument
-// instead of one options struct per algorithm.  Only hyperparameters that
-// a harness or example varies are keys; the rest are constants in each
-// strategy's source.  Unknown names, unknown/out-of-range keys and
+// `seed` feeds the stochastic strategies (annealing, genetic, random), so
+// harnesses sweep repetitions by changing one argument instead of one
+// options struct per algorithm.  Only hyperparameters that a harness or
+// example varies are keys; the rest are constants in each strategy's
+// source.  Unknown names, unknown/out-of-range keys and
 // contradictory pairs (e.g. "pro:k=3,max_k=2") fail with spec::SpecError.
 #pragma once
 

@@ -6,8 +6,8 @@
 //   name, key := [A-Za-z0-9_.-]+
 //   value     := anything except "," (trimmed)
 //
-// Examples: "pro:k=4,racing", "rs:m=12,n0=3", "pareto:rho=0.1,alpha=1.7",
-// "gs2", "simulated:ranks=16,rho=0.3".
+// Examples: "pro:k=4,racing", "anneal:decay=0.985,migrate=25",
+// "pareto:rho=0.1,alpha=1.7", "gs2", "simulated:ranks=16,rho=0.3".
 //
 // The design contract is the round trip: parse(to_string(s)) == s for every
 // Spec s that parse() can produce — specs are data, not config files, so

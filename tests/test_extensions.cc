@@ -1,12 +1,11 @@
-// Tests for the extension features: bursty noise, grid search, adaptive-K
-// PRO (the paper's stated future work) and spec-built harmony sessions.
+// Tests for the extension features: bursty noise, adaptive-K PRO (the
+// paper's stated future work) and spec-built harmony sessions.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <vector>
 
 #include "cluster/simulated_cluster.h"
-#include "core/grid_search.h"
 #include "core/landscape.h"
 #include "core/parameter_space.h"
 #include "core/pro.h"
@@ -65,55 +64,6 @@ TEST(BurstNoise, QuietStateIsExactlyZero) {
   int zeros = 0;
   for (int i = 0; i < 1000; ++i) zeros += noise.sample(1.0, rng) == 0.0;
   EXPECT_GT(zeros, 500);  // mostly quiet with these defaults
-}
-
-// ---------------------------------------------------------------- GridSearch
-
-TEST(GridSearch, SweepSizeIsProductOfAxes) {
-  const core::ParameterSpace space({
-      core::Parameter::integer("a", 0, 4),          // 5 values
-      core::Parameter::discrete("b", {1.0, 2.0}),   // 2 values
-  });
-  core::GridSearchStrategy gs(space);
-  EXPECT_EQ(gs.sweep_size(), 10u);
-}
-
-TEST(GridSearch, FindsExactOptimum) {
-  const core::ParameterSpace space({
-      core::Parameter::integer("a", 0, 9),
-      core::Parameter::integer("b", 0, 9),
-  });
-  auto land =
-      std::make_shared<core::QuadraticLandscape>(core::Point{3.0, 8.0}, 1.0,
-                                                 0.7);
-  cluster::SimulatedCluster machine(
-      land, std::make_shared<varmodel::NoNoise>(), {.ranks = 4, .seed = 1});
-  core::GridSearchStrategy gs(space);
-  const core::SessionResult res =
-      core::run_session(gs, machine, {.steps = 40});
-  EXPECT_TRUE(gs.converged());
-  EXPECT_EQ(res.best, (core::Point{3.0, 8.0}));
-}
-
-TEST(GridSearch, ContinuousAxesSampledAtNineLevels) {
-  const core::ParameterSpace space(
-      {core::Parameter::continuous("x", 0.0, 1.0)});
-  core::GridSearchStrategy gs(space);
-  EXPECT_EQ(gs.sweep_size(), 9u);
-}
-
-TEST(GridSearch, PinsBestAfterSweep) {
-  const core::ParameterSpace space({core::Parameter::integer("a", 0, 3)});
-  auto land = std::make_shared<core::QuadraticLandscape>(core::Point{2.0},
-                                                         1.0, 1.0);
-  cluster::SimulatedCluster machine(
-      land, std::make_shared<varmodel::NoNoise>(), {.ranks = 2, .seed = 2});
-  core::GridSearchStrategy gs(space);
-  (void)core::run_session(gs, machine, {.steps = 10});
-  ASSERT_TRUE(gs.converged());
-  const core::StepProposal p = gs.propose();
-  ASSERT_EQ(p.configs.size(), 2u);
-  for (const auto& c : p.configs) EXPECT_EQ(c, (core::Point{2.0}));
 }
 
 // ----------------------------------------------------------------- AdaptiveK
@@ -197,13 +147,12 @@ TEST(HarmonySession, ProServerConverges) {
 
 TEST(HarmonySession, EveryStrategySpecCompletesARound) {
   const core::ParameterSpace space({core::Parameter::integer("a", 0, 20)});
-  for (const char* text :
-       {"pro", "sro", "nm", "pro:k=2", "spsa", "rs:m=8,n0=2"}) {
-    harmony::Server server(core::make_strategy(text, space), 3);
+  for (const auto& entry : core::strategy_registry().entries()) {
+    harmony::Server server(core::make_strategy(entry.example, space), 3);
     // One full round must complete without deadlock.
     for (std::size_t r = 0; r < 3; ++r) (void)server.fetch(r);
     for (std::size_t r = 0; r < 3; ++r) server.report(r, 1.0);
-    EXPECT_EQ(server.rounds_completed(), 1u) << text;
+    EXPECT_EQ(server.rounds_completed(), 1u) << entry.example;
   }
   // Malformed specs fail loudly with the spec diagnostics.
   EXPECT_THROW((void)core::make_strategy("pro:kk=2", space), spec::SpecError);
